@@ -22,8 +22,9 @@
 //! `sweep/...` names, the pool microbenchmark for `pool/...` names
 //! (whose checksums gate — parallel scheduling must stay a pure
 //! optimisation), the loopback serve benchmark for `serve/...` names,
-//! the dominance-pruning benchmark for `prune/...` names (pruned-vs-
-//! complete `DPA1D` decade sweeps; scan ratios and bound gaps gate), and
+//! the dominance-pruning benchmark for `prune/...` names (`DPA1D` decade
+//! sweeps; scan ratios and bound gaps gate, the frozen rows of the removed
+//! complete mode stay skipped), and
 //! the fault-injection remap campaign for `incremental/...` names
 //! (delta-patched re-solve vs cold rebuild; energies, regrets and the
 //! speedup-median gate bit gate).
@@ -323,34 +324,27 @@ pub fn compute_fresh_metrics(
 
     // Source 6: the dominance-pruning benchmark (prune/... names).
     // Energies, feasible-point counts, scan ratios, and bound gaps gate —
-    // the prune counters are deterministic order-independent sums — while
-    // the pruned/complete walls and their ratio advise.
+    // the prune counters are deterministic — while the sweep walls
+    // advise. The frozen complete-mode rows (`complete_feasible_points`,
+    // `complete_wall`, `wall_ratio`, `unlocked_points`) get no fresh value
+    // on purpose: the unpruned mode they measured no longer exists, so the
+    // checker reports them as skipped (frozen baseline).
     if needed.iter().any(|m| m.name.starts_with("prune/")) {
-        let sweeps = crate::prune_xp::prune_bench(seed);
-        let mut unlocked = 0usize;
-        for s in &sweeps {
+        for s in crate::prune_xp::prune_bench(seed) {
             let prefix = format!("prune/{}", s.workload);
             fresh.insert(
                 format!("{prefix}/feasible_points"),
                 s.feasible_points() as f64,
             );
-            fresh.insert(
-                format!("{prefix}/complete_feasible_points"),
-                s.complete_feasible_points() as f64,
-            );
-            if let Some(med) = median(s.pruned_energies.iter().flatten().copied().collect()) {
+            if let Some(med) = median(s.energies.iter().flatten().copied().collect()) {
                 fresh.insert(format!("{prefix}/median_energy"), med);
             }
             if let Some(ratio) = s.scan_ratio() {
                 fresh.insert(format!("{prefix}/scan_ratio"), ratio);
             }
             fresh.insert(format!("{prefix}/bound_gap_max"), s.bound_gap_max());
-            fresh.insert(format!("{prefix}/pruned_wall"), s.pruned_wall_ms);
-            fresh.insert(format!("{prefix}/complete_wall"), s.complete_wall_ms);
-            fresh.insert(format!("{prefix}/wall_ratio"), s.wall_ratio());
-            unlocked += s.complete_capped;
+            fresh.insert(format!("{prefix}/pruned_wall"), s.wall_ms);
         }
-        fresh.insert("prune/unlocked_points".into(), unlocked as f64);
     }
 
     // Source 7: the fault-injection remap campaign (incremental/...

@@ -29,8 +29,9 @@
 //!                 benchmark with --suite streamit (writes BENCH_sweep.json
 //!                 to --out: amortized-vs-naive walls + per-point energies),
 //!                 or the dominance-pruning benchmark with --suite prune
-//!                 (pruned vs complete DPA1D over StreamIt + a ≥256-stage
-//!                 generated workload; writes BENCH_prune.json to --out),
+//!                 (DPA1D decade sweeps over StreamIt + a ≥256-stage
+//!                 generated workload: scan ratios, bound gaps, walls;
+//!                 writes BENCH_prune.json to --out),
 //!                 or the fault-injection remap campaign with --suite
 //!                 incremental (--faults events per workflow; incremental
 //!                 re-solve vs cold rebuild, bit-identity asserted; writes
@@ -658,7 +659,7 @@ fn sweep_cmd(opts: &Opts) {
         return;
     }
     if opts.suite.as_deref() == Some("prune") {
-        // Dominance on vs off over StreamIt + the ≥256-stage generated
+        // DPA1D decade sweeps over StreamIt + the ≥256-stage generated
         // workload; the BENCH_prune.json document the perf gate compares
         // against.
         let sweeps = prune_xp::prune_bench(opts.seed);

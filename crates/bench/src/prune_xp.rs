@@ -1,27 +1,21 @@
 //! Dominance-pruning benchmark (`xp sweep --suite prune`).
 //!
-//! Runs the decade sweep of [`crate::sweep_xp`] twice per workload:
-//! **pruned** (the 0.8 default — dominance frontier on, streaming
-//! fallback past the edge cap) and **complete** (`dominance: false`, the
-//! exact 0.7 semantics where an overflowing transition system is a hard
-//! `TooExpensive` failure). Coverage is the full StreamIt table plus a
-//! ≥256-stage generated workload whose complete transition system
-//! overflows the default 1M edge cap — the workload class the dominance
-//! layer unlocks.
-//!
-//! Correctness contract, asserted per point: wherever the complete mode
-//! produces an energy, the pruned mode's energy is **bit-identical** —
-//! within-row dominance only drops states no optimal completion extends,
-//! and ties are kept, so the argmin chain is untouched.
+//! Runs the decade sweep of [`crate::sweep_xp`] with the default `DPA1D`
+//! (dominance frontier on, streaming fallback past the edge cap) over the
+//! full StreamIt table plus a ≥256-stage generated workload whose complete
+//! transition system overflows the default 1M edge cap — the workload
+//! class the dominance layer and the bounded skeletons unlock.
 //!
 //! `BENCH_prune.json` records, per workload: feasible points and median
-//! energy of the pruned mode, the scan ratio (admitted transitions
-//! relaxed over admitted transitions total — the deterministic
-//! state-reduction figure), the maximum certified bound gap (0 unless a
-//! `frontier_cap` truncates), and the complete mode's feasible points
-//! (the unlock: fewer than pruned wherever the edge cap used to abort).
-//! Deterministic metrics gate in `xp bench-check`; wall times and their
-//! ratio advise.
+//! energy, the scan ratio (admitted transitions relaxed over admitted
+//! transitions total — the deterministic state-reduction figure), the
+//! maximum certified bound gap (0 unless a `frontier_cap` truncates), and
+//! the sweep wall. Deterministic metrics gate in `xp bench-check`; walls
+//! advise. The committed file also keeps the rows of the former
+//! unpruned "complete" mode (`complete_feasible_points`, `complete_wall`,
+//! `wall_ratio`, `unlocked_points`) as a frozen baseline: that mode no
+//! longer exists, so this benchmark no longer emits them and
+//! `bench-check` reports them as skipped.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -29,7 +23,7 @@ use std::time::Instant;
 use cmp_platform::Platform;
 use ea_core::solvers::Dpa1d;
 use ea_core::sweep::PeriodSweep;
-use ea_core::{Dpa1dConfig, Instance, PruneStats, Solver};
+use ea_core::{Instance, PruneStats, Solver};
 use spg::generate::families::{FamilyKind, FamilyParams, WorkloadSpec};
 use spg::{streamit_workflow, Spg, STREAMIT_SPECS};
 
@@ -41,14 +35,14 @@ use ea_core::json::fmt_f64;
 /// committed `BENCH_sweep.json` decade).
 pub const PRUNE_BENCH_POINTS: usize = 16;
 
-/// Wall-clock samples per mode (medians).
+/// Wall-clock samples per workload (medians).
 const PRUNE_BENCH_SAMPLES: usize = 2;
 
 /// The ≥256-stage generated workload of the suite: a TGFF-style mixed
 /// SPG whose interned lattice fits the default ideal cap while its
-/// complete transition system overflows the default 1M edge cap — under
-/// 0.7 semantics every sweep point aborts `TooExpensive`; the dominance
-/// layer solves the whole decade.
+/// complete transition system overflows the default 1M edge cap — a
+/// bounded skeleton and the streaming fallback still solve the whole
+/// decade.
 pub fn huge_workload(seed: u64) -> (String, Spg) {
     let params = FamilyParams {
         n: 256,
@@ -60,7 +54,7 @@ pub fn huge_workload(seed: u64) -> (String, Spg) {
     (spec.id(), spec.instantiate())
 }
 
-/// One workload's pruned-vs-complete decade sweep.
+/// One workload's decade sweep.
 #[derive(Debug, Clone)]
 pub struct PruneSweep {
     /// Workload name (Table 1 workflow or generated-workload id).
@@ -69,38 +63,23 @@ pub struct PruneSweep {
     pub stages: usize,
     /// Swept periods, loose to tight.
     pub periods: Vec<f64>,
-    /// Per-point energy with dominance on (`None` = infeasible).
-    pub pruned_energies: Vec<Option<f64>>,
-    /// Per-point energy with `dominance: false` (`None` = infeasible or
-    /// `TooExpensive`).
-    pub complete_energies: Vec<Option<f64>>,
-    /// Per-point prune telemetry of the pruned mode (`None` where the
-    /// point failed).
+    /// Per-point energy (`None` = infeasible).
+    pub energies: Vec<Option<f64>>,
+    /// Per-point prune telemetry (`None` where the point failed).
     pub stats: Vec<Option<PruneStats>>,
-    /// Complete-mode points lost to a budget abort (the failures the
-    /// dominance layer converts into answers).
-    pub complete_capped: usize,
-    /// Median wall of the pruned sweep, ms.
-    pub pruned_wall_ms: f64,
-    /// Median wall of the complete sweep, ms.
-    pub complete_wall_ms: f64,
+    /// Median wall of the sweep, ms.
+    pub wall_ms: f64,
 }
 
 impl PruneSweep {
-    /// Feasible points of the pruned mode.
+    /// Feasible points of the sweep.
     pub fn feasible_points(&self) -> usize {
-        self.pruned_energies.iter().flatten().count()
-    }
-
-    /// Feasible points of the complete mode.
-    pub fn complete_feasible_points(&self) -> usize {
-        self.complete_energies.iter().flatten().count()
+        self.energies.iter().flatten().count()
     }
 
     /// Share of admitted transitions the pruned relaxation actually
     /// scanned, summed over the decade: `kept / (kept + pruned)`.
-    /// Deterministic in the seed — the counters are order-independent
-    /// sums — so it gates.
+    /// Deterministic in the seed, so it gates.
     pub fn scan_ratio(&self) -> Option<f64> {
         let (kept, pruned) = self.stats.iter().flatten().fold((0u64, 0u64), |(k, p), s| {
             (k + s.transitions_kept, p + s.transitions_pruned)
@@ -119,33 +98,19 @@ impl PruneSweep {
             .map(|s| s.bound_gap)
             .fold(0.0, f64::max)
     }
-
-    /// Complete-over-pruned wall ratio (advisory).
-    pub fn wall_ratio(&self) -> f64 {
-        self.complete_wall_ms / self.pruned_wall_ms
-    }
 }
 
-fn dpa1d_with_dominance(dominance: bool) -> Vec<Arc<dyn Solver>> {
-    vec![Arc::new(Dpa1d {
-        cfg: Dpa1dConfig {
-            dominance,
-            ..Dpa1dConfig::default()
-        },
-    })]
-}
-
-/// One decade sweep in one mode: median wall over the samples, plus the
+/// One workload's decade sweep: median wall over the samples, plus the
 /// last sample's per-point energies and prune telemetry (deterministic
 /// across samples).
 #[allow(clippy::type_complexity)]
-fn mode_sweep(
+fn decade_sweep(
     g: &Spg,
     pf: &Platform,
     grid: &[f64],
     seed: u64,
-    dominance: bool,
 ) -> (f64, Vec<Option<f64>>, Vec<Option<PruneStats>>) {
+    let solvers: Vec<Arc<dyn Solver>> = vec![Arc::new(Dpa1d::default())];
     let mut walls = Vec::with_capacity(PRUNE_BENCH_SAMPLES);
     let mut energies = Vec::new();
     let mut stats = Vec::new();
@@ -154,7 +119,7 @@ fn mode_sweep(
         // skeleton builds once, like a real sweep session.
         let base = Instance::new(g.clone(), pf.clone(), grid[0]);
         let started = Instant::now();
-        let report = PeriodSweep::over_periods(dpa1d_with_dominance(dominance), grid.to_vec())
+        let report = PeriodSweep::over_periods(solvers.clone(), grid.to_vec())
             .seeded(seed)
             .parallel(false)
             .run(&base);
@@ -169,9 +134,7 @@ fn mode_sweep(
     (median(walls).unwrap_or(0.0), energies, stats)
 }
 
-/// Runs the full prune benchmark. Panics if any per-point energy the
-/// complete mode produces differs from the pruned mode's — bit-identity
-/// is the correctness contract of the dominance layer, not a tolerance.
+/// Runs the full prune benchmark.
 pub fn prune_bench(seed: u64) -> Vec<PruneSweep> {
     let pf = Platform::paper(4, 4);
     let mut targets: Vec<(String, Spg)> = STREAMIT_SPECS
@@ -184,40 +147,21 @@ pub fn prune_bench(seed: u64) -> Vec<PruneSweep> {
         .map(|(name, g)| {
             let hi = sweep_anchor_period(&g);
             let grid = PeriodSweep::geometric(hi, hi / 10.0, PRUNE_BENCH_POINTS);
-            let (pruned_wall_ms, pruned_energies, stats) = mode_sweep(&g, &pf, &grid, seed, true);
-            let (complete_wall_ms, complete_energies, _) = mode_sweep(&g, &pf, &grid, seed, false);
-            for (i, (p, c)) in pruned_energies.iter().zip(&complete_energies).enumerate() {
-                if let Some(c) = c {
-                    assert_eq!(
-                        p.as_ref(),
-                        Some(c),
-                        "{name}: pruned energy must be bit-identical to the \
-                         complete solve at point {i}"
-                    );
-                }
-            }
-            let complete_capped = complete_energies
-                .iter()
-                .zip(&pruned_energies)
-                .filter(|(c, p)| c.is_none() && p.is_some())
-                .count();
+            let (wall_ms, energies, stats) = decade_sweep(&g, &pf, &grid, seed);
             PruneSweep {
                 workload: name,
                 stages: g.n(),
                 periods: grid,
-                pruned_energies,
-                complete_energies,
+                energies,
                 stats,
-                complete_capped,
-                pruned_wall_ms,
-                complete_wall_ms,
+                wall_ms,
             }
         })
         .collect()
 }
 
 /// The `BENCH_prune.json` document. Energies, point counts, scan ratios,
-/// and bound gaps gate (deterministic); walls and their ratio advise.
+/// and bound gaps gate (deterministic); walls advise.
 pub fn prune_bench_json(sweeps: &[PruneSweep]) -> String {
     let mut entries = Vec::new();
     for s in sweeps {
@@ -226,11 +170,7 @@ pub fn prune_bench_json(sweeps: &[PruneSweep]) -> String {
             "    {{\"name\": \"{prefix}/feasible_points\", \"value\": {}, \"unit\": \"points\"}}",
             s.feasible_points()
         ));
-        entries.push(format!(
-            "    {{\"name\": \"{prefix}/complete_feasible_points\", \"value\": {}, \"unit\": \"points\"}}",
-            s.complete_feasible_points()
-        ));
-        if let Some(med) = median(s.pruned_energies.iter().flatten().copied().collect()) {
+        if let Some(med) = median(s.energies.iter().flatten().copied().collect()) {
             entries.push(format!(
                 "    {{\"name\": \"{prefix}/median_energy\", \"value\": {}, \"unit\": \"J\"}}",
                 fmt_f64(med)
@@ -248,21 +188,9 @@ pub fn prune_bench_json(sweeps: &[PruneSweep]) -> String {
         ));
         entries.push(format!(
             "    {{\"name\": \"{prefix}/pruned_wall\", \"value\": {}, \"unit\": \"ms\"}}",
-            fmt_f64(s.pruned_wall_ms)
-        ));
-        entries.push(format!(
-            "    {{\"name\": \"{prefix}/complete_wall\", \"value\": {}, \"unit\": \"ms\"}}",
-            fmt_f64(s.complete_wall_ms)
-        ));
-        entries.push(format!(
-            "    {{\"name\": \"{prefix}/wall_ratio\", \"value\": {}, \"unit\": \"speedup\"}}",
-            fmt_f64(s.wall_ratio())
+            fmt_f64(s.wall_ms)
         ));
     }
-    let unlocked: usize = sweeps.iter().map(|s| s.complete_capped).sum();
-    entries.push(format!(
-        "    {{\"name\": \"prune/unlocked_points\", \"value\": {unlocked}, \"unit\": \"points\"}}"
-    ));
     format!("{{\n  \"results\": [\n{}\n  ]\n}}\n", entries.join(",\n"))
 }
 
@@ -275,33 +203,17 @@ pub fn prune_bench_text(sweeps: &[PruneSweep]) -> String {
                 s.workload.clone(),
                 s.stages.to_string(),
                 format!("{}/{}", s.feasible_points(), s.periods.len()),
-                format!("{}/{}", s.complete_feasible_points(), s.periods.len()),
                 s.scan_ratio()
                     .map_or("-".into(), |r| format!("{:.1}%", r * 1e2)),
-                format!("{:.2}", s.pruned_wall_ms),
-                format!("{:.2}", s.complete_wall_ms),
+                format!("{:.2}", s.wall_ms),
             ]
         })
         .collect();
-    let mut out = fmt_table(
-        &format!(
-            "dominance-pruning decade sweep, {PRUNE_BENCH_POINTS} points, DPA1D \
-             (pruned = dominance on, complete = 0.7 semantics)"
-        ),
-        &[
-            "workload",
-            "stages",
-            "pruned ok",
-            "complete ok",
-            "scanned",
-            "pruned ms",
-            "complete ms",
-        ],
+    fmt_table(
+        &format!("dominance-pruning decade sweep, {PRUNE_BENCH_POINTS} points, DPA1D"),
+        &["workload", "stages", "ok", "scanned", "ms"],
         &rows,
-    );
-    let unlocked: usize = sweeps.iter().map(|s| s.complete_capped).sum();
-    out.push_str(&format!("points unlocked past the edge cap: {unlocked}\n"));
-    out
+    )
 }
 
 #[cfg(test)]
@@ -314,8 +226,7 @@ mod tests {
             workload: "Fake".into(),
             stages: 16,
             periods: vec![1.0, 0.1],
-            pruned_energies: vec![Some(2.5), Some(3.5)],
-            complete_energies: vec![Some(2.5), None],
+            energies: vec![Some(2.5), Some(3.5)],
             stats: vec![
                 Some(PruneStats {
                     transitions_kept: 90,
@@ -325,21 +236,20 @@ mod tests {
                 }),
                 None,
             ],
-            complete_capped: 1,
-            pruned_wall_ms: 2.0,
-            complete_wall_ms: 6.0,
+            wall_ms: 2.0,
         }];
         let doc = prune_bench_json(&sweeps);
         let metrics = crate::bench_check::parse_bench_metrics(&doc).unwrap();
         let get = |name: &str| metrics.iter().find(|m| m.name == name).unwrap();
         assert_eq!(get("prune/Fake/feasible_points").value, 2.0);
-        assert_eq!(get("prune/Fake/complete_feasible_points").value, 1.0);
         assert_eq!(get("prune/Fake/scan_ratio").value, 0.9);
         assert_eq!(get("prune/Fake/bound_gap_max").value, 0.0);
-        assert_eq!(get("prune/unlocked_points").value, 1.0);
-        let ratio = get("prune/Fake/wall_ratio");
-        assert_eq!(ratio.unit, "speedup", "wall ratios must stay advisory");
-        assert!(prune_bench_text(&sweeps).contains("unlocked"));
+        assert_eq!(
+            get("prune/Fake/pruned_wall").unit,
+            "ms",
+            "walls must stay advisory"
+        );
+        assert!(prune_bench_text(&sweeps).contains("Fake"));
     }
 
     #[test]

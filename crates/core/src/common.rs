@@ -48,8 +48,8 @@ impl std::fmt::Display for HeuristicKind {
     }
 }
 
-/// State-reduction telemetry of a `DPA1D` solve (see
-/// [`crate::Dpa1dConfig::dominance`]): how much of the admitted transition
+/// State-reduction telemetry of a `DPA1D` solve (see the
+/// [`crate::dpa1d`] module docs): how much of the admitted transition
 /// system the dominance frontier actually relaxed, and — when
 /// [`crate::Dpa1dConfig::frontier_cap`] truncated an exact frontier — the
 /// certified energy bound gap the returned solution carries instead of a
@@ -81,8 +81,8 @@ pub struct Solution {
     pub mapping: Mapping,
     /// Its validated evaluation at the requested period.
     pub eval: Evaluation,
-    /// `DPA1D` state-reduction telemetry (`None` for every other solver,
-    /// and for `DPA1D` paths that never engage the dominance frontier).
+    /// `DPA1D` state-reduction telemetry (`None` for every other
+    /// solver).
     pub prune: Option<PruneStats>,
 }
 

@@ -14,12 +14,20 @@
 //! link between cores `k` and `k+1` is exactly the cut volume of the ideal
 //! covering the first `k` clusters.
 //!
-//! Implementation: the ideal lattice is enumerated once (capped — a cap hit
-//! is a heuristic *failure*, mirroring the paper's observation that `DPA1D`
-//! cannot handle the high-elevation StreamIt graphs); every `(ideal,
-//! extended ideal)` cluster transition is materialised (also capped); a
-//! relaxation over at most `r` cluster-count layers then finds the optimum,
-//! and the cluster chain is laid along the snake.
+//! Implementation: the ideal lattice is enumerated once per [`Instance`]
+//! (capped — a cap hit is a heuristic *failure*, mirroring the paper's
+//! observation that `DPA1D` cannot handle the high-elevation StreamIt
+//! graphs). One relaxer consumes the `(ideal, extended ideal)` cluster
+//! transitions, fed by one of two producers: the instance's cached
+//! [`TransitionSkeleton`] when one fits `edge_cap`, or else a streaming
+//! extension DFS that produces the period's transitions without storing
+//! any. Both producers emit the same transitions in the same order, so the
+//! choice changes memory, never the result. Sources are relaxed in ideal-id
+//! order (a topological order of the transition DAG), each by the same
+//! per-source routine: prune the finalised DP row to its Pareto frontier,
+//! snapshot its window of cluster counts, relax every admitted
+//! out-transition. Backtracking the optimum yields at most `r` clusters,
+//! which are laid along the snake.
 //!
 //! ## The period-sweep split
 //!
@@ -30,84 +38,46 @@
 //! its source cut fits the link (`cut ≤ BW·T`) and its cluster work fits
 //! the fastest speed (`w ≤ T·f_max`). So a period sweep does not need to
 //! re-walk the lattice per point: the [`TransitionSkeleton`] materialises
-//! the *complete* transition system once (work-uncapped, edge-capped), and
-//! each sweep point runs a cheap admission pass — two compares and a speed
-//! lookup per transition — over the flat arrays.
+//! the transition system once — complete, or bounded by the loosest period
+//! the session needs — and each sweep point runs a cheap admission pass
+//! (two compares and a speed lookup per transition) over its flat arrays.
+//! Only when no skeleton fits the edge cap does a point fall back to the
+//! streaming DFS, which applies the same thresholds while it walks.
 //!
 //! The admission pass deliberately scans the skeleton in its original DFS
 //! order instead of pre-sorting transitions by critical period and slicing
 //! a prefix: the relaxation breaks energy ties by first arrival, so any
 //! reordering could pick a different (equal-DP-energy) parent chain whose
 //! *evaluated* energy differs in the last ulp. Scanning in order keeps
-//! every sweep point bit-identical to a from-scratch solve at that period,
+//! every sweep point bit-identical to the streaming DFS at that period,
 //! which is what the sweep equivalence tests pin; the filtered-out
 //! compares it wastes are noise next to the relaxation itself.
 //!
 //! On a platform with a single row (`p = 1`) this *is* Theorem 1's exact
-//! algorithm, which the test-suite cross-checks against the exhaustive
-//! solver.
+//! algorithm, which the test-suite cross-checks against a brute-force
+//! enumeration of every chain of ideals.
 
 use cmp_mapping::{Mapping, RouteSpec, REL_TOL};
-use cmp_platform::{snake_core, CoreId, Platform, RouteTable};
-use spg::ideal::{enumerate_ideals, IdealError, IdealId, IdealLattice};
+use cmp_platform::{snake_core, CoreId, Platform, RoutePolicy, RouteTable};
+use spg::ideal::{IdealError, IdealId, IdealLattice};
 use spg::{NodeSet, Spg, StageId};
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
 use crate::common::{validated_with, BudgetPhase, Failure, PruneStats, Solution};
-use crate::instance::SharedLattice;
+use crate::instance::{Instance, SharedLattice};
+use crate::solver::{SolveCtx, Solver};
 
 /// Complexity budgets for `DPA1D`.
 #[derive(Debug, Clone)]
 pub struct Dpa1dConfig {
     /// Maximum number of order ideals to enumerate before failing.
     pub ideal_cap: usize,
-    /// Maximum number of materialised cluster transitions before failing.
+    /// Maximum number of transitions a [`TransitionSkeleton`] may
+    /// materialise. A bound on memory, not a failure mode: a transition
+    /// system past the cap is relaxed by the streaming DFS, which stores
+    /// no transitions and returns the identical result.
     pub edge_cap: usize,
-    /// Minimum number of in-edges in a cardinality level for that level of
-    /// the relaxation to fan out over rayon; narrower levels run inline,
-    /// so small instances never regress. The vendored rayon shim now runs
-    /// a persistent work-stealing pool (dispatching a fan-out costs on the
-    /// order of a microsecond, versus a quarter millisecond of scoped
-    /// thread spawns before), so the break-even is set by the real work —
-    /// the by-destination layered form trades the sequential sweep's
-    /// linear streaming for transposed random access, which a few worker
-    /// threads repay once a level carries roughly ten thousand in-edges
-    /// (measured on the StreamIt-scale skeletons; see `BENCH_pool.json`
-    /// for the dispatch numbers behind it). Mid-size instances that the
-    /// old thread-spawn shim priced out of parallelism (the former default
-    /// sat at a million) now engage the pool. Only the skeleton path
-    /// parallelises — the fallback materialisation path is always
-    /// sequential — and a 1-worker pool keeps the sequential order
-    /// outright. (Tests force either order by setting this to 0 or
-    /// `usize::MAX`; the results are bit-identical.)
-    pub relax_par_threshold: usize,
-    /// Enables the dominance state-reduction layer (new in 0.8; `true` by
-    /// default — set `false` to reproduce 0.7 semantics exactly, see the
-    /// README migration note). Two effects:
-    ///
-    /// 1. **Dominance pruning.** Once an ideal's DP row is final, every
-    ///    state strictly dominated within the row's Pareto frontier over
-    ///    `(energy, residual cluster capacity)` is dropped before the
-    ///    ideal's out-transitions are scanned: a slot that covers the same
-    ///    ideal at strictly higher energy *and* strictly fewer remaining
-    ///    clusters than an earlier slot cannot start a better completion
-    ///    (any completion of the dominated state applies verbatim to its
-    ///    dominator). Value-preserving by construction, so energies stay
-    ///    bit-identical to the unpruned relaxation; what it buys is a
-    ///    tighter relaxation window per source row (often one slot instead
-    ///    of the full cluster-count range).
-    /// 2. **The edge cap becomes a soundness-preserving bound.** With the
-    ///    layer on, `edge_cap` bounds only *materialised* structures (the
-    ///    cached skeleton and per-period transition arrays). An admitted
-    ///    set that overflows the cap no longer fails with `TooExpensive`:
-    ///    the skeleton path streams the admission scan over the prebuilt
-    ///    index, and the materialisation path falls back to a fused
-    ///    DFS+relax sweep that stores no transitions at all — same
-    ///    candidate order, bit-identical result, bounded memory.
-    pub dominance: bool,
     /// Upper bound on the per-ideal Pareto frontier kept by the dominance
-    /// layer (`usize::MAX` = unbounded, the default; values below 1 are
+    /// pruning (`usize::MAX` = unbounded, the default; values below 1 are
     /// clamped to 1). When an *exact* frontier is truncated, the dropped
     /// states' completions are lower-bounded instead of searched and the
     /// solve returns normally with a certified
@@ -123,8 +93,6 @@ impl Default for Dpa1dConfig {
         Dpa1dConfig {
             ideal_cap: 60_000,
             edge_cap: 1_000_000,
-            relax_par_threshold: 10_000,
-            dominance: true,
             frontier_cap: usize::MAX,
         }
     }
@@ -139,35 +107,6 @@ pub(crate) fn lattice_failure(e: &IdealError) -> Failure {
     }
 }
 
-/// Materialised DP transitions in struct-of-arrays layout: entry `t`
-/// extends its block's source ideal to ideal `to[t]` by one cluster of
-/// compute energy `ecal[t]`. Transitions are grouped into per-source
-/// [`TransitionBlock`]s, so the source id is not repeated per edge and the
-/// relaxation loops hoist everything that depends only on it (the split
-/// arrays also keep the 16-fold layered sweep lean on memory bandwidth).
-/// Ideals are referenced by their dense interned [`IdealId`] — the DP
-/// never touches an owned `NodeSet`.
-#[derive(Default)]
-struct Transitions {
-    to: Vec<IdealId>,
-    ecal: Vec<f64>,
-}
-
-impl Transitions {
-    fn len(&self) -> usize {
-        self.to.len()
-    }
-}
-
-/// All transitions out of one ideal: a contiguous range of [`Transitions`].
-struct TransitionBlock {
-    from: IdealId,
-    /// Hop energy paid on the uni-line link entering the next cluster
-    /// (0 for the empty ideal, which has no predecessor link).
-    hop: f64,
-    range: std::ops::Range<u32>,
-}
-
 /// One source ideal's block of skeleton transitions, with the
 /// period-independent quantities the admission pass filters on.
 struct SkeletonBlock {
@@ -178,21 +117,16 @@ struct SkeletonBlock {
     /// Hop energy entering the next cluster (period-independent:
     /// `8 · cut · E_bit`); 0 for the empty ideal.
     hop: f64,
-    /// Lightest and heaviest cluster work in the block: `wmin > cap_work`
-    /// skips the whole block, `wmax ≤ cap_work` admits it without
-    /// per-transition compares — the tight half of a decade sweep touches
-    /// only a fraction of the skeleton this way.
+    /// Lightest cluster work in the block: `wmin > cap_work` skips the
+    /// whole block — the tight half of a decade sweep touches only a
+    /// fraction of the skeleton this way.
     wmin: f64,
-    wmax: f64,
     range: std::ops::Range<u32>,
 }
 
 impl SkeletonBlock {
     /// Whether any of this block's transitions can be admitted at the
-    /// given thresholds. Single-sourced on purpose: the admitted-count
-    /// pass, the sequential sweep, and the parallel relaxation must filter
-    /// the *same* block set or the edge-cap check and the bit-identity
-    /// contract with fresh per-period materialisation silently break.
+    /// given thresholds.
     #[inline]
     fn admissible(&self, adm: &Admission) -> bool {
         (self.from.idx() == 0 || self.cut <= adm.bw_cap) && self.wmin <= adm.cap_work
@@ -200,10 +134,9 @@ impl SkeletonBlock {
 }
 
 /// The period-independent half of the `DPA1D` pipeline: every cluster
-/// transition of the lattice (work-uncapped, so it serves *every* period),
-/// in the same per-source-block SoA layout the relaxation streams, plus a
-/// destination-grouped transposed index and the cardinality levels that
-/// let the relaxation fan out over rayon.
+/// transition of the lattice (work-uncapped, so it serves *every* period,
+/// or capped at a ceiling period's work threshold), in the per-source-block
+/// SoA layout the relaxation streams.
 ///
 /// Built at most once per instance (see `Instance::transition_skeleton`)
 /// and shared across `with_period` re-targets — the enabling structure for
@@ -223,25 +156,17 @@ pub struct TransitionSkeleton {
     /// per-transition array would pin ~4 MB per cached skeleton at the
     /// default edge cap for nothing).
     max_stages: u32,
-    /// Transposed view: `in_idx[in_off[t]..in_off[t+1]]` lists the global
-    /// transition indices entering ideal `t`, in ascending order — i.e. in
-    /// exactly the order the sequential sweep relaxes them, which keeps
-    /// the parallel relaxation's tie-breaking bit-identical.
-    in_off: Vec<u32>,
-    in_idx: Vec<u32>,
-    /// Block index of each transposed entry (source id + hop lookup).
-    in_block: Vec<u32>,
-    /// Cardinality-level boundaries over ideal ids: all in-edges of a
-    /// level-`L` ideal come from strictly earlier levels, so levels are
-    /// the parallel relaxation's synchronisation points.
-    level_off: Vec<u32>,
+    /// Size of the lattice the skeleton was built over: every ideal id it
+    /// holds is below it, and a skeleton only serves a lattice of exactly
+    /// this size.
+    n_ideals: u32,
     /// The loosest period this skeleton serves exactly: `INFINITY` for a
     /// complete (work-uncapped) build, or the work-ceiling period of a
     /// bounded build. Work strictly grows along every extension-DFS path,
     /// so a build capped at the ceiling's work threshold contains *every*
     /// transition any period `T ≤ ceiling` admits, in the same DFS order —
     /// the admission pass at such a `T` is bit-identical to one over the
-    /// complete skeleton (and to fresh materialisation at `T`).
+    /// complete skeleton (and to the streaming DFS at `T`).
     period_ceiling: f64,
 }
 
@@ -250,7 +175,7 @@ impl std::fmt::Debug for TransitionSkeleton {
         f.debug_struct("TransitionSkeleton")
             .field("blocks", &self.blocks.len())
             .field("transitions", &self.to.len())
-            .field("levels", &(self.level_off.len().saturating_sub(1)))
+            .field("ideals", &self.n_ideals)
             .field("period_ceiling", &self.period_ceiling)
             .finish()
     }
@@ -268,18 +193,14 @@ impl TransitionSkeleton {
     }
 
     /// Approximate resident size in bytes (all per-block and
-    /// per-transition arrays, including the transposed index) — input to
-    /// byte-bounded artifact-cache accounting.
+    /// per-transition arrays) — input to byte-bounded artifact-cache
+    /// accounting.
     pub fn size_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<Self>()
             + self.blocks.capacity() * size_of::<SkeletonBlock>()
             + self.to.capacity() * size_of::<IdealId>()
             + self.work.capacity() * size_of::<f64>()
-            + self.in_off.capacity() * size_of::<u32>()
-            + self.in_idx.capacity() * size_of::<u32>()
-            + self.in_block.capacity() * size_of::<u32>()
-            + self.level_off.capacity() * size_of::<u32>()
     }
 
     /// Largest cluster stage count over all transitions.
@@ -300,7 +221,7 @@ impl TransitionSkeleton {
     }
 
     /// Whether an admission pass at `period` over this skeleton is exact —
-    /// i.e. bit-identical to fresh per-period materialisation. True for
+    /// i.e. bit-identical to the streaming DFS at that period. True for
     /// every period of a complete build, and for `period ≤ ceiling` of a
     /// bounded one.
     pub fn serves(&self, period: f64) -> bool {
@@ -313,14 +234,13 @@ impl TransitionSkeleton {
     /// reloaded skeleton admits bit-identically.
     pub fn to_bytes(&self) -> Vec<u8> {
         use spg::wire;
-        let mut out = Vec::with_capacity(64 + self.to.len() * 16);
+        let mut out = Vec::with_capacity(64 + self.blocks.len() * 36 + self.to.len() * 12);
         wire::put_u64(&mut out, self.blocks.len() as u64);
         for b in &self.blocks {
             wire::put_u32(&mut out, b.from.0);
             wire::put_f64(&mut out, b.cut);
             wire::put_f64(&mut out, b.hop);
             wire::put_f64(&mut out, b.wmin);
-            wire::put_f64(&mut out, b.wmax);
             wire::put_u32(&mut out, b.range.start);
             wire::put_u32(&mut out, b.range.end);
         }
@@ -330,29 +250,25 @@ impl TransitionSkeleton {
         }
         wire::put_f64_slice(&mut out, &self.work);
         wire::put_u32(&mut out, self.max_stages);
-        wire::put_u32_slice(&mut out, &self.in_off);
-        wire::put_u32_slice(&mut out, &self.in_idx);
-        wire::put_u32_slice(&mut out, &self.in_block);
-        wire::put_u32_slice(&mut out, &self.level_off);
+        wire::put_u32(&mut out, self.n_ideals);
         wire::put_f64(&mut out, self.period_ceiling);
         out
     }
 
     /// Decodes a byte image produced by [`TransitionSkeleton::to_bytes`],
     /// re-validating every index the relaxation later slices with (block
-    /// ranges, the transposed index, level boundaries), so a corrupted
-    /// spill file yields `Err`, never an out-of-bounds panic mid-DP.
+    /// ranges and ideal ids), so a corrupted spill file yields `Err`, never
+    /// an out-of-bounds panic mid-DP.
     pub fn from_bytes(bytes: &[u8]) -> Result<TransitionSkeleton, String> {
         use spg::wire;
         let mut pos = 0usize;
-        let n_blocks = wire::get_len(bytes, &mut pos, 44)?;
+        let n_blocks = wire::get_len(bytes, &mut pos, 36)?;
         let mut blocks = Vec::with_capacity(n_blocks);
         for _ in 0..n_blocks {
             let from = IdealId(wire::get_u32(bytes, &mut pos)?);
             let cut = wire::get_f64(bytes, &mut pos)?;
             let hop = wire::get_f64(bytes, &mut pos)?;
             let wmin = wire::get_f64(bytes, &mut pos)?;
-            let wmax = wire::get_f64(bytes, &mut pos)?;
             let start = wire::get_u32(bytes, &mut pos)?;
             let end = wire::get_u32(bytes, &mut pos)?;
             blocks.push(SkeletonBlock {
@@ -360,7 +276,6 @@ impl TransitionSkeleton {
                 cut,
                 hop,
                 wmin,
-                wmax,
                 range: start..end,
             });
         }
@@ -371,10 +286,7 @@ impl TransitionSkeleton {
         }
         let work = wire::get_f64_slice(bytes, &mut pos)?;
         let max_stages = wire::get_u32(bytes, &mut pos)?;
-        let in_off = wire::get_u32_slice(bytes, &mut pos)?;
-        let in_idx = wire::get_u32_slice(bytes, &mut pos)?;
-        let in_block = wire::get_u32_slice(bytes, &mut pos)?;
-        let level_off = wire::get_u32_slice(bytes, &mut pos)?;
+        let n_ideals = wire::get_u32(bytes, &mut pos)?;
         let period_ceiling = wire::get_f64(bytes, &mut pos)?;
         if pos != bytes.len() {
             return Err(format!(
@@ -392,29 +304,7 @@ impl TransitionSkeleton {
         {
             return Err("block range exceeds the transition arrays".into());
         }
-        let n_ideals = in_off.len().saturating_sub(1);
-        if in_off.is_empty()
-            || in_off.windows(2).any(|w| w[0] > w[1])
-            || in_off.last().copied().unwrap_or(0) as usize != in_idx.len()
-        {
-            return Err("transposed offsets are not a monotone cover".into());
-        }
-        if in_idx.len() != n_tr || in_block.len() != n_tr {
-            return Err("transposed index disagrees with the transition count".into());
-        }
-        if in_idx.iter().any(|&i| i as usize >= n_tr)
-            || in_block.iter().any(|&b| b as usize >= blocks.len().max(1))
-        {
-            return Err("transposed entry references an out-of-range transition".into());
-        }
-        if level_off.windows(2).any(|w| w[0] > w[1])
-            || level_off.last().copied().unwrap_or(0) as usize > n_ideals
-        {
-            return Err("level boundaries exceed the ideal count".into());
-        }
-        if to.iter().any(|t| t.idx() >= n_ideals)
-            || blocks.iter().any(|b| b.from.idx() >= n_ideals.max(1))
-        {
+        if to.iter().any(|t| t.0 >= n_ideals) || blocks.iter().any(|b| b.from.0 >= n_ideals) {
             return Err("transition references an out-of-range ideal".into());
         }
         Ok(TransitionSkeleton {
@@ -422,72 +312,54 @@ impl TransitionSkeleton {
             to,
             work,
             max_stages,
-            in_off,
-            in_idx,
-            in_block,
-            level_off,
+            n_ideals,
             period_ceiling,
         })
-    }
-
-    /// In-edge count of one cardinality level (`level_off[l]..level_off[l+1]`
-    /// ideal ids): destinations in a level are contiguous, and the
-    /// transposed index is grouped by destination id, so the level's edges
-    /// are one contiguous span.
-    fn level_edges(&self, start: usize, end: usize) -> usize {
-        (self.in_off[end] - self.in_off[start]) as usize
-    }
-
-    /// Whether any cardinality level is wide enough (by in-edge count) to
-    /// clear the parallel fan-out threshold.
-    fn has_parallel_level(&self, threshold: usize) -> bool {
-        self.level_off
-            .windows(2)
-            .any(|lv| self.level_edges(lv[0] as usize, lv[1] as usize) >= threshold)
     }
 
     /// How many transitions the admission pass keeps at the period's
     /// thresholds. Monotone in the period: loosening a threshold only
     /// ever adds transitions.
+    #[cfg(test)]
     fn admitted_count(&self, adm: &Admission) -> usize {
-        let mut n = 0usize;
+        self.blocks
+            .iter()
+            .filter(|b| b.admissible(adm))
+            .map(|b| {
+                let range = b.range.start as usize..b.range.end as usize;
+                self.work[range]
+                    .iter()
+                    .filter(|&&w| w <= adm.cap_work)
+                    .count()
+            })
+            .sum()
+    }
+
+    /// The skeleton producer: feeds every transition admitted at `adm`'s
+    /// thresholds to the relaxer, block by block in id order and in DFS
+    /// order within each block — the exact sequence the streaming DFS
+    /// produces at the same period.
+    fn relax_into(&self, adm: &Admission, dp: &mut Relaxer) {
         for b in &self.blocks {
             if !b.admissible(adm) {
                 continue;
             }
-            if b.wmax <= adm.cap_work {
-                n += b.range.len();
-                continue;
-            }
             let range = b.range.start as usize..b.range.end as usize;
-            n += self.work[range]
-                .iter()
-                .filter(|&&w| w <= adm.cap_work)
-                .count();
+            dp.relax_source(b.from, b.hop, |src| {
+                for (&to, &w) in self.to[range.clone()].iter().zip(&self.work[range]) {
+                    if w <= adm.cap_work && !src.offer(to, w) {
+                        break;
+                    }
+                }
+            });
         }
-        n
-    }
-
-    /// Whether a fresh materialisation at this period would have created
-    /// this source block at all: admissible cut AND at least one
-    /// work-feasible out-transition. This is the dominance layer's gate
-    /// for pruning the source row — fresh materialisation only ever
-    /// prunes rows whose block exists, and the telemetry pins parity
-    /// with it bit for bit. The scan short-circuits on the first
-    /// feasible transition (DFS emits single-stage extensions first, so
-    /// it is almost always the very first element).
-    fn block_live(&self, b: &SkeletonBlock, adm: &Admission, ec: &EcalTable) -> bool {
-        b.admissible(adm)
-            && self.work[b.range.start as usize..b.range.end as usize]
-                .iter()
-                .any(|&w| w <= adm.cap_work && ec.ecal(w).is_some())
     }
 
     /// Builds the transition system over `lattice`, complete
     /// (`period_ceiling = INFINITY`) or bounded by a work-ceiling period.
     /// Fails (with the materialise-phase budget payload) when the built set
     /// exceeds `edge_cap` — the caller falls back to a tighter ceiling or
-    /// to per-period materialisation.
+    /// to the streaming DFS.
     fn build(
         spg: &Spg,
         pf: &Platform,
@@ -507,15 +379,13 @@ impl TransitionSkeleton {
         let mut to: Vec<IdealId> = Vec::new();
         let mut work: Vec<f64> = Vec::new();
         let mut max_stages = 0u32;
-        let mut ctx = ExtendCtx {
+        let mut ctx = ExtendCtx::new(
             spg,
             lattice,
-            pred_masks: lattice.pred_masks(),
             // Complete builds are work-uncapped: the skeleton serves every
             // period, so only the edge cap bounds it.
-            cap_work: ceiling_adm.as_ref().map_or(f64::INFINITY, |a| a.cap_work),
-            stack: Vec::with_capacity(4 * spg.n()),
-        };
+            ceiling_adm.as_ref().map_or(f64::INFINITY, |a| a.cap_work),
+        );
         for from in lattice.ids() {
             // Complete builds keep every boundary (a cut infeasible at one
             // period is feasible at a looser one; the admission pass applies
@@ -527,15 +397,8 @@ impl TransitionSkeleton {
                     continue;
                 }
             }
-            ctx.stack.clear();
-            ctx.stack
-                .extend(lattice.covers(from).iter().map(|&(s, _)| StageId(s)));
-            let hi = ctx.stack.len();
             let start = to.len() as u32;
-            let ok = extend(&mut ctx, from, 0.0, 1, 0, hi, &mut |child: IdealId,
-                                                                 w: f64,
-                                                                 depth: u32|
-             -> bool {
+            let ok = ctx.extensions(from, &mut |child: IdealId, w: f64, depth: u32| -> bool {
                 if to.len() >= edge_cap {
                     return false;
                 }
@@ -554,69 +417,24 @@ impl TransitionSkeleton {
             let end = to.len() as u32;
             if end > start {
                 let cut = cuts[from.idx()];
-                let hop = if from.idx() == 0 {
-                    0.0
-                } else {
-                    pf.hop_energy(cut)
-                };
-                let ws = &work[start as usize..end as usize];
                 blocks.push(SkeletonBlock {
                     from,
                     cut,
-                    hop,
-                    wmin: ws.iter().copied().fold(f64::INFINITY, f64::min),
-                    wmax: ws.iter().copied().fold(0.0, f64::max),
+                    hop: hop_energy(pf, from, cut),
+                    wmin: work[start as usize..end as usize]
+                        .iter()
+                        .copied()
+                        .fold(f64::INFINITY, f64::min),
                     range: start..end,
                 });
             }
         }
-
-        // Transposed (destination-grouped) index via counting sort, so the
-        // per-destination lists come out in ascending global order — the
-        // sequential sweep's relaxation order.
-        let n_ideals = lattice.len();
-        let mut in_off = vec![0u32; n_ideals + 1];
-        for t in &to {
-            in_off[t.idx() + 1] += 1;
-        }
-        for i in 0..n_ideals {
-            in_off[i + 1] += in_off[i];
-        }
-        let mut cursor = in_off.clone();
-        let mut in_idx = vec![0u32; to.len()];
-        let mut in_block = vec![0u32; to.len()];
-        for (bi, b) in blocks.iter().enumerate() {
-            for j in b.range.clone() {
-                let t = to[j as usize].idx();
-                let slot = cursor[t] as usize;
-                in_idx[slot] = j;
-                in_block[slot] = bi as u32;
-                cursor[t] += 1;
-            }
-        }
-
-        // Cardinality levels: the lattice is grouped by cardinality in
-        // increasing order, so levels are contiguous id ranges.
-        let mut level_off = vec![0u32];
-        let mut prev_card = 0usize;
-        for (i, s) in lattice.iter().enumerate() {
-            let card = s.len();
-            if card != prev_card {
-                level_off.push(i as u32);
-                prev_card = card;
-            }
-        }
-        level_off.push(n_ideals as u32);
-
         Ok(TransitionSkeleton {
             blocks,
             to,
             work,
             max_stages,
-            in_off,
-            in_idx,
-            in_block,
-            level_off,
+            n_ideals: lattice.len() as u32,
             period_ceiling,
         })
     }
@@ -661,6 +479,16 @@ pub(crate) fn build_skeleton_bounded(
         edge_cap,
         period_ceiling,
     )
+}
+
+/// Hop energy paid on the uni-line link leaving boundary ideal `from`
+/// (0 for the empty ideal, which has no predecessor link).
+fn hop_energy(pf: &Platform, from: IdealId, cut: f64) -> f64 {
+    if from.idx() == 0 {
+        0.0
+    } else {
+        pf.hop_energy(cut)
+    }
 }
 
 /// The period-dependent compute-energy table: cluster work → `Ecal`.
@@ -711,59 +539,82 @@ pub fn dpa1d(
     period: f64,
     cfg: &Dpa1dConfig,
 ) -> Result<Solution, Failure> {
-    dpa1d_run(spg, pf, period, cfg, None, None, None)
+    let inst = Instance::new(spg.clone(), pf.clone(), period);
+    crate::solvers::Dpa1d { cfg: cfg.clone() }.solve(&inst, &SolveCtx::new(0))
 }
 
-/// `DPA1D` on optionally pre-computed session caches. `None` everywhere
-/// enumerates locally (legacy behaviour); the [`crate::solvers::Dpa1d`]
-/// solver passes the instance's cached [`SharedLattice`], its
-/// [`TransitionSkeleton`] (when the complete transition system fit the
-/// edge cap), and the snake route table.
-pub(crate) fn dpa1d_run(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    cfg: &Dpa1dConfig,
-    shared: Option<&SharedLattice>,
-    skeleton: Option<&TransitionSkeleton>,
-    table: Option<&RouteTable>,
-) -> Result<Solution, Failure> {
-    let (chain, prune) = match (shared, skeleton) {
-        // A bounded skeleton is only exact up to its ceiling; a request
-        // beyond it (defensive — the `Instance` cache hands out serving
-        // skeletons only) falls back to per-period materialisation.
-        (Some(sh), Some(sk)) if sk.serves(period) => {
-            solve_chain_skeleton(spg, pf, period, cfg, &sh.lattice, sk)?
-        }
-        (Some(sh), _) => solve_chain_on(spg, pf, period, cfg, &sh.lattice, &sh.cuts)?,
-        _ => solve_chain(spg, pf, period, cfg)?,
-    };
-    let mut sol = build_snake_solution(spg, pf, period, &chain, table)?;
-    sol.prune = prune;
+/// `DPA1D` on an instance's session caches: its interned
+/// [`SharedLattice`], its [`TransitionSkeleton`] when one fits the edge
+/// cap, and the snake route table.
+pub(crate) fn dpa1d_run(inst: &Instance, cfg: &Dpa1dConfig) -> Result<Solution, Failure> {
+    let shared = inst
+        .lattice(cfg.ideal_cap)
+        .map_err(|e| lattice_failure(&e))?;
+    let skeleton = inst.transition_skeleton(cfg)?;
+    let (spg, pf, period) = (inst.spg(), inst.platform(), inst.period());
+    let (chain, prune) = solve_chain(spg, pf, period, cfg, &shared, skeleton.as_deref())?;
+    let table = inst.route_table(RoutePolicy::Snake);
+    let mut sol = build_snake_solution(spg, pf, period, &chain, &table)?;
+    sol.prune = Some(prune);
     Ok(sol)
 }
 
-/// A solved cluster chain together with the dominance layer's telemetry
-/// (`None` when `cfg.dominance` is off).
-pub(crate) type ChainSolve = (Vec<Vec<StageId>>, Option<PruneStats>);
+/// A solved cluster chain together with the dominance telemetry.
+type ChainSolve = (Vec<Vec<StageId>>, PruneStats);
 
-/// The optimal chain of clusters (at most `pf.n_cores()` of them) for the
-/// uni-directional uni-line configuration, enumerating the lattice locally.
-/// Exposed crate-internally for cross-checks.
-pub(crate) fn solve_chain(
+/// The Theorem 1 dynamic program over a shared lattice: the optimal chain
+/// of clusters (at most one per alive core) for the uni-directional
+/// uni-line. Transitions come from `skeleton` when it serves this period,
+/// and from the streaming DFS otherwise.
+fn solve_chain(
     spg: &Spg,
     pf: &Platform,
     period: f64,
     cfg: &Dpa1dConfig,
+    shared: &SharedLattice,
+    skeleton: Option<&TransitionSkeleton>,
 ) -> Result<ChainSolve, Failure> {
-    let lattice = enumerate_ideals(spg, cfg.ideal_cap).map_err(|e| lattice_failure(&e))?;
-    // Per-ideal cut volumes (traffic on the uni-line link right after the
-    // ideal). An ideal whose cut exceeds the bandwidth-period product can
-    // never be a cluster boundary (its outgoing link is overloaded), so its
-    // extensions are not even materialised; feasible cuts precompute their
-    // hop energy in `materialize_transitions`.
-    let cuts: Vec<f64> = lattice.iter().map(|s| spg.cut_volume(s)).collect();
-    solve_chain_on(spg, pf, period, cfg, &lattice, &cuts)
+    let lattice = &shared.lattice;
+    let adm = Admission::new(pf, period);
+    let mut dp = Relaxer::new(spg, pf, period, lattice, cfg.frontier_cap);
+    // A bounded skeleton is only exact up to its ceiling, and a skeleton
+    // only indexes the lattice it was built over (the `Instance` cache
+    // hands out serving skeletons only; the check keeps a mismatched one
+    // from slicing out of range).
+    match skeleton.filter(|sk| sk.serves(period) && sk.n_ideals as usize == lattice.len()) {
+        Some(sk) => sk.relax_into(&adm, &mut dp),
+        None => stream_into(spg, pf, lattice, &shared.cuts, &adm, &mut dp),
+    }
+    let (chain, best) = dp.state.backtrack(lattice)?;
+    Ok((chain, dp.prune.stats(best)))
+}
+
+/// The streaming producer: walks the per-period extension DFS from every
+/// source whose outgoing link fits the period and feeds each transition to
+/// the relaxer the moment the DFS produces it, storing none of them. This
+/// is what makes the edge cap a *soundness-preserving* bound: a
+/// transition system past the cap costs time, not a `TooExpensive`
+/// failure.
+fn stream_into(
+    spg: &Spg,
+    pf: &Platform,
+    lattice: &IdealLattice,
+    cuts: &[f64],
+    adm: &Admission,
+    dp: &mut Relaxer,
+) {
+    let mut ctx = ExtendCtx::new(spg, lattice, adm.cap_work);
+    for from in lattice.ids() {
+        let cut = cuts[from.idx()];
+        if from.idx() != 0 && cut > adm.bw_cap {
+            continue; // outgoing link overloaded: unreachable boundary
+        }
+        dp.relax_source(from, hop_energy(pf, from, cut), |src| {
+            ctx.extensions(from, &mut |to: IdealId, w: f64, _depth: u32| {
+                src.offer(to, w)
+            });
+        });
+    }
 }
 
 /// Per-period admission thresholds (both monotone in the period).
@@ -787,33 +638,25 @@ impl Admission {
     }
 }
 
-/// Per-solve state of the dominance layer (see
-/// [`Dpa1dConfig::dominance`]). Interior mutability throughout: the
-/// parallel relaxation prunes each destination row inside the rayon task
-/// that owns it, so every counter is an atomic (sums and min/max are
-/// order-independent — the telemetry is bit-identical across thread
-/// counts, which the sweep equivalence tests pin).
+/// Per-solve state of the dominance pruning and its telemetry counters.
 struct PruneCtx {
     /// Per-ideal relaxation-window shrink (in cluster-count slots),
-    /// recorded when the row was pruned. Written exactly once, by the
-    /// block/task that finalised the row; read only when relaxing *out* of
-    /// the row, which is always at a strictly later point of the schedule.
-    saved: Vec<AtomicU32>,
+    /// recorded when the row was pruned — always before any transition
+    /// out of the row is relaxed.
+    saved: Vec<u32>,
     /// Σ over relaxed transitions of their window span — the inner-loop
     /// candidate relaxations actually performed.
-    kept: AtomicU64,
+    kept: u64,
     /// Σ over relaxed transitions of their source's window shrink — the
     /// candidate relaxations dominance avoided.
-    pruned: AtomicU64,
+    pruned: u64,
     /// Largest exact (pre-cap) per-ideal Pareto frontier observed.
-    frontier_max: AtomicU32,
-    /// Minimum completion lower bound over frontier-cap-truncated states,
-    /// as `f64` bits (non-negative floats order like their bit patterns,
-    /// so `fetch_min` on the bits is an atomic float min).
-    trunc_lb: AtomicU64,
+    frontier_max: u32,
+    /// Minimum completion lower bound over frontier-cap-truncated states.
+    trunc_lb: f64,
     /// Number of frontier-cap truncations (0 ⇒ the solve is exact and
     /// `bound_gap` is 0).
-    truncated: AtomicU64,
+    truncated: u64,
     frontier_cap: usize,
     /// Cheapest energy per cycle over the speed grid — the work term of
     /// the truncation lower bound.
@@ -844,12 +687,12 @@ impl PruneCtx {
             Vec::new()
         };
         PruneCtx {
-            saved: (0..lattice.len()).map(|_| AtomicU32::new(0)).collect(),
-            kept: AtomicU64::new(0),
-            pruned: AtomicU64::new(0),
-            frontier_max: AtomicU32::new(0),
-            trunc_lb: AtomicU64::new(f64::INFINITY.to_bits()),
-            truncated: AtomicU64::new(0),
+            saved: vec![0; lattice.len()],
+            kept: 0,
+            pruned: 0,
+            frontier_max: 0,
+            trunc_lb: f64::INFINITY,
+            truncated: 0,
             frontier_cap: cap,
             min_epc: ec
                 .speeds
@@ -868,15 +711,14 @@ impl PruneCtx {
     /// state is also a completion of the dominator — with clusters to
     /// spare — at strictly lower total, so no DP optimum ever routes
     /// through it. Ties are kept (pruning them would be value-preserving
-    /// too, but could flip first-arrival parent selection and break the
-    /// bit-identity contract with the unpruned relaxation). Beyond
-    /// `frontier_cap` kept slots, further frontier members are *truncated*:
-    /// dropped with their completions lower-bounded into the certified
-    /// `bound_gap` (keeping the lowest-`k` members preserves feasibility —
-    /// completions transfer down-`k` — so truncation can cost optimality,
-    /// never a solution).
+    /// too, but could flip first-arrival parent selection and change the
+    /// evaluated energy in the last ulp). Beyond `frontier_cap` kept
+    /// slots, further frontier members are *truncated*: dropped with their
+    /// completions lower-bounded into the certified `bound_gap` (keeping
+    /// the lowest-`k` members preserves feasibility — completions transfer
+    /// down-`k` — so truncation can cost optimality, never a solution).
     fn prune_row(
-        &self,
+        &mut self,
         f: usize,
         hop: f64,
         width: usize,
@@ -911,16 +753,15 @@ impl PruneCtx {
                 // the cheapest energy-per-cycle.
                 let res = self.residual.get(f).copied().unwrap_or(0.0);
                 let lb = *v + hop + self.leak + res * self.min_epc;
-                self.trunc_lb.fetch_min(lb.to_bits(), Ordering::Relaxed);
-                self.truncated.fetch_add(1, Ordering::Relaxed);
+                self.trunc_lb = self.trunc_lb.min(lb);
+                self.truncated += 1;
                 *v = f64::INFINITY; // truncated
                 continue;
             }
             new_lo = new_lo.min(k as u16);
             new_hi = new_hi.max(k as u16);
         }
-        self.frontier_max
-            .fetch_max(kept.min(u32::MAX as usize) as u32, Ordering::Relaxed);
+        self.frontier_max = self.frontier_max.max(kept.min(u32::MAX as usize) as u32);
         debug_assert_ne!(new_lo, u16::MAX, "a reachable row keeps its first slot");
         *klo = new_lo;
         *khi = new_hi;
@@ -930,479 +771,158 @@ impl PruneCtx {
         } else {
             0
         };
-        self.saved[f].store((old_span - new_span) as u32, Ordering::Relaxed);
+        self.saved[f] = (old_span - new_span) as u32;
     }
 
     /// Accounts the relaxations out of source row `f`: `n` transitions were
     /// relaxed over a window of `span` slots; each also *avoided* the
     /// row's recorded window shrink.
-    fn count_source(&self, f: usize, n: u64, span: u64) {
-        if n == 0 {
-            return;
-        }
-        self.kept.fetch_add(n * span, Ordering::Relaxed);
-        let saved = self.saved[f].load(Ordering::Relaxed) as u64;
-        if saved > 0 {
-            self.pruned.fetch_add(n * saved, Ordering::Relaxed);
-        }
-    }
-
-    /// The recorded window shrink of source row `f` (0 until the row was
-    /// pruned; sources are always pruned strictly before their out-edges
-    /// are relaxed, in every relaxation order).
-    fn saved_of(&self, f: usize) -> u64 {
-        self.saved[f].load(Ordering::Relaxed) as u64
-    }
-
-    /// Accounts a batch of relaxations counted edge-by-edge (the parallel
-    /// order's per-destination accumulation): same products as
-    /// [`PruneCtx::count_source`], summed in a different association.
-    fn count_edges(&self, kept: u64, pruned: u64) {
-        if kept > 0 {
-            self.kept.fetch_add(kept, Ordering::Relaxed);
-        }
-        if pruned > 0 {
-            self.pruned.fetch_add(pruned, Ordering::Relaxed);
-        }
+    fn count_source(&mut self, f: usize, n: u64, span: u64) {
+        self.kept += n * span;
+        self.pruned += n * self.saved[f] as u64;
     }
 
     /// Folds the counters into the public telemetry. `best` is the DP
     /// optimum of the solve; the certified gap covers every truncated
     /// state's lower-bounded completions.
     fn stats(&self, best: f64) -> PruneStats {
-        let bound_gap = if self.truncated.load(Ordering::Relaxed) > 0 {
-            let lb = f64::from_bits(self.trunc_lb.load(Ordering::Relaxed));
-            (best - lb).max(0.0)
+        let bound_gap = if self.truncated > 0 {
+            (best - self.trunc_lb).max(0.0)
         } else {
             0.0
         };
         PruneStats {
-            transitions_kept: self.kept.load(Ordering::Relaxed),
-            transitions_pruned: self.pruned.load(Ordering::Relaxed),
-            frontier_max: self.frontier_max.load(Ordering::Relaxed),
+            transitions_kept: self.kept,
+            transitions_pruned: self.pruned,
+            frontier_max: self.frontier_max,
             bound_gap,
         }
     }
 }
 
-/// The Theorem 1 dynamic program over an already-enumerated lattice with
-/// precomputed per-ideal cut volumes. Enforces `cfg.ideal_cap` on the given
-/// lattice too, so a shared over-cap lattice still fails this solver the
-/// way a local enumeration would. When the per-period admitted set
-/// overflows the edge cap and the dominance layer is on, falls back to the
-/// fused streaming sweep instead of failing (see
-/// [`Dpa1dConfig::dominance`]).
-pub(crate) fn solve_chain_on(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    cfg: &Dpa1dConfig,
-    lattice: &IdealLattice,
-    cuts: &[f64],
-) -> Result<ChainSolve, Failure> {
-    debug_assert_eq!(cuts.len(), lattice.len());
-    check_ideal_cap(lattice, cfg)?;
-    let adm = Admission::new(pf, period);
-    let (blocks, transitions) =
-        match materialize_transitions(spg, pf, period, lattice, cuts, &adm, cfg.edge_cap) {
-            Ok(bt) => bt,
-            Err(e) if cfg.dominance && is_materialise_overflow(&e) => {
-                return solve_chain_streaming(spg, pf, period, cfg, lattice, cuts, &adm);
-            }
-            Err(e) => return Err(e),
-        };
-    let ec = EcalTable::new(pf, period);
-    let mut state = DpState::new(lattice.len(), width_of(spg, pf));
-    let pr = cfg
-        .dominance
-        .then(|| PruneCtx::new(spg, lattice, &ec, cfg.frontier_cap, state.width));
+/// The one relaxation engine. Producers hand it sources in ideal-id order —
+/// a topological order of the transition DAG (every extension strictly
+/// grows the ideal, and ids are sorted by cardinality) — so when a source
+/// is opened, all of its in-transitions have already been relaxed and its
+/// DP row is final. One pass over the sources therefore relaxes every
+/// cluster-count layer at once: the per-ideal rows stay cache-resident
+/// while the transitions stream through exactly once.
+struct Relaxer {
+    state: DpState,
+    prune: PruneCtx,
+    ec: EcalTable,
+    /// Snapshot of the open source's window: rows of later ideals are
+    /// written while this one is read, and the borrow is easier on a
+    /// buffer.
+    row: Vec<f64>,
+}
 
-    // The transition DAG is topologically ordered by id (every extension
-    // strictly grows the ideal, and ids are sorted by cardinality), so a
-    // SINGLE pass over the blocks in id order relaxes every cluster-count
-    // layer at once: when block `from` is processed, all of its in-edges
-    // (from strictly smaller ids) have already been relaxed, making row
-    // `e[from]` final. The per-ideal rows `e[i][k]` (best energy covering
-    // ideal `i` with exactly `k` clusters, `k <= min(r, n)`) stay
-    // cache-resident while the big transition arrays stream through memory
-    // exactly once — the classic layered formulation re-reads them `r`
-    // times.
-    let width = state.width;
-    let mut row = vec![f64::INFINITY; width];
-    for b in &blocks {
-        let f = b.from.idx();
-        if let Some(p) = &pr {
-            p.prune_row(
-                f,
-                b.hop,
-                width,
-                &mut state.e[f * width..(f + 1) * width],
-                &mut state.klo[f],
-                &mut state.khi[f],
-            );
-        }
-        let Some((lo, hi)) = state.window(f) else {
-            continue;
-        };
-        // Snapshot the source row: `e` rows of later ideals are written
-        // while this one is read, and the borrow is easier on a buffer.
-        row[lo..=hi].copy_from_slice(&state.e[f * width + lo..f * width + hi + 1]);
-        let range = b.range.start as usize..b.range.end as usize;
-        let mut kept = 0u64;
-        for (&to, &ecal) in transitions.to[range.clone()]
-            .iter()
-            .zip(&transitions.ecal[range])
-        {
-            kept += 1;
-            state.relax(to.idx(), b.from.0, b.hop + ecal, &row, lo, hi);
-        }
-        if let Some(p) = &pr {
-            p.count_source(f, kept, (hi - lo + 1) as u64);
+impl Relaxer {
+    fn new(
+        spg: &Spg,
+        pf: &Platform,
+        period: f64,
+        lattice: &IdealLattice,
+        frontier_cap: usize,
+    ) -> Relaxer {
+        let width = width_of(spg, pf);
+        let ec = EcalTable::new(pf, period);
+        Relaxer {
+            state: DpState::new(lattice.len(), width),
+            prune: PruneCtx::new(spg, lattice, &ec, frontier_cap, width),
+            ec,
+            row: vec![f64::INFINITY; width],
         }
     }
-    finish_chain(&state, lattice, pr)
-}
 
-/// Whether a failure is the materialise-phase edge-cap overflow (the only
-/// budget failure the dominance layer is licensed to absorb).
-fn is_materialise_overflow(e: &Failure) -> bool {
-    matches!(
-        e.budget_exceeded(),
-        Some(b) if b.phase == BudgetPhase::Materialise
-    )
-}
-
-/// The materialisation-free relaxation: walks the per-period extension DFS
-/// exactly like [`materialize_transitions`] but relaxes every transition
-/// the moment the DFS produces it, storing none of them. The candidate
-/// sequence — and therefore every tie-break, window, and the returned
-/// chain — is bit-identical to materialise-then-relax; only the memory
-/// profile differs (DP rows instead of transition arrays). This is what
-/// makes the edge cap a *soundness-preserving* bound under the dominance
-/// layer: an admitted set past the cap costs time, not a `TooExpensive`
-/// failure.
-fn solve_chain_streaming(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    cfg: &Dpa1dConfig,
-    lattice: &IdealLattice,
-    cuts: &[f64],
-    adm: &Admission,
-) -> Result<ChainSolve, Failure> {
-    let ec = EcalTable::new(pf, period);
-    let mut state = DpState::new(lattice.len(), width_of(spg, pf));
-    let pr = PruneCtx::new(spg, lattice, &ec, cfg.frontier_cap, state.width);
-    let width = state.width;
-    let mut row = vec![f64::INFINITY; width];
-    let mut ctx = ExtendCtx {
-        spg,
-        lattice,
-        pred_masks: lattice.pred_masks(),
-        cap_work: adm.cap_work,
-        stack: Vec::with_capacity(4 * spg.n()),
-    };
-    for from in lattice.ids() {
+    /// Relaxes the out-transitions of source `from` (hop energy `hop`),
+    /// which `produce` offers in order through the [`SourceRelax`] handle.
+    /// The row is pruned and snapshotted lazily, at the first transition
+    /// with a feasible speed, so a source with no feasible extension at
+    /// this period leaves its row and the telemetry untouched. An
+    /// unreachable source is skipped outright.
+    fn relax_source(
+        &mut self,
+        from: IdealId,
+        hop: f64,
+        produce: impl FnOnce(&mut SourceRelax<'_>),
+    ) {
         let f = from.idx();
-        if f != 0 && cuts[f] > adm.bw_cap {
-            continue; // outgoing link overloaded: unreachable boundary
+        if self.state.klo[f] == u16::MAX {
+            return;
         }
-        let hop = if f == 0 { 0.0 } else { pf.hop_energy(cuts[f]) };
-        ctx.stack.clear();
-        ctx.stack
-            .extend(lattice.covers(from).iter().map(|&(s, _)| StageId(s)));
-        let hi_stack = ctx.stack.len();
-        // Prune/snapshot lazily at the first produced transition, so a
-        // source with no work-feasible extension is treated exactly like a
-        // block the materialised path never created.
-        let mut win: Option<(usize, usize)> = None;
-        let mut primed = false;
-        let mut kept = 0u64;
-        extend(&mut ctx, from, 0.0, 1, 0, hi_stack, &mut |to: IdealId,
-                                                          w: f64,
-                                                          _depth: u32|
-         -> bool {
-            let Some(ecal) = ec.ecal(w) else { return true };
-            if !primed {
-                primed = true;
-                pr.prune_row(
-                    f,
-                    hop,
-                    width,
-                    &mut state.e[f * width..(f + 1) * width],
-                    &mut state.klo[f],
-                    &mut state.khi[f],
-                );
-                win = state.window(f);
-                if let Some((lo, hi)) = win {
-                    row[lo..=hi].copy_from_slice(&state.e[f * width + lo..f * width + hi + 1]);
-                }
+        let mut src = SourceRelax {
+            dp: self,
+            from,
+            hop,
+            window: None,
+            kept: 0,
+        };
+        produce(&mut src);
+        let (window, kept) = (src.window, src.kept);
+        if let Some(Some((lo, hi))) = window {
+            self.prune.count_source(f, kept, (hi - lo + 1) as u64);
+        }
+    }
+}
+
+/// One open source row of the [`Relaxer`]; producers feed it the source's
+/// out-transitions with [`SourceRelax::offer`].
+struct SourceRelax<'a> {
+    dp: &'a mut Relaxer,
+    from: IdealId,
+    hop: f64,
+    /// `None` until the first feasible transition primes the row; then the
+    /// row's relaxation window (`None` inside when it cannot extend).
+    window: Option<Option<(usize, usize)>>,
+    kept: u64,
+}
+
+impl SourceRelax<'_> {
+    /// Relaxes one transition of cluster work `w` into ideal `to`.
+    /// Returns `false` once nothing more can be relaxed out of this
+    /// source, so the producer can stop early.
+    #[inline]
+    fn offer(&mut self, to: IdealId, w: f64) -> bool {
+        // The work threshold guarantees a feasible speed; be defensive
+        // about rounding anyway and skip rather than panic.
+        let Some(ecal) = self.dp.ec.ecal(w) else {
+            return true;
+        };
+        let window = match self.window {
+            Some(window) => window,
+            None => {
+                let window = self.prime();
+                self.window = Some(window);
+                window
             }
-            let Some((lo, hi)) = win else { return true };
-            kept += 1;
-            state.relax(to.idx(), from.0, hop + ecal, &row, lo, hi);
-            true
-        });
-        if let Some((lo, hi)) = win {
-            pr.count_source(f, kept, (hi - lo + 1) as u64);
-        }
+        };
+        let Some((lo, hi)) = window else {
+            return false;
+        };
+        self.kept += 1;
+        let dp = &mut *self.dp;
+        dp.state
+            .relax(to.idx(), self.from.0, self.hop + ecal, &dp.row, lo, hi);
+        true
     }
-    finish_chain(&state, lattice, Some(pr))
-}
 
-/// Backtracks the relaxed state into a cluster chain and stamps the
-/// dominance telemetry (the certified bound gap prices off the DP optimum;
-/// the evaluator re-prices the chain within one ulp of it).
-fn finish_chain(
-    state: &DpState,
-    lattice: &IdealLattice,
-    pr: Option<PruneCtx>,
-) -> Result<ChainSolve, Failure> {
-    let (chain, best) = state.backtrack(lattice)?;
-    Ok((chain, pr.map(|p| p.stats(best))))
-}
-
-/// The same dynamic program off a prebuilt [`TransitionSkeleton`]: no
-/// lattice walk, no hashing — per transition, two threshold compares, the
-/// `Ecal` speed lookup, and the relaxation. Fans the per-level block loop
-/// out over rayon when the skeleton is large enough (see
-/// [`Dpa1dConfig::relax_par_threshold`]); small instances keep the
-/// sequential single-pass sweep. Both orders relax every `(ideal, k)` slot
-/// over the same candidate sequence, so the result is bit-identical.
-pub(crate) fn solve_chain_skeleton(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    cfg: &Dpa1dConfig,
-    lattice: &IdealLattice,
-    sk: &TransitionSkeleton,
-) -> Result<ChainSolve, Failure> {
-    check_ideal_cap(lattice, cfg)?;
-    let adm = Admission::new(pf, period);
-    if !cfg.dominance {
-        // Legacy (0.7) semantics: enforce the edge cap on the *admitted*
-        // count, which is exactly what per-period materialisation would
-        // have produced. With the dominance layer on the check is skipped:
-        // the admission scan streams over the already-materialised index,
-        // so an over-cap admitted count is time, not memory — the cap only
-        // bounds what gets built.
-        let admitted = sk.admitted_count(&adm);
-        if admitted > cfg.edge_cap {
-            return Err(Failure::budget(
-                BudgetPhase::Materialise,
-                cfg.edge_cap,
-                admitted,
-            ));
-        }
-    }
-    let ecal = EcalTable::new(pf, period);
-    let mut state = DpState::new(lattice.len(), width_of(spg, pf));
-    let pr = cfg
-        .dominance
-        .then(|| PruneCtx::new(spg, lattice, &ecal, cfg.frontier_cap, state.width));
-    // The by-destination layered form only pays when some level is wide
-    // enough to amortise the fan-out AND the pool actually has more than
-    // one worker; otherwise the block-order sweep is both allocation-free
-    // and cache-friendlier (and with one worker the layered form's
-    // transposed access pattern is pure loss).
-    if sk.has_parallel_level(cfg.relax_par_threshold) && rayon::current_num_threads() > 1 {
-        relax_skeleton_par(
-            &mut state,
-            sk,
-            &adm,
-            &ecal,
-            cfg.relax_par_threshold,
-            pr.as_ref(),
+    /// Prunes the now-final source row, takes its window, and snapshots it.
+    fn prime(&mut self) -> Option<(usize, usize)> {
+        let f = self.from.idx();
+        let dp = &mut *self.dp;
+        let width = dp.state.width;
+        dp.prune.prune_row(
+            f,
+            self.hop,
+            width,
+            &mut dp.state.e[f * width..(f + 1) * width],
+            &mut dp.state.klo[f],
+            &mut dp.state.khi[f],
         );
-    } else {
-        relax_skeleton_seq(&mut state, sk, &adm, &ecal, pr.as_ref());
-    }
-    finish_chain(&state, lattice, pr)
-}
-
-/// Sequential single-pass sweep over the skeleton blocks with inline
-/// admission: the skeleton analogue of the loop in [`solve_chain_on`].
-fn relax_skeleton_seq(
-    state: &mut DpState,
-    sk: &TransitionSkeleton,
-    adm: &Admission,
-    ec: &EcalTable,
-    pr: Option<&PruneCtx>,
-) {
-    let width = state.width;
-    let mut row = vec![f64::INFINITY; width];
-    for b in &sk.blocks {
-        if !b.admissible(adm) {
-            continue;
-        }
-        let f = b.from.idx();
-        // The row is final here (all in-edges come from smaller ids), and
-        // its out-transitions are about to be scanned — the dominance
-        // layer's pruning point. Gated on `block_live`: a fresh build at
-        // this period materialises a block only when some out-transition
-        // is work-feasible, and it prunes exactly those rows — the
-        // telemetry parity pins depend on matching that. The parallel
-        // order prunes the same rows on the same finalised data (each
-        // inside the task that owns it), so decisions, windows, and
-        // counters agree bit for bit.
-        if let Some(p) = pr.filter(|_| sk.block_live(b, adm, ec)) {
-            p.prune_row(
-                f,
-                b.hop,
-                width,
-                &mut state.e[f * width..(f + 1) * width],
-                &mut state.klo[f],
-                &mut state.khi[f],
-            );
-        }
-        let Some((lo, hi)) = state.window(f) else {
-            continue;
-        };
-        row[lo..=hi].copy_from_slice(&state.e[f * width + lo..f * width + hi + 1]);
-        let range = b.range.start as usize..b.range.end as usize;
-        let mut kept = 0u64;
-        for (&to, &w) in sk.to[range.clone()].iter().zip(&sk.work[range]) {
-            if w > adm.cap_work {
-                continue;
-            }
-            // The work threshold guarantees a feasible speed; be defensive
-            // about rounding anyway and skip rather than panic.
-            let Some(ecal) = ec.ecal(w) else { continue };
-            kept += 1;
-            state.relax(to.idx(), b.from.0, b.hop + ecal, &row, lo, hi);
-        }
-        if let Some(p) = pr {
-            p.count_source(f, kept, (hi - lo + 1) as u64);
-        }
-    }
-}
-
-/// Parallel layered relaxation: cardinality levels run in sequence (all
-/// in-edges of a level-`L` ideal come from strictly earlier levels), and
-/// within a level the per-destination rows are computed independently over
-/// the rayon pool via the skeleton's transposed index. Each destination
-/// relaxes its in-edges in ascending global order — the exact order the
-/// sequential sweep would have offered its candidates — so energies,
-/// parents, and windows come out bit-identical.
-/// One destination's unit of parallel work: its ideal id and exclusive
-/// views of its DP row, parent row, and window bounds.
-type LevelTask<'a> = (
-    usize,
-    &'a mut [f64],
-    &'a mut [u32],
-    &'a mut u16,
-    &'a mut u16,
-);
-
-fn relax_skeleton_par(
-    state: &mut DpState,
-    sk: &TransitionSkeleton,
-    adm: &Admission,
-    ec: &EcalTable,
-    par_level_edges: usize,
-    pr: Option<&PruneCtx>,
-) {
-    use rayon::prelude::*;
-
-    let width = state.width;
-    // Destination-side pruning needs each ideal's out-block (hop and
-    // liveness gate): the sequential sweep finds it by walking the blocks
-    // in order, the transposed order looks it up.
-    let block_of: Vec<u32> = if pr.is_some() {
-        let mut map = vec![u32::MAX; state.klo.len()];
-        for (bi, b) in sk.blocks.iter().enumerate() {
-            map[b.from.idx()] = bi as u32;
-        }
-        map
-    } else {
-        Vec::new()
-    };
-    for lv in sk.level_off.windows(2).skip(1) {
-        let (start, end) = (lv[0] as usize, lv[1] as usize);
-        // Split every DP array at the level boundary: the finished prefix
-        // is shared read-only (all sources live there), the level's own
-        // slice splits into disjoint per-destination chunks.
-        let (e_done, e_lvl) = state.e.split_at_mut(start * width);
-        let (klo_done, klo_lvl) = state.klo.split_at_mut(start);
-        let (khi_done, khi_lvl) = state.khi.split_at_mut(start);
-        let par_lvl = &mut state.par[start * width..end * width];
-        let e_done = &*e_done;
-        let klo_done = &*klo_done;
-        let khi_done = &*khi_done;
-
-        let tasks: Vec<LevelTask<'_>> = e_lvl[..(end - start) * width]
-            .chunks_mut(width)
-            .zip(par_lvl.chunks_mut(width))
-            .zip(klo_lvl[..end - start].iter_mut())
-            .zip(khi_lvl[..end - start].iter_mut())
-            .enumerate()
-            .map(|(i, (((e_row, par_row), klo_t), khi_t))| {
-                (start + i, e_row, par_row, klo_t, khi_t)
-            })
-            .collect();
-        let relax_one = |(t, e_row, par_row, klo_t, khi_t): LevelTask<'_>| {
-            let edges = sk.in_off[t] as usize..sk.in_off[t + 1] as usize;
-            let mut kept_n = 0u64;
-            let mut pruned_n = 0u64;
-            for (&j, &bi) in sk.in_idx[edges.clone()].iter().zip(&sk.in_block[edges]) {
-                let b = &sk.blocks[bi as usize];
-                if !b.admissible(adm) {
-                    continue;
-                }
-                let f = b.from.idx();
-                if klo_done[f] == u16::MAX {
-                    continue;
-                }
-                let lo = klo_done[f] as usize;
-                let hi = (khi_done[f] as usize).min(width - 2);
-                if lo > hi {
-                    continue;
-                }
-                let w = sk.work[j as usize];
-                if w > adm.cap_work {
-                    continue;
-                }
-                let Some(ecal) = ec.ecal(w) else { continue };
-                if let Some(p) = pr {
-                    // The sequential order counts per *source* (n kept
-                    // transitions × its window span); counting the same
-                    // products edge-by-edge here sums to the identical
-                    // totals, in any task order.
-                    kept_n += (hi - lo + 1) as u64;
-                    pruned_n += p.saved_of(f);
-                }
-                let entry = b.hop + ecal;
-                for k in lo..=hi {
-                    let cand = e_done[f * width + k] + entry;
-                    if cand < e_row[k + 1] {
-                        e_row[k + 1] = cand;
-                        par_row[k + 1] = b.from.0;
-                    }
-                }
-                *klo_t = (*klo_t).min(lo as u16 + 1);
-                *khi_t = (*khi_t).max(hi as u16 + 1);
-            }
-            if let Some(p) = pr {
-                p.count_edges(kept_n, pruned_n);
-                // This row is final once its last in-edge has relaxed:
-                // prune it here, inside the task that owns it, iff a
-                // fresh per-period build would have materialised its
-                // out-block (the same gate the sequential sweep applies
-                // when it reaches the block).
-                let bi = block_of[t];
-                if bi != u32::MAX {
-                    let b = &sk.blocks[bi as usize];
-                    if sk.block_live(b, adm, ec) {
-                        p.prune_row(t, b.hop, width, e_row, klo_t, khi_t);
-                    }
-                }
-            }
-        };
-        if sk.level_edges(start, end) >= par_level_edges && end - start >= 2 {
-            tasks.into_par_iter().for_each(relax_one);
-        } else {
-            tasks.into_iter().for_each(relax_one);
-        }
+        let (lo, hi) = dp.state.window(f)?;
+        dp.row[lo..=hi].copy_from_slice(&dp.state.e[f * width + lo..f * width + hi + 1]);
+        Some((lo, hi))
     }
 }
 
@@ -1410,17 +930,6 @@ fn relax_skeleton_par(
 /// than stages (alive = all cores on a healthy platform).
 fn width_of(spg: &Spg, pf: &Platform) -> usize {
     pf.n_alive_cores().min(spg.n()) + 1
-}
-
-fn check_ideal_cap(lattice: &IdealLattice, cfg: &Dpa1dConfig) -> Result<(), Failure> {
-    if lattice.len() > cfg.ideal_cap {
-        return Err(Failure::budget(
-            BudgetPhase::Enumerate,
-            cfg.ideal_cap,
-            lattice.len(),
-        ));
-    }
-    Ok(())
 }
 
 /// Dense DP state: `e[t*width + k]` is the best energy covering ideal `t`
@@ -1521,12 +1030,12 @@ impl DpState {
 }
 
 /// Lays a cluster chain along the snake and validates it.
-pub(crate) fn build_snake_solution(
+fn build_snake_solution(
     spg: &Spg,
     pf: &Platform,
     period: f64,
     chain: &[Vec<StageId>],
-    table: Option<&RouteTable>,
+    table: &RouteTable,
 ) -> Result<Solution, Failure> {
     let mut alloc = vec![CoreId { u: 0, v: 0 }; spg.n()];
     // Clusters land on consecutive *alive* snake positions (the identity
@@ -1554,82 +1063,7 @@ pub(crate) fn build_snake_solution(
         speed,
         routes: RouteSpec::Snake,
     };
-    validated_with(spg, pf, mapping, period, table)
-}
-
-/// Enumerates every (ideal, one-cluster extension) pair with cluster work
-/// within the period's work cap, visiting each extension exactly once via
-/// first-included-stage branching on ready stages. Ideals whose outgoing
-/// cut already exceeds the bandwidth-period product are skipped outright:
-/// no chain may pass through them, so their transitions would be dead
-/// weight in the relaxation.
-fn materialize_transitions(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    lattice: &IdealLattice,
-    cuts: &[f64],
-    adm: &Admission,
-    edge_cap: usize,
-) -> Result<(Vec<TransitionBlock>, Transitions), Failure> {
-    let mut blocks: Vec<TransitionBlock> = Vec::new();
-    let mut transitions = Transitions::default();
-    let mut ctx = ExtendCtx {
-        spg,
-        lattice,
-        pred_masks: lattice.pred_masks(),
-        cap_work: adm.cap_work,
-        stack: Vec::with_capacity(4 * spg.n()),
-    };
-    let ecal = EcalTable::new(pf, period);
-    for from in lattice.ids() {
-        if from.idx() != 0 && cuts[from.idx()] > adm.bw_cap {
-            continue; // outgoing link overloaded: unreachable boundary
-        }
-        // The ready stages of `from` are exactly its recorded covers.
-        ctx.stack.clear();
-        ctx.stack
-            .extend(lattice.covers(from).iter().map(|&(s, _)| StageId(s)));
-        let hi = ctx.stack.len();
-        let start = transitions.len() as u32;
-        let ok = extend(&mut ctx, from, 0.0, 1, 0, hi, &mut |to: IdealId,
-                                                             w: f64,
-                                                             _depth: u32|
-         -> bool {
-            if transitions.len() >= edge_cap {
-                return false;
-            }
-            // The work pruning guarantees a feasible speed exists; be
-            // defensive about rounding anyway and drop the transition
-            // rather than panic.
-            if let Some(ecal) = ecal.ecal(w) {
-                transitions.to.push(to);
-                transitions.ecal.push(ecal);
-            }
-            true
-        });
-        if !ok {
-            return Err(Failure::budget(
-                BudgetPhase::Materialise,
-                edge_cap,
-                edge_cap + 1,
-            ));
-        }
-        let end = transitions.len() as u32;
-        if end > start {
-            let hop = if from.idx() == 0 {
-                0.0
-            } else {
-                pf.hop_energy(cuts[from.idx()])
-            };
-            blocks.push(TransitionBlock {
-                from,
-                hop,
-                range: start..end,
-            });
-        }
-    }
-    Ok((blocks, transitions))
+    validated_with(spg, pf, mapping, period, Some(table))
 }
 
 /// Shared state of the cluster-extension DFS: the graph, the interned
@@ -1642,6 +1076,34 @@ struct ExtendCtx<'a> {
     pred_masks: &'a [NodeSet],
     cap_work: f64,
     stack: Vec<StageId>,
+}
+
+impl<'a> ExtendCtx<'a> {
+    fn new(spg: &'a Spg, lattice: &'a IdealLattice, cap_work: f64) -> ExtendCtx<'a> {
+        ExtendCtx {
+            spg,
+            lattice,
+            pred_masks: lattice.pred_masks(),
+            cap_work,
+            stack: Vec::with_capacity(4 * spg.n()),
+        }
+    }
+
+    /// Visits every one-cluster extension of `from` with cluster work
+    /// within `cap_work`, in DFS order (see [`extend`]); returns `false`
+    /// when `visit` aborted.
+    fn extensions(
+        &mut self,
+        from: IdealId,
+        visit: &mut impl FnMut(IdealId, f64, u32) -> bool,
+    ) -> bool {
+        // The ready stages of `from` are exactly its recorded covers.
+        self.stack.clear();
+        self.stack
+            .extend(self.lattice.covers(from).iter().map(|&(s, _)| StageId(s)));
+        let hi = self.stack.len();
+        extend(self, from, 0.0, 1, 0, hi, visit)
+    }
 }
 
 /// DFS over cluster extensions of `cur`, whose pending ready list is
@@ -1702,13 +1164,36 @@ fn extend(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spg::ideal::enumerate_ideals;
     use spg::{chain, parallel_many};
+
+    /// `DPA1D` through a fresh session, the way every caller reaches it.
+    fn solve(g: &Spg, pf: &Platform, t: f64, cfg: &Dpa1dConfig) -> Result<Solution, Failure> {
+        dpa1d_run(&Instance::new(g.clone(), pf.clone(), t), cfg)
+    }
+
+    fn shared(g: &Spg) -> SharedLattice {
+        let lattice = enumerate_ideals(g, 60_000).unwrap();
+        let cuts = lattice.iter().map(|s| g.cut_volume(s)).collect();
+        SharedLattice { lattice, cuts }
+    }
+
+    /// A fork-join behind a two-stage prefix: a lattice with real
+    /// branching, so cluster counts, windows and ties all vary.
+    fn fork_join() -> Spg {
+        let branches: Vec<Spg> = (0..3)
+            .map(|i| chain(&[1e8, 2e8 + i as f64, 1e8], &[1e4, 1e4]))
+            .collect();
+        let g = spg::series(&chain(&[1e8, 2e8], &[1e4]), &parallel_many(&branches));
+        assert!(g.n() >= 6, "three distinct branch stages");
+        g
+    }
 
     #[test]
     fn single_core_when_period_is_loose() {
         let pf = Platform::paper(4, 4);
         let g = chain(&[1e6; 10], &[1e3; 9]);
-        let sol = dpa1d_run(&g, &pf, 1.0, &Dpa1dConfig::default(), None, None, None).unwrap();
+        let sol = solve(&g, &pf, 1.0, &Dpa1dConfig::default()).unwrap();
         assert_eq!(sol.eval.active_cores, 1);
         let expect = 0.08 + (1e7 / 0.15e9) * 0.08;
         assert!((sol.energy() - expect).abs() < 1e-9);
@@ -1719,7 +1204,7 @@ mod tests {
         let pf = Platform::paper(2, 2);
         // 4 stages of 0.9e9 cycles: one per core at 1 GHz for T = 1.
         let g = chain(&[0.9e9; 4], &[1e3; 3]);
-        let sol = dpa1d_run(&g, &pf, 1.0, &Dpa1dConfig::default(), None, None, None).unwrap();
+        let sol = solve(&g, &pf, 1.0, &Dpa1dConfig::default()).unwrap();
         assert_eq!(sol.eval.active_cores, 4);
     }
 
@@ -1728,7 +1213,7 @@ mod tests {
         let pf = Platform::paper(1, 2);
         let g = chain(&[0.9e9; 3], &[1e3; 2]);
         assert!(matches!(
-            dpa1d_run(&g, &pf, 1.0, &Dpa1dConfig::default(), None, None, None),
+            solve(&g, &pf, 1.0, &Dpa1dConfig::default()),
             Err(Failure::NoValidMapping(_))
         ));
     }
@@ -1743,7 +1228,7 @@ mod tests {
             ideal_cap: 1000,
             ..Default::default()
         };
-        let err = dpa1d_run(&g, &pf, 1.0, &cfg, None, None, None).unwrap_err();
+        let err = solve(&g, &pf, 1.0, &cfg).unwrap_err();
         let budget = err.budget_exceeded().expect("budget failure");
         assert_eq!(budget.phase, BudgetPhase::Enumerate);
         assert_eq!(budget.cap, 1000);
@@ -1756,14 +1241,15 @@ mod tests {
         // for the link: DPA1D must fail rather than emit an invalid mapping.
         let pf = Platform::paper(1, 2);
         let g = chain(&[0.9e9, 0.9e9], &[25e9]);
-        assert!(dpa1d_run(&g, &pf, 1.0, &Dpa1dConfig::default(), None, None, None).is_err());
+        assert!(solve(&g, &pf, 1.0, &Dpa1dConfig::default()).is_err());
     }
 
     #[test]
     fn chain_clusters_are_contiguous_prefix_partition() {
         let pf = Platform::paper(1, 4);
         let g = chain(&[0.5e9; 6], &[1e3; 5]);
-        let (chain_sol, _) = solve_chain(&g, &pf, 1.0, &Dpa1dConfig::default()).unwrap();
+        let (chain_sol, _) =
+            solve_chain(&g, &pf, 1.0, &Dpa1dConfig::default(), &shared(&g), None).unwrap();
         // Union of clusters in order must walk the chain front to back.
         let topo = g.topo_order();
         let flat: Vec<StageId> = chain_sol
@@ -1782,7 +1268,7 @@ mod tests {
         // The DP's internal cost model must agree with the shared evaluator.
         let pf = Platform::paper(2, 3);
         let g = chain(&[0.5e9, 0.3e9, 0.7e9, 0.2e9], &[1e6, 5e6, 2e6]);
-        let sol = dpa1d_run(&g, &pf, 1.0, &Dpa1dConfig::default(), None, None, None).unwrap();
+        let sol = solve(&g, &pf, 1.0, &Dpa1dConfig::default()).unwrap();
         // Recompute through the evaluator (already done inside validated);
         // here we just sanity-check decomposition adds up.
         let e = &sol.eval;
@@ -1792,101 +1278,31 @@ mod tests {
         );
     }
 
-    /// The skeleton path (sequential and forced-parallel) must agree with
-    /// the fresh per-period materialisation to the last bit, across loose
-    /// and tight periods and across the empty-ideal special cases.
-    #[test]
-    fn skeleton_paths_match_fresh_materialisation() {
-        let graphs = [chain(&[0.5e9, 0.3e9, 0.7e9, 0.2e9], &[1e6, 5e6, 2e6]), {
-            let branches: Vec<Spg> = (0..3)
-                .map(|i| chain(&[2e8 + i as f64, 3e8], &[1e4]))
-                .collect();
-            spg::series(&chain(&[1e8, 2e8], &[1e4]), &parallel_many(&branches))
-        }];
-        let pf = Platform::paper(2, 3);
-        let cfg = Dpa1dConfig::default();
-        for g in &graphs {
-            let lattice = enumerate_ideals(g, cfg.ideal_cap).unwrap();
-            let cuts: Vec<f64> = lattice.iter().map(|s| g.cut_volume(s)).collect();
-            let shared = SharedLattice {
-                lattice: enumerate_ideals(g, cfg.ideal_cap).unwrap(),
-                cuts: cuts.clone(),
-            };
-            let sk = build_skeleton(g, &pf, &shared, cfg.edge_cap).unwrap();
-            assert!(sk.n_transitions() > 0 && sk.n_blocks() > 0);
-            assert!(sk.max_cluster_stages() >= 1);
-            for period in [1.0, 0.5, 0.2, 0.05, 0.01] {
-                let fresh = solve_chain_on(g, &pf, period, &cfg, &lattice, &cuts);
-                let seq = solve_chain_skeleton(g, &pf, period, &cfg, &lattice, &sk);
-                let par_cfg = Dpa1dConfig {
-                    relax_par_threshold: 0, // force the parallel path
-                    ..cfg.clone()
-                };
-                // A 2-worker pool keeps the forced-parallel leg meaningful
-                // on single-core machines (the solver falls back to the
-                // sequential order when only one worker is available).
-                let pool = rayon::ThreadPool::new(2);
-                let par =
-                    pool.install(|| solve_chain_skeleton(g, &pf, period, &par_cfg, &lattice, &sk));
-                match (&fresh, &seq, &par) {
-                    (Ok(a), Ok(b), Ok(c)) => {
-                        assert_eq!(a, b, "sequential skeleton diverged at T={period}");
-                        assert_eq!(a, c, "parallel skeleton diverged at T={period}");
-                    }
-                    (Err(_), Err(_), Err(_)) => {}
-                    other => panic!("path outcomes diverged at T={period}: {other:?}"),
-                }
-            }
-        }
-    }
-
-    /// The admitted-transition count is monotone in the period and the
-    /// edge cap failure carries the admitted count.
+    /// The admitted-transition count is monotone in the period, and an
+    /// edge cap below the admitted count bounds only what gets *built*:
+    /// the already-built skeleton streams through admission and yields the
+    /// exact chain.
     #[test]
     fn admission_is_monotone_and_edge_cap_structured() {
         let g = chain(&[0.5e9; 6], &[1e5; 5]);
         let pf = Platform::paper(2, 2);
         let cfg = Dpa1dConfig::default();
-        let shared = SharedLattice {
-            lattice: enumerate_ideals(&g, cfg.ideal_cap).unwrap(),
-            cuts: {
-                let l = enumerate_ideals(&g, cfg.ideal_cap).unwrap();
-                l.iter().map(|s| g.cut_volume(s)).collect()
-            },
-        };
+        let shared = shared(&g);
         let sk = build_skeleton(&g, &pf, &shared, cfg.edge_cap).unwrap();
         let mut prev = 0usize;
         for period in [0.01, 0.1, 1.0, 10.0] {
-            let adm = Admission::new(&pf, period);
-            let n = sk.admitted_count(&adm);
+            let n = sk.admitted_count(&Admission::new(&pf, period));
             assert!(n >= prev, "admission must be monotone in the period");
             prev = n;
         }
         assert_eq!(prev, sk.n_transitions(), "a loose period admits all");
-        // With the dominance layer off (legacy semantics), a tiny edge cap
-        // fails the skeleton path with the admitted count.
+        let (unc, _) = solve_chain(&g, &pf, 1.0, &cfg, &shared, Some(&sk)).unwrap();
         let tight = Dpa1dConfig {
             edge_cap: 1,
-            dominance: false,
             ..cfg.clone()
         };
-        let err = solve_chain_skeleton(&g, &pf, 1.0, &tight, &shared.lattice, &sk).unwrap_err();
-        let b = err.budget_exceeded().unwrap();
-        assert_eq!(b.phase, BudgetPhase::Materialise);
-        assert_eq!(b.cap, 1);
-        assert!(b.count > 1);
-        // With the dominance layer on, the same cap is a bound on what gets
-        // *built*, not a failure mode: the already-built skeleton streams
-        // through admission and yields the exact chain.
-        let (unc, _) = solve_chain_skeleton(&g, &pf, 1.0, &cfg, &shared.lattice, &sk).unwrap();
-        let tight_dom = Dpa1dConfig {
-            edge_cap: 1,
-            ..cfg.clone()
-        };
-        let (capped, stats) =
-            solve_chain_skeleton(&g, &pf, 1.0, &tight_dom, &shared.lattice, &sk).unwrap();
+        let (capped, stats) = solve_chain(&g, &pf, 1.0, &tight, &shared, Some(&sk)).unwrap();
         assert_eq!(unc, capped, "edge cap must not change the exact chain");
-        let stats = stats.unwrap();
         assert_eq!(stats.bound_gap, 0.0, "uncapped frontier is exact");
         assert!(stats.transitions_kept > 0);
     }
@@ -1897,16 +1313,11 @@ mod tests {
     fn skeleton_build_respects_edge_cap() {
         let g = chain(&[1e6; 30], &[1e3; 29]);
         let pf = Platform::paper(2, 2);
-        let shared = SharedLattice {
-            lattice: enumerate_ideals(&g, 60_000).unwrap(),
-            cuts: {
-                let l = enumerate_ideals(&g, 60_000).unwrap();
-                l.iter().map(|s| g.cut_volume(s)).collect()
-            },
-        };
+        let shared = shared(&g);
         // A 30-chain has 31 ideals and C(31,2) = 465 transitions.
         let sk = build_skeleton(&g, &pf, &shared, 1_000_000).unwrap();
         assert_eq!(sk.n_transitions(), 465);
+        assert!(sk.max_cluster_stages() >= 1);
         assert!(sk.is_complete() && sk.serves(f64::MAX));
         let err = build_skeleton(&g, &pf, &shared, 100).unwrap_err();
         let b = err.budget_exceeded().unwrap();
@@ -1923,22 +1334,14 @@ mod tests {
     }
 
     /// A bounded skeleton serves every period at or below its ceiling
-    /// bit-identically to the complete skeleton AND to fresh per-period
-    /// materialisation — results and telemetry both.
+    /// bit-identically to the complete skeleton AND to the fresh
+    /// per-period DFS — results and telemetry both.
     #[test]
     fn bounded_skeleton_matches_fresh_below_ceiling() {
-        let branches: Vec<Spg> = (0..3)
-            .map(|i| chain(&[2e8 + i as f64, 3e8], &[1e4]))
-            .collect();
-        let g = spg::series(&chain(&[1e8, 2e8], &[1e4]), &parallel_many(&branches));
+        let g = fork_join();
         let pf = Platform::paper(2, 3);
         let cfg = Dpa1dConfig::default();
-        let lattice = enumerate_ideals(&g, cfg.ideal_cap).unwrap();
-        let cuts: Vec<f64> = lattice.iter().map(|s| g.cut_volume(s)).collect();
-        let shared = SharedLattice {
-            lattice: enumerate_ideals(&g, cfg.ideal_cap).unwrap(),
-            cuts: cuts.clone(),
-        };
+        let shared = shared(&g);
         let complete = build_skeleton(&g, &pf, &shared, cfg.edge_cap).unwrap();
         let ceiling = 0.5;
         let bounded = build_skeleton_bounded(&g, &pf, &shared, cfg.edge_cap, ceiling).unwrap();
@@ -1950,80 +1353,81 @@ mod tests {
                 complete.admitted_count(&adm),
                 "admitted sets must agree at T={period}"
             );
-            let fresh = solve_chain_on(&g, &pf, period, &cfg, &lattice, &cuts);
-            let served = solve_chain_skeleton(&g, &pf, period, &cfg, &lattice, &bounded);
-            match (&fresh, &served) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "bounded skeleton diverged at T={period}"),
-                (Err(_), Err(_)) => {}
-                other => panic!("path outcomes diverged at T={period}: {other:?}"),
+            let fresh = solve_chain(&g, &pf, period, &cfg, &shared, None);
+            for sk in [&complete, &bounded] {
+                let served = solve_chain(&g, &pf, period, &cfg, &shared, Some(sk));
+                match (&fresh, &served) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, b, "skeleton diverged at T={period}"),
+                    (Err(_), Err(_)) => {}
+                    other => panic!("path outcomes diverged at T={period}: {other:?}"),
+                }
             }
         }
     }
 
-    /// With dominance on, a materialise-overflow streams the relaxation
-    /// instead of failing, and matches the uncapped materialised solve —
-    /// results and telemetry — making the edge cap soundness-preserving.
+    /// When no skeleton fits the edge cap, the session streams the
+    /// relaxation instead of failing, and matches the skeleton-served
+    /// solve to the bit — energy and telemetry — making the edge cap
+    /// soundness-preserving.
     #[test]
     fn streaming_fallback_matches_materialised() {
         // 6 cores: even the tight period's all-singleton chain stays
         // feasible, so both legs exercise a real solve.
-        let g = chain(&[0.5e9; 6], &[1e5; 5]);
         let pf = Platform::paper(2, 3);
-        let base = Dpa1dConfig::default();
-        let lattice = enumerate_ideals(&g, base.ideal_cap).unwrap();
-        let cuts: Vec<f64> = lattice.iter().map(|s| g.cut_volume(s)).collect();
-        for period in [1.0, 0.5] {
-            let full = solve_chain_on(&g, &pf, period, &base, &lattice, &cuts).unwrap();
-            let capped_cfg = Dpa1dConfig {
-                edge_cap: 1,
-                ..base.clone()
-            };
-            let capped = solve_chain_on(&g, &pf, period, &capped_cfg, &lattice, &cuts).unwrap();
-            assert_eq!(full, capped, "streaming diverged at T={period}");
-            // Dominance off keeps the 0.7 semantics: a hard budget failure.
-            let legacy = Dpa1dConfig {
-                edge_cap: 1,
-                dominance: false,
-                ..base.clone()
-            };
-            let err = solve_chain_on(&g, &pf, period, &legacy, &lattice, &cuts).unwrap_err();
-            assert_eq!(
-                err.budget_exceeded().unwrap().phase,
-                BudgetPhase::Materialise
-            );
-        }
-    }
-
-    /// Dominance pruning is value-preserving: the solved chain is
-    /// bit-identical with the layer on and off (only the telemetry
-    /// differs — off reports none).
-    #[test]
-    fn dominance_on_off_chains_agree() {
-        let graphs = [chain(&[0.5e9, 0.3e9, 0.7e9, 0.2e9], &[1e6, 5e6, 2e6]), {
-            let branches: Vec<Spg> = (0..3)
-                .map(|i| chain(&[2e8 + i as f64, 3e8], &[1e4]))
-                .collect();
-            spg::series(&chain(&[1e8, 2e8], &[1e4]), &parallel_many(&branches))
-        }];
-        let pf = Platform::paper(2, 3);
-        let off_cfg = Dpa1dConfig {
-            dominance: false,
+        let capped = Dpa1dConfig {
+            edge_cap: 1,
             ..Default::default()
         };
-        for g in &graphs {
-            for period in [1.0, 0.5, 0.2, 0.05, 0.01] {
-                let on = solve_chain(g, &pf, period, &Dpa1dConfig::default());
-                let off = solve_chain(g, &pf, period, &off_cfg);
-                match (&on, &off) {
+        for g in [chain(&[0.5e9; 6], &[1e5; 5]), fork_join()] {
+            for period in [1.0, 0.5] {
+                let inst = Instance::new(g.clone(), pf.clone(), period);
+                let sk = inst.transition_skeleton(&capped).unwrap();
+                assert!(sk.is_none(), "T={period}: {sk:?}");
+                let full = dpa1d_run(&inst, &Dpa1dConfig::default());
+                let streamed = dpa1d_run(&inst, &capped);
+                match (&full, &streamed) {
                     (Ok(a), Ok(b)) => {
-                        assert_eq!(a.0, b.0, "dominance changed the chain at T={period}");
-                        assert!(a.1.is_some() && b.1.is_none());
+                        assert_eq!(a.energy().to_bits(), b.energy().to_bits());
+                        assert_eq!(a.prune, b.prune, "telemetry diverged at T={period}");
                     }
-                    (Err(ea), Err(eb)) => assert_eq!(ea, eb),
-                    other => panic!("on/off outcomes diverged at T={period}: {other:?}"),
+                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                    other => panic!("outcomes diverged at T={period}: {other:?}"),
                 }
             }
         }
+    }
+
+    /// A corrupted or mismatched skeleton image is rejected at decode
+    /// time, never sliced out of range mid-DP.
+    #[test]
+    fn skeleton_image_round_trips_and_rejects_bad_indices() {
+        let g = fork_join();
+        let pf = Platform::paper(2, 3);
+        let sk = build_skeleton(&g, &pf, &shared(&g), 1_000_000).unwrap();
+        let image = sk.to_bytes();
+        // 12 bytes per transition, 36 per block, 40 of framing.
+        assert_eq!(
+            image.len(),
+            40 + 36 * sk.n_blocks() + 12 * sk.n_transitions()
+        );
+        assert_eq!(
+            TransitionSkeleton::from_bytes(&image).unwrap().to_bytes(),
+            image
+        );
+        // The ideal count sits 12 bytes from the end (before the ceiling).
+        let at = image.len() - 12;
+        let mut shrunk = image.clone();
+        shrunk[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+        assert!(TransitionSkeleton::from_bytes(&shrunk)
+            .unwrap_err()
+            .contains("out-of-range ideal"));
+        // The first block's range end sits at bytes 40..44.
+        let mut overrun = image.clone();
+        overrun[40..44].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(TransitionSkeleton::from_bytes(&overrun)
+            .unwrap_err()
+            .contains("block range"));
+        assert!(TransitionSkeleton::from_bytes(&image[..image.len() - 1]).is_err());
     }
 
     /// `frontier_cap` truncation returns a solution with a certified gap
@@ -2037,8 +1441,8 @@ mod tests {
         let g = chain(&[0.4e9; 4], &[1e3; 3]);
         let pf = Platform::paper(2, 2);
         let t = 1.0;
-        let exact = dpa1d_run(&g, &pf, t, &Dpa1dConfig::default(), None, None, None).unwrap();
-        let exact_stats = exact.prune.expect("dominance on by default");
+        let exact = solve(&g, &pf, t, &Dpa1dConfig::default()).unwrap();
+        let exact_stats = exact.prune.expect("DPA1D always reports prune stats");
         assert!(
             exact_stats.frontier_max >= 2,
             "test instance must exercise a non-trivial frontier, got {exact_stats:?}"
@@ -2048,7 +1452,7 @@ mod tests {
             frontier_cap: 1,
             ..Default::default()
         };
-        let capped = dpa1d_run(&g, &pf, t, &capped_cfg, None, None, None).unwrap();
+        let capped = solve(&g, &pf, t, &capped_cfg).unwrap();
         let gap = capped.bound_gap();
         assert!(gap >= 0.0);
         // The capped solve prices a (possibly suboptimal) valid chain, so
@@ -2064,6 +1468,4 @@ mod tests {
             capped.energy()
         );
     }
-
-    use spg::Spg;
 }

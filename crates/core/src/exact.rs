@@ -286,6 +286,7 @@ fn place_blocks(
 mod tests {
     use super::*;
     use crate::dpa1d::{dpa1d_run, Dpa1dConfig};
+    use crate::instance::Instance;
     use spg::{chain, parallel};
 
     /// Non-deprecated local stand-in for the legacy free function (shadows
@@ -328,7 +329,8 @@ mod tests {
         let g = chain(&[0.5e9, 0.4e9, 0.3e9, 0.2e9], &[1e5, 2e5, 3e5]);
         let t = 1.0;
         let ex = exact(&g, &pf, t, &ExactConfig::default()).unwrap();
-        let dp = dpa1d_run(&g, &pf, t, &Dpa1dConfig::default(), None, None, None).unwrap();
+        let inst = Instance::new(g.clone(), pf.clone(), t);
+        let dp = dpa1d_run(&inst, &Dpa1dConfig::default()).unwrap();
         assert!(
             (ex.energy() - dp.energy()).abs() < 1e-9,
             "exact {} vs dpa1d {}",

@@ -297,10 +297,12 @@ impl Instance {
     ///   to need (see [`Instance::note_period_ceiling`]) — exact for
     ///   every period it [`TransitionSkeleton::serves`];
     /// * `Ok(None)` — neither the complete set nor any candidate bounded
-    ///   build fits `cfg.edge_cap`; callers fall back to per-period
-    ///   materialisation (also cached: failures are keyed by the cap —
-    ///   and, for bounded builds, the ceiling — they were attempted
-    ///   under, so only genuinely new requests re-run a build);
+    ///   build (the last candidate is this session's own period) fits
+    ///   `cfg.edge_cap`; `DPA1D` then streams the period's transitions
+    ///   through its extension DFS without storing them (failures are
+    ///   cached too: they are keyed by the cap — and, for bounded builds,
+    ///   the ceiling — they were attempted under, so only genuinely new
+    ///   requests re-run a build);
     /// * `Err(_)` — lattice enumeration itself exceeded `cfg.ideal_cap`.
     pub fn transition_skeleton(
         &self,

@@ -50,7 +50,8 @@ use crate::instance::SharedLattice;
 /// File magic: identifies an artifact spill file.
 pub const SPILL_MAGIC: [u8; 8] = *b"XPARTIFS";
 /// Envelope version; bumping it invalidates (skips) older spill files.
-pub const SPILL_VERSION: u32 = 1;
+/// Version 2 changed the skeleton image layout.
+pub const SPILL_VERSION: u32 = 2;
 /// Extension of spill files inside a cache directory.
 pub const SPILL_EXT: &str = "xpa";
 

@@ -139,23 +139,7 @@ impl Solver for Dpa1d {
     fn solve(&self, inst: &Instance, ctx: &SolveCtx) -> Result<Solution, Failure> {
         ctx.check_budget()?;
         reject_infeasible(inst)?;
-        let shared = inst
-            .lattice(self.cfg.ideal_cap)
-            .map_err(|e| crate::dpa1d::lattice_failure(&e))?;
-        // The period-independent transition skeleton, when the complete
-        // set fits the edge cap; `None` falls back to per-period
-        // materialisation inside `dpa1d_run`.
-        let skeleton = inst.transition_skeleton(&self.cfg)?;
-        let table = inst.route_table(RoutePolicy::Snake);
-        crate::dpa1d::dpa1d_run(
-            inst.spg(),
-            inst.platform(),
-            inst.period(),
-            &self.cfg,
-            Some(&shared),
-            skeleton.as_deref(),
-            Some(&table),
-        )
+        crate::dpa1d::dpa1d_run(inst, &self.cfg)
     }
 }
 

@@ -352,6 +352,57 @@ fn shutdown_drains_in_flight_requests() {
     );
 }
 
+/// A complete version-1 spill file holding the skeleton of a two-stage
+/// chain (ideals ∅, {0}, {0,1}; transitions ∅→{0}, ∅→{0,1}, {0}→{0,1}),
+/// in the layout version-1 daemons wrote: blocks with `wmax`, then the
+/// transition arrays, then the transposed index and cardinality levels.
+fn v1_skeleton_spill() -> Vec<u8> {
+    fn u32s(out: &mut Vec<u8>, vs: &[u32]) {
+        out.extend_from_slice(&(vs.len() as u64).to_le_bytes());
+        for v in vs {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&2u64.to_le_bytes());
+    // (from, cut, hop, wmin, wmax, start, end)
+    for (from, cut, hop, wmin, wmax, start, end) in [
+        (0u32, 0.0f64, 0.0f64, 1e8f64, 3e8f64, 0u32, 2u32),
+        (1, 1e4, 4.8e-7, 2e8, 2e8, 2, 3),
+    ] {
+        payload.extend_from_slice(&from.to_le_bytes());
+        for f in [cut, hop, wmin, wmax] {
+            payload.extend_from_slice(&f.to_le_bytes());
+        }
+        payload.extend_from_slice(&start.to_le_bytes());
+        payload.extend_from_slice(&end.to_le_bytes());
+    }
+    u32s(&mut payload, &[1, 2, 2]); // destinations
+    payload.extend_from_slice(&3u64.to_le_bytes());
+    for w in [1e8f64, 3e8, 2e8] {
+        payload.extend_from_slice(&w.to_le_bytes());
+    }
+    payload.extend_from_slice(&2u32.to_le_bytes()); // max stages
+    u32s(&mut payload, &[0, 0, 1, 3]); // in_off
+    u32s(&mut payload, &[0, 1, 2]); // in_idx
+    u32s(&mut payload, &[0, 0, 1]); // in_block
+    u32s(&mut payload, &[0, 1, 2, 3]); // level_off
+    payload.extend_from_slice(&f64::INFINITY.to_le_bytes());
+
+    let mut image = Vec::new();
+    image.extend_from_slice(b"XPARTIFS");
+    image.extend_from_slice(&1u32.to_le_bytes());
+    image.push(1); // skeleton key
+    for fp in [1u64, 2, f64::INFINITY.to_bits()] {
+        image.extend_from_slice(&fp.to_le_bytes());
+    }
+    image.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    image.extend_from_slice(&payload);
+    let sum = ea_core::serve::Fingerprint::new().bytes(&image).finish();
+    image.extend_from_slice(&sum.to_le_bytes());
+    image
+}
+
 /// A spill directory poisoned with garbage and version-skewed files must
 /// not break startup: bad files are skipped (and counted), good solves
 /// proceed, and fresh artifacts still spill next to the junk.
@@ -366,6 +417,14 @@ fn corrupt_and_version_skewed_spill_files_are_tolerated() {
     skewed.extend_from_slice(&999u32.to_le_bytes());
     skewed.extend_from_slice(&[0u8; 64]);
     std::fs::write(dir.join("lattice-0000000000000000.xpa"), &skewed).unwrap();
+    // A well-formed skeleton from a daemon one format back: version 1
+    // images carried the transposed index the current codec no longer
+    // reads.
+    std::fs::write(
+        dir.join("skeleton-0000000000000001-0000000000000002-7ff0000000000000.xpa"),
+        v1_skeleton_spill(),
+    )
+    .unwrap();
     // A non-spill file is not load_dir's business at all.
     std::fs::write(dir.join("README.txt"), b"hands off").unwrap();
 
@@ -373,11 +432,11 @@ fn corrupt_and_version_skewed_spill_files_are_tolerated() {
         cache_dir: Some(dir.clone()),
         ..ServeConfig::default()
     });
-    assert_eq!(stat(&service, "spill", "loaded"), 0.0);
+    assert_eq!(stat(&service, "spill", "loaded"), 0.0, "starts cold");
     assert_eq!(
         stat(&service, "spill", "skipped"),
-        2.0,
-        "both bad .xpa files are skipped, the .txt is ignored"
+        3.0,
+        "all three bad .xpa files are skipped, the .txt is ignored"
     );
 
     // The daemon is healthy: a solve succeeds and spills write-behind.
@@ -400,7 +459,7 @@ fn corrupt_and_version_skewed_spill_files_are_tolerated() {
         ..ServeConfig::default()
     });
     assert!(stat(&reborn, "spill", "loaded") >= 1.0);
-    assert_eq!(stat(&reborn, "spill", "skipped"), 2.0);
+    assert_eq!(stat(&reborn, "spill", "skipped"), 3.0);
     drop(reborn);
     let _ = std::fs::remove_dir_all(&dir);
 }

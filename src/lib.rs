@@ -154,11 +154,10 @@
 //! period — sharing is a pure optimisation (pinned by `tests/sweep.rs`).
 //! `xp sweep` exposes the same engine on the CLI per workload family.
 //!
-//! Since 0.8, `DPA1D` runs **dominance pruning** by default
-//! ([`prelude::Dpa1dConfig`]`::dominance`): a per-ideal Pareto frontier
-//! over the DP rows that skips transitions no optimal completion can
-//! extend, with ties kept so energies stay bit-identical to the complete
-//! relaxation. When a workload's complete transition system overflows the
+//! Since 0.8, `DPA1D` always runs **dominance pruning**: a per-ideal
+//! Pareto frontier over the DP rows that skips transitions no optimal
+//! completion can extend, with ties kept so energies stay bit-identical
+//! to the unpruned relaxation. When a workload's complete transition system overflows the
 //! edge cap, the solver now builds a **work-ceiling skeleton** — bounded
 //! by the loosest period of the sweep — and streams the rest, so the cap
 //! is a soundness-preserving bound instead of a hard `TooExpensive`
@@ -297,11 +296,25 @@
 //!
 //! | 0.7 | 0.8 |
 //! |---|---|
-//! | `Dpa1dConfig { ideal_cap, edge_cap, relax_par_threshold }` literals | add `dominance: bool` (default `true`) and `frontier_cap: usize` (default `usize::MAX`), or spread `..Dpa1dConfig::default()` |
+//! | `Dpa1dConfig { ideal_cap, edge_cap, relax_par_threshold }` literals | add `dominance: bool` (default `true`) and `frontier_cap: usize` (default `usize::MAX`), or spread `..Dpa1dConfig::default()` (0.10 removed `relax_par_threshold` and `dominance` again) |
 //! | `Solution { mapping, eval }` literals | add `prune: Option<PruneStats>` (`None` for non-`DPA1D` solvers; `validated` fills it) |
-//! | complete transition system over `edge_cap` ⇒ `Failure::TooExpensive(Materialise)` | a bounded work-ceiling skeleton + per-period streaming solve the point exactly; set `dominance: false` to restore the 0.7 hard failure |
+//! | complete transition system over `edge_cap` ⇒ `Failure::TooExpensive(Materialise)` | a bounded work-ceiling skeleton + per-period streaming solve the point exactly (the 0.7 hard failure is gone for good since 0.10) |
 //! | no way to trade exactness for state | `frontier_cap: n` truncates each frontier to `n` states and returns a solution carrying a certified `Solution::bound_gap()` (the true optimum lies within the gap) instead of failing |
 //! | — | `PruneStats` telemetry (`transitions_kept` / `transitions_pruned` / `frontier_max` / `bound_gap`) on `Solution::prune`, surfaced as optional campaign-JSONL fields, in serve `solve`/`sweep` responses, and aggregated in the daemon's `stats.prune` object |
+//!
+//! ## Migrating from 0.9 (one `DPA1D` engine)
+//!
+//! 0.10 collapses `DPA1D` to one transition producer (the cached
+//! [`prelude::TransitionSkeleton`], or a streaming DFS when none fits the
+//! edge cap) and one sequential relaxer. Energies are **bit-identical**;
+//! what changed:
+//!
+//! | 0.9 | 0.10 |
+//! |---|---|
+//! | `Dpa1dConfig { .., relax_par_threshold, dominance, .. }` literals | stop compiling: both fields are gone. Keep `ideal_cap`, `edge_cap`, `frontier_cap` and spread `..Dpa1dConfig::default()` |
+//! | `dominance: false` | no replacement: pruning is always on and value-preserving |
+//! | `relax_par_threshold` | no replacement: the relaxation is sequential |
+//! | `--cache-dir` spill envelope version 1 | version 2 (skeleton images drop the transposed index); version-1 files are skipped at boot |
 
 pub use cmp_mapping as mapping;
 pub use cmp_platform as platform;

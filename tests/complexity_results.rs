@@ -63,8 +63,8 @@ fn theorem1_ideal_count_closed_form() {
 }
 
 /// Theorem 1: on a uni-directional uni-line CMP, the DP is optimal for
-/// bounded-elevation SPGs. Brute-force all contiguous chain splits of a
-/// pipeline and compare.
+/// bounded-elevation SPGs. On a pipeline the order ideals are the
+/// prefixes, so the oracle enumerates every contiguous split.
 #[test]
 fn theorem1_dp_matches_bruteforce_on_chains() {
     let pf = Platform::paper(1, 3);
@@ -75,90 +75,171 @@ fn theorem1_dp_matches_bruteforce_on_chains() {
         let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(1e8..6e8)).collect();
         let volumes: Vec<f64> = (0..n - 1).map(|_| rng.gen_range(1e5..1e7)).collect();
         let g = chain(&weights, &volumes);
-        let t = 1.0;
-        let dp = dpa1d_solve(&g, &pf, t);
-        let brute = brute_force_chain(&g, &pf, t);
-        match (dp, brute) {
-            (Ok(dp), Some(b)) => {
-                assert!(
-                    (dp.energy() - b).abs() < 1e-9 * b,
-                    "DP {} vs brute-force {}",
-                    dp.energy(),
-                    b
-                );
-            }
-            (Err(_), None) => {}
-            (dp, brute) => panic!(
-                "feasibility disagreement: dp ok={}, brute={:?}",
-                dp.is_ok(),
-                brute
-            ),
-        }
+        assert_matches_oracle(&g, &pf, 1.0);
     }
 }
 
-/// Minimal-energy contiguous split of a chain over a 1×q uni-line:
-/// exhaustive over all cut positions (the chain's order ideals are its
-/// prefixes, so this enumerates exactly the DP's search space).
-fn brute_force_chain(g: &Spg, pf: &Platform, t: f64) -> Option<f64> {
-    let order = g.topo_order();
-    let n = order.len();
-    let q = pf.n_cores();
-    let weights: Vec<f64> = order.iter().map(|s| g.weight(*s)).collect();
-    // Edge volume after position i (between order[i] and order[i+1]).
-    let vol_after: Vec<f64> = (0..n - 1)
-        .map(|i| {
-            g.edges()
-                .iter()
-                .filter(|e| e.src == order[i] && e.dst == order[i + 1])
-                .map(|e| e.volume)
-                .sum()
-        })
-        .collect();
-    let mut best: Option<f64> = None;
-    // Enumerate all ways to split [0..n) into at most q contiguous groups.
-    #[allow(clippy::type_complexity)]
-    fn rec(
-        pos: usize,
-        groups: &mut Vec<(usize, usize)>,
-        n: usize,
-        q: usize,
-        out: &mut dyn FnMut(&[(usize, usize)]),
-    ) {
-        if pos == n {
-            out(groups);
-            return;
-        }
-        if groups.len() == q {
-            return;
-        }
-        for end in pos + 1..=n {
-            groups.push((pos, end));
-            rec(end, groups, n, q, out);
-            groups.pop();
+/// Theorem 1 on general SPGs: `DPA1D` equals the brute-force uni-line
+/// optimum over every chain of order ideals, and both sides agree on
+/// feasibility — seeded random SPGs with up to 7 stages, elevation 1–3,
+/// compute-heavy (CCR 10) and communication-heavy (CCR 0.1), on three
+/// snakes, over a period grid from loose (one slow core) to infeasible.
+/// The paper's links are fast enough that this traffic never saturates
+/// them, so a fourth, narrow-link 2×2 makes the bandwidth constraint bind.
+/// A frontier-capped solve must bracket the same optimum with its
+/// certified gap.
+#[test]
+fn theorem1_dp_matches_bruteforce_on_random_spgs() {
+    let mut rng = ChaCha8Rng::seed_from_u64(2011);
+    use rand::Rng;
+    let capped = solvers::Dpa1d {
+        cfg: Dpa1dConfig {
+            frontier_cap: 1,
+            ..Dpa1dConfig::default()
+        },
+    };
+    let (mut feasible, mut infeasible) = (0usize, 0usize);
+    let narrow = Platform {
+        bw: Platform::paper(2, 2).bw / 10.0,
+        ..Platform::paper(2, 2)
+    };
+    for pf in [
+        Platform::paper(1, 4),
+        Platform::paper(2, 2),
+        Platform::paper(2, 3),
+        narrow,
+    ] {
+        for ccr in [10.0, 0.1] {
+            for elevation in 1..=3u32 {
+                for _ in 0..3 {
+                    let cfg = SpgGenConfig {
+                        n: rng.gen_range(spg::generate::min_stages_for_elevation(elevation)..=7),
+                        elevation,
+                        ccr: Some(ccr),
+                        ..SpgGenConfig::default()
+                    };
+                    let g = spg::generate::random_spg(&cfg, &mut rng);
+                    let t0 = g.total_work() / pf.power.max_freq();
+                    for scale in [2.0, 1.0, 0.5, 0.3, 0.15] {
+                        let t = t0 * scale;
+                        match assert_matches_oracle(&g, &pf, t) {
+                            Some(opt) => {
+                                feasible += 1;
+                                let inst = Instance::new(g.clone(), pf.clone(), t);
+                                let sol = capped
+                                    .solve(&inst, &SolveCtx::new(0))
+                                    .expect("truncation never costs feasibility");
+                                let slack = 1e-9 * opt;
+                                assert!(sol.energy() >= opt - slack);
+                                assert!(
+                                    sol.energy() - sol.bound_gap() <= opt + slack,
+                                    "certified gap {} below {} must reach the optimum {opt}",
+                                    sol.bound_gap(),
+                                    sol.energy()
+                                );
+                            }
+                            None => infeasible += 1,
+                        }
+                    }
+                }
+            }
         }
     }
-    let pm = &pf.power;
-    rec(0, &mut Vec::new(), n, q, &mut |groups| {
-        let mut energy = 0.0;
-        for &(a, b) in groups {
-            let w: f64 = weights[a..b].iter().sum();
-            match pm.best_compute_energy(w, t) {
-                Some(e) => energy += e,
-                None => return,
-            }
-        }
-        for win in groups.windows(2) {
-            let cut = vol_after[win[0].1 - 1];
-            if cut > t * pf.bw * (1.0 + 1e-9) {
+    assert!(
+        feasible >= 50 && infeasible >= 20,
+        "the grid must exercise both outcomes ({feasible} feasible, {infeasible} infeasible)"
+    );
+}
+
+/// Solves `g` with `DPA1D` and checks it against [`brute_force_uniline`]:
+/// equal energies within 1e-9 relative, or both infeasible. Returns the
+/// optimum.
+fn assert_matches_oracle(g: &Spg, pf: &Platform, t: f64) -> Option<f64> {
+    let brute = brute_force_uniline(g, pf, t);
+    match (dpa1d_solve(g, pf, t), brute) {
+        (Ok(dp), Some(b)) => assert!(
+            (dp.energy() - b).abs() <= 1e-9 * b,
+            "DP {} vs brute-force {b} at T={t}",
+            dp.energy()
+        ),
+        (Err(_), None) => {}
+        (dp, brute) => panic!(
+            "feasibility disagreement at T={t}: dp={:?}, brute={brute:?}",
+            dp.map(|s| s.energy())
+        ),
+    }
+    brute
+}
+
+/// Minimal-energy uni-line mapping by exhaustive search over every chain
+/// of order ideals `∅ ⊂ I₁ ⊂ … ⊂ I_k = V` with at most one cluster per
+/// core: cluster `j` is `I_j \ I_{j−1}`, runs on snake core `j` at its
+/// slowest feasible speed, and the link after core `j` carries the cut
+/// volume of `I_j`. This is the search space of Theorem 1's DP, walked
+/// with none of its machinery (no skeleton, no admission thresholds, no
+/// pruning).
+fn brute_force_uniline(g: &Spg, pf: &Platform, t: f64) -> Option<f64> {
+    struct Oracle<'a> {
+        pf: &'a Platform,
+        t: f64,
+        weights: Vec<f64>,
+        ideals: Vec<Vec<bool>>,
+        cuts: Vec<f64>,
+        full: usize,
+    }
+    impl Oracle<'_> {
+        fn search(&self, cur: usize, clusters: usize, energy: f64, best: &mut Option<f64>) {
+            if cur == self.full {
+                let total = energy + self.pf.p_leak_comm * self.t;
+                if best.is_none_or(|b| total < b) {
+                    *best = Some(total);
+                }
                 return;
             }
-            energy += pf.hop_energy(cut);
+            if clusters == self.pf.n_cores() {
+                return;
+            }
+            // The link out of `cur` feeds the next cluster (the empty
+            // ideal has none).
+            let cut = self.cuts[cur];
+            if cut > self.t * self.pf.bw * (1.0 + 1e-9) {
+                return;
+            }
+            let hop = if cur == 0 {
+                0.0
+            } else {
+                self.pf.hop_energy(cut)
+            };
+            for next in 0..self.ideals.len() {
+                let (a, b) = (&self.ideals[cur], &self.ideals[next]);
+                if next == cur || (0..a.len()).any(|i| a[i] && !b[i]) {
+                    continue; // not a strict superset
+                }
+                let w: f64 = (0..a.len())
+                    .filter(|&i| b[i] && !a[i])
+                    .map(|i| self.weights[i])
+                    .sum();
+                if let Some(e) = self.pf.power.best_compute_energy(w, self.t) {
+                    self.search(next, clusters + 1, energy + hop + e, best);
+                }
+            }
         }
-        if best.is_none_or(|b| energy < b) {
-            best = Some(energy);
-        }
-    });
+    }
+    let lattice = enumerate_ideals(g, 1_000_000).unwrap();
+    let oracle = Oracle {
+        pf,
+        t,
+        weights: (0..g.n()).map(|i| g.weight(StageId(i as u32))).collect(),
+        ideals: lattice
+            .iter()
+            .map(|s| (0..g.n()).map(|i| s.contains(i)).collect())
+            .collect(),
+        cuts: lattice.iter().map(|s| g.cut_volume(s)).collect(),
+        full: lattice.full_id().idx(),
+    };
+    assert_eq!(lattice.empty_id().idx(), 0);
+    let mut best = None;
+    oracle.search(0, 0, 0.0, &mut best);
     best
 }
 
