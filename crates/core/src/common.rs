@@ -145,8 +145,10 @@ pub struct BudgetExceeded {
     /// The configured cap (ideals, transitions, or stages; 0 for
     /// wall-clock deadlines, which have no count-shaped cap).
     pub cap: u64,
-    /// The count at abort (for [`BudgetPhase::Enumerate`] a lower bound on
-    /// the true lattice size; 0 for deadlines).
+    /// The count at abort; 0 for deadlines. For
+    /// [`BudgetPhase::Enumerate`] a `cap + 1` witness that the lattice is
+    /// over the cap, not its size: the exact size of a series-parallel
+    /// workload's lattice comes from [`spg::ideal::count_ideals`].
     pub count: u64,
 }
 

@@ -8,7 +8,9 @@
 //! * the **interned ideal lattice** with its per-ideal cut volumes
 //!   ([`SharedLattice`]) — the dominant cost of `DPA1D`, and
 //!   period-independent, so one enumeration serves every probe decade and
-//!   every portfolio member;
+//!   every portfolio member. Its exact size ([`spg::ideal::count_ideals`])
+//!   is computed first, so an over-cap lattice is refused without being
+//!   enumerated;
 //! * `DPA1D`'s **transition skeleton** ([`TransitionSkeleton`]) — the
 //!   complete cluster-transition system over the lattice, which turns
 //!   each period-sweep point into a threshold-admission pass instead of a
@@ -29,7 +31,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use cmp_mapping::{evaluate_with, Evaluation, Mapping, MappingError};
 use cmp_platform::{snake_core, CoreId, Fault, Platform, RoutePolicy, RouteTable};
-use spg::ideal::{enumerate_ideals, IdealError, IdealLattice};
+use spg::ideal::{count_ideals, enumerate_ideals, IdealError, IdealLattice};
 use spg::{Edit, Spg, StageId};
 
 use crate::common::Failure;
@@ -88,7 +90,8 @@ impl SharedLattice {
 
 /// Cached lattice state: the cap the last enumeration ran with, and its
 /// outcome. A success with `len ≤ cap'` answers any request with cap ≥ len;
-/// a `LimitExceeded` at cap `c` answers any request with cap ≤ `c`.
+/// a `LimitExceeded` at cap `c` answers any request with cap ≤ `c` (only
+/// enumerations of non-SP graphs, which have no exact count, can fail).
 type LatticeSlot = Mutex<Option<(usize, Result<Arc<SharedLattice>, IdealError>)>>;
 
 /// Cached `DPA1D` transition skeleton: the lattice it was built from (by
@@ -123,6 +126,9 @@ struct BoundedSkeleton {
 #[derive(Default)]
 struct Derived {
     lattice: LatticeSlot,
+    /// The exact ideal count ([`count_ideals`]; `None` for a non-SP
+    /// graph). Structure-only, so every re-target, fault and edit keeps it.
+    ideal_count: OnceLock<Option<u128>>,
     skeleton: SkeletonSlot,
     bounded: Mutex<BoundedSkeleton>,
     /// The loosest period a sweep over this instance intends to request
@@ -252,10 +258,26 @@ impl Instance {
         }
     }
 
+    /// The exact number of order ideals of the workload, computed once per
+    /// session family from its series-parallel reduction (`None` when the
+    /// graph is not series-parallel). See [`count_ideals`].
+    fn ideal_count(&self) -> Option<u128> {
+        *self
+            .derived
+            .ideal_count
+            .get_or_init(|| count_ideals(&self.spg))
+    }
+
     /// The interned ideal lattice (plus cut volumes), enumerated under
     /// `cap`. Cached: a previous successful enumeration is reused whenever
-    /// it fits the requested cap, and a previous `LimitExceeded` at a cap
-    /// at least as large answers the request without re-enumerating.
+    /// it fits the requested cap. Otherwise the exact ideal count
+    /// ([`count_ideals`], computed once per session family) decides: a
+    /// lattice larger than `cap` is refused with `LimitExceeded { cap,
+    /// found: cap + 1 }` — the error a capped enumeration would stop
+    /// with — without enumerating anything, and one that fits is
+    /// enumerated. Only a non-SP graph, which has no count, runs the
+    /// capped enumeration to find out; its `LimitExceeded` is cached and
+    /// answers any cap at most as large.
     pub fn lattice(&self, cap: usize) -> Result<Arc<SharedLattice>, IdealError> {
         let mut slot = self.derived.lattice.lock().unwrap();
         if let Some((cached_cap, res)) = slot.as_ref() {
@@ -273,6 +295,12 @@ impl Instance {
                 Err(e) if cap <= *cached_cap => return Err(e.clone()),
                 _ => {}
             }
+        }
+        if self.ideal_count().is_some_and(|count| count > cap as u128) {
+            return Err(IdealError::LimitExceeded {
+                cap,
+                found: cap.saturating_add(1),
+            });
         }
         let res = enumerate_ideals(&self.spg, cap).map(|lattice| {
             let cuts = lattice.iter().map(|s| self.spg.cut_volume(s)).collect();
@@ -608,6 +636,7 @@ impl Instance {
         let patch_routes = pf.faults.dead_links() != self.pf.faults.dead_links();
         let derived = Derived {
             lattice: Mutex::new(self.derived.lattice.lock().unwrap().clone()),
+            ideal_count: self.derived.ideal_count.clone(),
             skeleton: Mutex::new(self.derived.skeleton.lock().unwrap().clone()),
             bounded: Mutex::new(self.derived.bounded.lock().unwrap().clone()),
             sweep_ceiling: Mutex::new(*self.derived.sweep_ceiling.lock().unwrap()),
@@ -671,6 +700,7 @@ impl Instance {
         };
         let derived = Derived {
             lattice: Mutex::new(lattice),
+            ideal_count: self.derived.ideal_count.clone(),
             // Skeleton blocks embed value-derived work sums and admission
             // thresholds: rebuilt lazily from the reused lattice.
             skeleton: Mutex::new(None),
@@ -746,6 +776,35 @@ mod tests {
         ));
         // ...without evicting the cached success.
         assert!(Arc::ptr_eq(&inst.lattice(100).unwrap(), &ok));
+    }
+
+    #[test]
+    fn over_cap_lattice_is_refused_by_its_count() {
+        // 200 branches of one inner stage: 2^200 + 2 ideals, saturated.
+        let branches: Vec<Spg> = (0..200).map(|_| chain(&[1e6; 3], &[1e3; 2])).collect();
+        let inst = Instance::new(spg::parallel_many(&branches), Platform::paper(2, 2), 1.0);
+        assert!(matches!(
+            inst.lattice(60_000),
+            Err(IdealError::LimitExceeded {
+                cap: 60_000,
+                found: 60_001
+            })
+        ));
+        assert!(inst.cached_lattice().is_none());
+        // The count is structure-only: every derived session inherits it
+        // without recounting.
+        let fault = cmp_platform::Fault::Core(CoreId { u: 1, v: 1 });
+        let edit = spg::Edit::Retune {
+            stage: StageId(1),
+            work: 2e6,
+        };
+        for derived in [
+            inst.with_period(0.5),
+            inst.with_fault(fault),
+            inst.with_edit(&edit),
+        ] {
+            assert_eq!(derived.derived.ideal_count.get(), Some(&Some(u128::MAX)));
+        }
     }
 
     #[test]

@@ -21,10 +21,18 @@
 //!   way out, so a round trip can never smuggle one in;
 //! * `\uXXXX` escapes decode surrogate *pairs* to the astral code point;
 //!   a lone surrogate decodes to U+FFFD rather than erroring (our own
-//!   writers never emit one).
+//!   writers never emit one);
+//! * arrays and objects nest at most [`MAX_DEPTH`] deep — the parser
+//!   recurses per level, so an unbounded frame of `[` would overflow the
+//!   stack (an abort, not a catchable panic); deeper input is an `Err`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. Far above
+/// anything the workspace writes (campaign records, `BENCH_*.json` and
+/// protocol frames nest a handful of levels).
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Objects keep insertion order out of scope — the
 /// consumers here look fields up by name.
@@ -49,7 +57,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -212,10 +220,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` open arrays and
+/// objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut map = BTreeMap::new();
@@ -229,7 +243,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 map.insert(key, val);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -251,7 +265,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(arr));
             }
             loop {
-                arr.push(parse_value(b, pos)?);
+                arr.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -443,6 +457,19 @@ mod tests {
         assert!(Json::parse("{\"a\": 1").is_err()); // truncated
         assert!(Json::parse("{} x").is_err()); // trailing
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // Objects count too, interleaved with arrays.
+        let mixed = "{\"a\":[".repeat(MAX_DEPTH) + &"]}".repeat(MAX_DEPTH);
+        assert!(Json::parse(&mixed).is_err());
+        // A 100 KB run of `[` used to overflow the stack.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! End-to-end tests for the serve subsystem: a real socket server under
 //! concurrent clients, warm/cold bit-identity across the StreamIt suite,
 //! deterministic LRU eviction replay, structured deadline backpressure,
-//! shutdown draining in-flight work, cache-persistence tolerance, and
-//! batched-vs-per-request equivalence.
+//! shutdown draining in-flight work, cache-persistence tolerance,
+//! batched-vs-per-request equivalence, and survival of hostile frames.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -263,6 +263,42 @@ fn slow_mid_frame_writes_do_not_desync_the_stream() {
 
     let mut control = Client::connect_tcp(addr).unwrap();
     control.shutdown().unwrap();
+    daemon.join().unwrap();
+}
+
+/// A frame of 100 KB of `[` used to overflow the parser's stack and abort
+/// the whole daemon. It must be answered `bad_request`, and the daemon
+/// must go on answering new connections.
+#[test]
+fn deeply_nested_frame_is_a_bad_request_not_a_crash() {
+    let server = Server::bind_tcp("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr().unwrap();
+    let daemon = thread::spawn(move || server.run().unwrap());
+
+    let body = "[".repeat(100_000);
+    let mut wire = (body.len() as u32).to_be_bytes().to_vec();
+    wire.extend_from_slice(body.as_bytes());
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(&wire).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let resp = read_frame(&mut stream)
+        .expect("the daemon must answer, not die")
+        .expect("the daemon must answer before hanging up");
+    assert_eq!(
+        resp.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str),
+        Some("bad_request"),
+        "response: {resp}"
+    );
+    drop(stream);
+
+    let mut client = Client::connect_tcp(addr).unwrap();
+    let pong = client.ping().unwrap();
+    assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
+    client.shutdown().unwrap();
     daemon.join().unwrap();
 }
 

@@ -16,10 +16,17 @@
 //! enumeration and lookup never clone a [`NodeSet`], and the membership
 //! probe is a couple of multiplies instead of SipHash over a heap vector.
 //!
-//! Enumeration is a BFS over the ideal lattice with a hard cap: exceeding the
-//! cap aborts with [`IdealError::LimitExceeded`], which `DPA1D` surfaces as a
-//! heuristic failure (the paper observes exactly this on the high-elevation
-//! StreamIt workflows).
+//! Sizing comes first. [`count_ideals`] reads the exact lattice size off
+//! the series-parallel reduction in near-linear time (see
+//! [`mod@crate::recognize`]), so a caller can refuse an over-cap lattice
+//! without enumerating or allocating any of it; `Instance::lattice` in
+//! `ea-core` does exactly that. Enumeration is a BFS over the ideal
+//! lattice with a hard cap: a lattice the count has shown to fit is
+//! enumerated in full, and only a DAG the reduction cannot close (not
+//! series-parallel) relies on the cap itself. Exceeding it aborts with
+//! [`IdealError::LimitExceeded`] at the `cap + 1`-th ideal, which `DPA1D`
+//! surfaces as a heuristic failure (the paper observes exactly this on
+//! the high-elevation StreamIt workflows).
 
 use crate::graph::{Spg, StageId};
 use crate::nodeset::{NodeSet, NodeSetRef};
@@ -33,9 +40,12 @@ pub enum IdealError {
     LimitExceeded {
         /// The cap that was exceeded.
         cap: usize,
-        /// Ideal count observed at abort (a lower bound on the true lattice
-        /// size when enumeration stopped early; the exact size when a
-        /// completed enumeration merely exceeds a smaller requested cap).
+        /// A witness that the lattice is larger than `cap`: `cap + 1` when
+        /// the lattice was refused by its count or enumeration stopped at
+        /// the `cap + 1`-th ideal; the exact size when an already
+        /// enumerated lattice merely exceeds a smaller requested cap. The
+        /// exact size of an SP graph's lattice comes from
+        /// [`count_ideals`].
         found: usize,
     },
 }
@@ -387,6 +397,17 @@ pub fn ready_stages(spg: &Spg, ideal: NodeSetRef<'_>) -> Vec<StageId> {
         .collect()
 }
 
+/// The exact number of order ideals of `spg` (empty and full set
+/// included), read off the series-parallel reduction without enumerating
+/// any of them; see [`mod@crate::recognize`] for the recurrence. Saturates at
+/// `u128::MAX` instead of overflowing. `None` when the reduction does not
+/// close, i.e. `spg` is not two-terminal series-parallel.
+pub fn count_ideals(spg: &Spg) -> Option<u128> {
+    crate::recognize::reduce_spg(spg)
+        .1
+        .map(|m| m.saturating_add(2))
+}
+
 /// Enumerates every order ideal of `spg`, capped at `cap` ideals.
 ///
 /// The result is grouped by cardinality (all ideals of size `k` precede all
@@ -485,22 +506,24 @@ mod tests {
             let g = uniform_chain(n);
             let lat = enumerate_ideals(&g, 10_000).unwrap();
             assert_eq!(lat.len(), n + 1, "a chain's ideals are its prefixes");
+            assert_eq!(count_ideals(&g), Some(n as u128 + 1));
         }
     }
 
     #[test]
     fn fork_join_ideal_count() {
-        // Fork-join with 2 branches of b inner stages each:
-        // ideals = 1 (empty) + 1 ({src}) * (b+1)^2 prefix products ... the
-        // exact closed form: empty, plus ideals containing the source:
-        // (b+1)^2 choices of branch prefixes, plus the full set adds the
-        // sink only when both branches are complete (already counted) + 1
-        // for sink inclusion. Total = 1 + (b+1)^2 + 1.
-        for b in 1..5usize {
-            let branch = uniform_chain(b + 2);
-            let g = parallel_many(&[branch.clone(), branch.clone()]);
-            let lat = enumerate_ideals(&g, 100_000).unwrap();
-            assert_eq!(lat.len(), 1 + (b + 1) * (b + 1) + 1);
+        // Fork-join with k branches of b inner stages each: the empty
+        // ideal, the (b+1)^k choices of branch prefixes (each holding the
+        // source), and the full set. k = 2, b = 1 is the diamond: 6.
+        for k in 1..5u32 {
+            for b in 1..5usize {
+                let branches: Vec<Spg> = (0..k).map(|_| uniform_chain(b + 2)).collect();
+                let g = parallel_many(&branches);
+                let expected = (b + 1).pow(k) + 2;
+                let lat = enumerate_ideals(&g, 100_000).unwrap();
+                assert_eq!(lat.len(), expected);
+                assert_eq!(count_ideals(&g), Some(expected as u128));
+            }
         }
     }
 
@@ -531,6 +554,33 @@ mod tests {
             Err(IdealError::LimitExceeded { cap: 50, found }) if found > 50 => {}
             other => panic!("expected LimitExceeded, got {:?}", other.map(|l| l.len())),
         }
+    }
+
+    #[test]
+    fn non_sp_graph_has_no_count() {
+        use crate::graph::{Label, SpgEdge};
+        // s -> a, s -> b, a -> c, a -> d, b -> d, c -> t, d -> t: the "N"
+        // (a->c, a->d, b->d) stops the reduction.
+        let edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (3, 5), (4, 5)]
+            .map(|(a, b)| SpgEdge {
+                src: StageId(a),
+                dst: StageId(b),
+                volume: 1.0,
+            })
+            .to_vec();
+        let labels = (0..6).map(|i| Label { x: i + 1, y: 1 }).collect();
+        let g = Spg::from_parts(vec![1.0; 6], labels, edges);
+        assert_eq!(count_ideals(&g), None);
+        // Enumeration still works on it: the cap is its only guard.
+        assert!(enumerate_ideals(&g, 1_000).unwrap().len() > 2);
+    }
+
+    #[test]
+    fn count_saturates_instead_of_overflowing() {
+        // 200 branches of one inner stage: 2^200 + 2 ideals > u128::MAX.
+        let branches: Vec<Spg> = (0..200).map(|_| uniform_chain(3)).collect();
+        let g = parallel_many(&branches);
+        assert_eq!(count_ideals(&g), Some(u128::MAX));
     }
 
     #[test]

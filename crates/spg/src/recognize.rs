@@ -1,4 +1,5 @@
-//! Recognition of two-terminal series-parallel DAGs.
+//! Recognition of two-terminal series-parallel DAGs, and the order-ideal
+//! count that falls out of the same reduction.
 //!
 //! The paper's algorithms require the application to *be* a series-parallel
 //! graph (§3.1). Graphs built through [`crate::compose`] are SP by
@@ -13,9 +14,18 @@
 //! until no rule applies. The DAG is two-terminal series-parallel **iff**
 //! the result is the single edge `source → sink`.
 //!
-//! Reductions also aggregate costs (series sums volumes through the merged
-//! node is *not* meaningful — the node carries computation — so reductions
-//! here are purely structural; use them for recognition, not evaluation).
+//! The reduction is also an evaluation. Every live edge `u → w` stands for
+//! the SP subgraph it has absorbed, and carries `M`: the number of order
+//! ideals of that subgraph that contain `u` but not `w`. A base edge has
+//! `M = 1` (just `{u}`); a series reduction through `v` gives `M₁ + M₂`
+//! (the ideal stops before `v`, or contains `v` and stops in the second
+//! half); a parallel merge gives `M₁ · M₂` (the two halves choose
+//! independently). Every ideal of the whole graph other than `∅` and the
+//! full set contains the source but not the sink, so the graph has
+//! `M(source → sink) + 2` ideals — [`crate::ideal::count_ideals`].
+
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::graph::Spg;
 
@@ -34,14 +44,7 @@ pub struct SpRecognition {
 
 /// Runs SP recognition on the graph's structure.
 pub fn recognize(g: &Spg) -> SpRecognition {
-    recognize_edges(g.n(), g.source().idx(), g.sink().idx(), &edge_list(g))
-}
-
-fn edge_list(g: &Spg) -> Vec<(usize, usize)> {
-    g.edges()
-        .iter()
-        .map(|e| (e.src.idx(), e.dst.idx()))
-        .collect()
+    reduce_spg(g).0
 }
 
 /// Core reduction on an explicit multigraph edge list.
@@ -51,50 +54,57 @@ pub fn recognize_edges(
     sink: usize,
     edges: &[(usize, usize)],
 ) -> SpRecognition {
-    // Adjacency as multisets via counted maps.
-    let mut out_deg = vec![0usize; n];
-    let mut in_deg = vec![0usize; n];
-    // live multigraph edges (with multiplicity)
-    let mut mult: std::collections::HashMap<(usize, usize), usize> =
-        std::collections::HashMap::new();
-    for &(a, b) in edges {
-        out_deg[a] += 1;
-        in_deg[b] += 1;
-        *mult.entry((a, b)).or_insert(0) += 1;
-    }
+    reduce(n, source, sink, edges).0
+}
+
+/// Reduces `g`; alongside the recognition outcome, returns `M` of the
+/// final `source → sink` edge when the graph is SP (see the module doc).
+pub(crate) fn reduce_spg(g: &Spg) -> (SpRecognition, Option<u128>) {
+    let edges: Vec<(usize, usize)> = g
+        .edges()
+        .iter()
+        .map(|e| (e.src.idx(), e.dst.idx()))
+        .collect();
+    reduce(g.n(), g.source().idx(), g.sink().idx(), &edges)
+}
+
+/// The reduction itself. `succ[u][w]` holds `M` of the live edge `u → w`
+/// (saturating: a count past `u128::MAX` stays there); `pred` mirrors the
+/// edge set without values.
+fn reduce(
+    n: usize,
+    source: usize,
+    sink: usize,
+    edges: &[(usize, usize)],
+) -> (SpRecognition, Option<u128>) {
+    let mut succ: Vec<BTreeMap<usize, u128>> = vec![BTreeMap::new(); n];
+    let mut pred: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
     let mut series_steps = 0usize;
     let mut parallel_steps = 0usize;
-    let mut alive = vec![true; n];
-
-    // Initial parallel collapse.
-    for (_, m) in mult.iter_mut() {
-        if *m > 1 {
-            parallel_steps += *m - 1;
+    // Initial parallel collapse: a duplicate base edge merges as
+    // `M · 1 = M`, so only the step count changes.
+    for &(a, b) in edges {
+        match succ[a].entry(b) {
+            Entry::Vacant(e) => {
+                e.insert(1);
+                pred[b].insert(a);
+            }
+            Entry::Occupied(_) => parallel_steps += 1,
         }
     }
-    // Keep multiplicity 1 logically; record duplicates as already merged.
-    let mut succ: Vec<std::collections::BTreeMap<usize, usize>> = vec![Default::default(); n];
-    let mut pred: Vec<std::collections::BTreeMap<usize, usize>> = vec![Default::default(); n];
-    for (&(a, b), &m) in &mult {
-        succ[a].insert(b, m);
-        pred[b].insert(a, m);
-    }
-    // Recompute degrees as *distinct* neighbour counts after the collapse.
-    for v in 0..n {
-        out_deg[v] = succ[v].len();
-        in_deg[v] = pred[v].len();
-    }
+    let reducible = |v: usize, succ: &[BTreeMap<usize, u128>], pred: &[BTreeSet<usize>]| {
+        v != source && v != sink && pred[v].len() == 1 && succ[v].len() == 1
+    };
+    let mut alive = vec![true; n];
     // Work-list of candidate nodes for series reduction.
-    let mut queue: Vec<usize> = (0..n)
-        .filter(|&v| v != source && v != sink && in_deg[v] == 1 && out_deg[v] == 1)
-        .collect();
+    let mut queue: Vec<usize> = (0..n).filter(|&v| reducible(v, &succ, &pred)).collect();
 
     while let Some(v) = queue.pop() {
-        if !alive[v] || v == source || v == sink || in_deg[v] != 1 || out_deg[v] != 1 {
+        if !alive[v] || !reducible(v, &succ, &pred) {
             continue;
         }
-        let (&u, _) = pred[v].iter().next().unwrap();
-        let (&w, _) = succ[v].iter().next().unwrap();
+        let u = *pred[v].first().unwrap();
+        let (&w, &m2) = succ[v].first_key_value().unwrap();
         if u == w {
             // A cycle u -> v -> u cannot occur in a DAG; bail out.
             continue;
@@ -102,23 +112,24 @@ pub fn recognize_edges(
         // Remove v; add edge u -> w (merging a parallel duplicate if any).
         alive[v] = false;
         series_steps += 1;
-        succ[u].remove(&v);
+        let m1 = succ[u].remove(&v).unwrap();
         pred[w].remove(&v);
         pred[v].clear();
         succ[v].clear();
-        if let std::collections::btree_map::Entry::Vacant(e) = succ[u].entry(w) {
-            e.insert(1);
-            pred[w].insert(u, 1);
-        } else {
-            parallel_steps += 1; // merged with an existing u -> w edge
+        let m = m1.saturating_add(m2);
+        match succ[u].entry(w) {
+            Entry::Vacant(e) => {
+                e.insert(m);
+                pred[w].insert(u);
+            }
+            Entry::Occupied(mut e) => {
+                parallel_steps += 1;
+                *e.get_mut() = e.get().saturating_mul(m);
+            }
         }
-        out_deg[u] = succ[u].len();
-        in_deg[w] = pred[w].len();
-        in_deg[v] = 0;
-        out_deg[v] = 0;
         // u and w may now be reducible.
         for cand in [u, w] {
-            if cand != source && cand != sink && in_deg[cand] == 1 && out_deg[cand] == 1 {
+            if reducible(cand, &succ, &pred) {
                 queue.push(cand);
             }
         }
@@ -127,12 +138,20 @@ pub fn recognize_edges(
     let residual_nodes = alive.iter().filter(|&&a| a).count();
     let reduced_to_edge =
         residual_nodes == 2 && succ[source].len() == 1 && succ[source].contains_key(&sink);
-    SpRecognition {
-        is_series_parallel: reduced_to_edge,
-        series_steps,
-        parallel_steps,
-        residual_nodes,
-    }
+    let m = if reduced_to_edge {
+        succ[source].get(&sink).copied()
+    } else {
+        None
+    };
+    (
+        SpRecognition {
+            is_series_parallel: reduced_to_edge,
+            series_steps,
+            parallel_steps,
+            residual_nodes,
+        },
+        m,
+    )
 }
 
 #[cfg(test)]
