@@ -13,7 +13,7 @@
 use cmp_mapping::{assign_optimal_speeds, evaluate, RouteSpec};
 use cmp_platform::{Platform, RouteOrder};
 use ea_core::solvers::{Greedy, Random};
-use ea_core::{greedy_opts, refine, Instance, RefineConfig, SolveCtx, Solver};
+use ea_core::{refine, Instance, Portfolio, RefineConfig, SolveCtx, Solver};
 use rayon::prelude::*;
 use spg::{random_spg, SpgGenConfig};
 
@@ -21,7 +21,6 @@ use std::sync::Arc;
 
 use crate::probe::probe_instance;
 use crate::report::fmt_table;
-use crate::runner::run_portfolio;
 
 fn instances(count: usize, seed: u64) -> Vec<(spg::Spg, u64)> {
     use rand::{Rng, SeedableRng};
@@ -89,9 +88,9 @@ pub fn downgrade_text(count: usize, seed: u64) -> String {
         .enumerate()
         .filter_map(|(i, (g, s))| {
             let inst = probed(g, &pf, *s)?;
-            let t = inst.period();
-            let with = greedy_opts(g, &pf, t, true).ok()?;
-            let without = greedy_opts(g, &pf, t, false).ok()?;
+            let ctx = SolveCtx::default();
+            let with = Greedy { downgrade: true }.solve(&inst, &ctx).ok()?;
+            let without = Greedy { downgrade: false }.solve(&inst, &ctx).ok()?;
             Some(vec![
                 i.to_string(),
                 format!("{:.3e}", with.energy()),
@@ -191,14 +190,11 @@ pub fn ebit_text(count: usize, seed: u64, solvers: &[Arc<dyn Solver>]) -> String
             .par_iter()
             .filter_map(|(g, s)| {
                 let inst = probed(g, &pf, *s)?;
-                let outcomes = run_portfolio(&inst, solvers, *s);
-                let best = outcomes
-                    .iter()
-                    .filter_map(|o| o.energy())
-                    .min_by(|a, b| a.total_cmp(b))?;
+                let report = Portfolio::new(solvers.to_vec()).seeded(*s).run(&inst);
+                let best = report.best_energy()?;
                 let mut norm = vec![0.0; h];
                 let mut ok = vec![0usize; h];
-                for (k, o) in outcomes.iter().enumerate() {
+                for (k, o) in report.runs.iter().enumerate() {
                     if let Some(e) = o.energy() {
                         norm[k] = e / best;
                         ok[k] = 1;

@@ -23,8 +23,7 @@
 //! (whose checksums gate — parallel scheduling must stay a pure
 //! optimisation), the loopback serve benchmark for `serve/...` names,
 //! the dominance-pruning benchmark for `prune/...` names (`DPA1D` decade
-//! sweeps; scan ratios and bound gaps gate, the frozen rows of the removed
-//! complete mode stay skipped), and
+//! sweeps; scan ratios and bound gaps gate), and
 //! the fault-injection remap campaign for `incremental/...` names
 //! (delta-patched re-solve vs cold rebuild; energies, regrets and the
 //! speedup-median gate bit gate).
@@ -325,10 +324,7 @@ pub fn compute_fresh_metrics(
     // Source 6: the dominance-pruning benchmark (prune/... names).
     // Energies, feasible-point counts, scan ratios, and bound gaps gate —
     // the prune counters are deterministic — while the sweep walls
-    // advise. The frozen complete-mode rows (`complete_feasible_points`,
-    // `complete_wall`, `wall_ratio`, `unlocked_points`) get no fresh value
-    // on purpose: the unpruned mode they measured no longer exists, so the
-    // checker reports them as skipped (frozen baseline).
+    // advise.
     if needed.iter().any(|m| m.name.starts_with("prune/")) {
         for s in crate::prune_xp::prune_bench(seed) {
             let prefix = format!("prune/{}", s.workload);

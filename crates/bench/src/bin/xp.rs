@@ -220,7 +220,7 @@ fn parse_opts(rest: &[String]) -> Opts {
         seed: 2011,
         apps_per_point: 100,
         exact_count: 30,
-        solvers: ea_bench::default_solvers(),
+        solvers: ea_core::solvers::default_heuristics(),
         solvers_raw: None,
         topology: TopologyKind::Mesh,
         topology_explicit: false,

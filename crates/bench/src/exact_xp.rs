@@ -10,13 +10,12 @@ use std::sync::Arc;
 
 use cmp_platform::Platform;
 use ea_core::solvers::Exact;
-use ea_core::{Instance, SolveCtx, Solver};
+use ea_core::{Instance, Portfolio, SolveCtx, Solver};
 use rayon::prelude::*;
 use spg::{random_spg, SpgGenConfig};
 
 use crate::probe::probe_instance;
 use crate::report::{fmt_norm, fmt_table};
-use crate::runner::{run_portfolio, solver_names};
 
 /// One instance's optimal energy and per-solver ratios to it.
 #[derive(Debug, Clone)]
@@ -48,6 +47,7 @@ pub struct ExactCampaign {
 pub fn exact_campaign(count: usize, seed: u64, solvers: &[Arc<dyn Solver>]) -> ExactCampaign {
     let pf = Arc::new(Platform::paper(2, 2));
     let exact = Exact::default();
+    let portfolio = Portfolio::new(solvers.to_vec()).seeded(seed);
     let instances = (0..count)
         .into_par_iter()
         .filter_map(|idx| {
@@ -66,8 +66,9 @@ pub fn exact_campaign(count: usize, seed: u64, solvers: &[Arc<dyn Solver>]) -> E
             let base = Instance::from_shared(Arc::new(g), Arc::clone(&pf), 1.0);
             let inst = probe_instance(&base, seed)?;
             let opt = exact.solve(&inst, &SolveCtx::new(seed)).ok()?;
-            let outcomes = run_portfolio(&inst, solvers, seed);
-            let ratios = outcomes
+            let ratios = portfolio
+                .run(&inst)
+                .runs
                 .iter()
                 .map(|o| o.energy().map(|e| e / opt.energy()))
                 .collect();
@@ -82,7 +83,7 @@ pub fn exact_campaign(count: usize, seed: u64, solvers: &[Arc<dyn Solver>]) -> E
         })
         .collect();
     ExactCampaign {
-        names: solver_names(solvers),
+        names: portfolio.solver_names(),
         instances,
     }
 }
@@ -133,11 +134,11 @@ pub fn exact_text(campaign: &ExactCampaign) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::default_solvers;
+    use ea_core::solvers::default_heuristics;
 
     #[test]
     fn no_heuristic_beats_exact() {
-        let campaign = exact_campaign(6, 2011, &default_solvers());
+        let campaign = exact_campaign(6, 2011, &default_heuristics());
         assert!(!campaign.instances.is_empty());
         for i in &campaign.instances {
             for r in i.ratios.iter().flatten() {

@@ -26,18 +26,16 @@
 //! at least [`INCREMENTAL_SPEEDUP_GATE`]×.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use cmp_platform::{Fault, Platform, Topology};
 use ea_core::json::fmt_f64;
-use ea_core::{Instance, Solver, SolverRegistry};
+use ea_core::{Instance, Portfolio, SolverRegistry};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use spg::{streamit_workflow, EdgeId, Edit, Spg, StreamItSpec, STREAMIT_SPECS};
 
 use crate::report::{fmt_table, median};
-use crate::runner::{best_energy, run_portfolio};
 use crate::sweep_xp::sweep_anchor_period;
 
 /// Events injected per workflow in the committed benchmark.
@@ -116,10 +114,11 @@ impl RemapCampaign {
 
 /// The remap portfolio: the two fault-capable deterministic heuristics
 /// (`DPA2D`/`DPA2D1D` decline faulted platforms by design).
-fn remap_solvers() -> Vec<Arc<dyn Solver>> {
-    SolverRegistry::with_defaults()
+fn remap_portfolio(seed: u64) -> Portfolio {
+    let solvers = SolverRegistry::with_defaults()
         .parse_list("greedy,dpa1d")
-        .expect("default registry knows greedy and dpa1d")
+        .expect("default registry knows greedy and dpa1d");
+    Portfolio::new(solvers).seeded(seed)
 }
 
 /// An event to inject: a platform fault or a workload edit.
@@ -191,13 +190,13 @@ fn one_campaign(
     event_seed: u64,
     n_events: usize,
 ) -> RemapCampaign {
-    let solvers = remap_solvers();
+    let portfolio = remap_portfolio(seed);
     let mut rng = ChaCha8Rng::seed_from_u64(event_seed);
 
     // Warm base: one cold solve materialises the lattice, skeleton and
     // route table the remap side is allowed to keep.
     let mut warm = Instance::new(g0.clone(), pf0.clone(), period);
-    let base_energy = best_energy(&run_portfolio(&warm, &solvers, seed));
+    let base_energy = portfolio.run(&warm).best_energy();
 
     let mut g_cur = g0;
     let mut pf_cur = pf0;
@@ -218,12 +217,12 @@ fn one_campaign(
                 Patch::Fault(f) => warm.with_fault(*f),
                 Patch::Edit(e) => warm.with_edit(e),
             };
-            let remap_energy = best_energy(&run_portfolio(&patched, &solvers, seed));
+            let remap_energy = portfolio.run(&patched).best_energy();
             remap_walls.push(started.elapsed().as_secs_f64() * 1e3);
 
             let started = Instant::now();
             let cold = Instance::new(g_next.clone(), pf_next.clone(), period);
-            let cold_energy = best_energy(&run_portfolio(&cold, &solvers, seed));
+            let cold_energy = portfolio.run(&cold).best_energy();
             cold_walls.push(started.elapsed().as_secs_f64() * 1e3);
 
             assert_eq!(

@@ -33,13 +33,11 @@ pub mod bench_check;
 pub mod campaign;
 pub mod exact_xp;
 pub mod incremental_xp;
-pub mod json;
 pub mod pool_xp;
 pub mod probe;
 pub mod prune_xp;
 pub mod random_xp;
 pub mod report;
-pub mod runner;
 pub mod serve_xp;
 pub mod streamit_xp;
 pub mod sweep_xp;
@@ -50,5 +48,4 @@ pub use campaign::{
     merge_shards, run_campaign, CampaignOutcome, CampaignSpec, JobRecord, MergeOutcome, Shard,
 };
 pub use probe::{probe_instance, probe_period};
-pub use runner::{best_energy, default_solvers, run_portfolio, solver_names, SolverOutcome};
 pub use topology_xp::{make_platform, smoke_text, topology_campaign};

@@ -11,11 +11,7 @@
 //! transitions total — the deterministic state-reduction figure), the
 //! maximum certified bound gap (0 unless a `frontier_cap` truncates), and
 //! the sweep wall. Deterministic metrics gate in `xp bench-check`; walls
-//! advise. The committed file also keeps the rows of the former
-//! unpruned "complete" mode (`complete_feasible_points`, `complete_wall`,
-//! `wall_ratio`, `unlocked_points`) as a frozen baseline: that mode no
-//! longer exists, so this benchmark no longer emits them and
-//! `bench-check` reports them as skipped.
+//! advise.
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -12,13 +12,12 @@
 use std::sync::Arc;
 
 use cmp_platform::{Platform, RoutePolicy, TopologyKind};
-use ea_core::{Instance, Solver};
+use ea_core::{Instance, Portfolio, Solver};
 use rayon::prelude::*;
 use spg::{random_spg, SpgGenConfig};
 
 use crate::probe::probe_instance;
 use crate::report::fmt_table;
-use crate::runner::{run_portfolio, solver_names};
 
 /// Configuration of one random campaign (one of Figures 10–13).
 #[derive(Debug, Clone)]
@@ -116,7 +115,7 @@ pub fn random_campaign(cfg: &RandomXpConfig, solvers: &[Arc<dyn Solver>]) -> Ran
         .collect();
     RandomXpData {
         cfg: cfg.clone(),
-        names: solver_names(solvers),
+        names: Portfolio::new(solvers.to_vec()).solver_names(),
         points,
     }
 }
@@ -150,7 +149,10 @@ fn run_instance(
     let g = random_spg(&gen_cfg, &mut rng);
     let base = Instance::from_shared(Arc::new(g), Arc::clone(pf), 1.0);
     match probe_instance(&base, seed) {
-        Some(inst) => run_portfolio(&inst, solvers, seed)
+        Some(inst) => Portfolio::new(solvers.to_vec())
+            .seeded(seed)
+            .run(&inst)
+            .runs
             .iter()
             .map(|o| o.energy())
             .collect(),

@@ -14,13 +14,12 @@
 use std::sync::Arc;
 
 use cmp_platform::Platform;
-use ea_core::{Instance, Solver};
+use ea_core::{Instance, Portfolio, PortfolioReport, Solver};
 use rayon::prelude::*;
 use spg::{streamit_workflow, StreamItSpec, STREAMIT_SPECS};
 
 use crate::probe::probe_instance;
 use crate::report::{fmt_norm, fmt_table};
-use crate::runner::{best_energy, run_portfolio, solver_names, SolverOutcome};
 
 /// The four CCR variants of §6.1.1, in plot order.
 pub const CCR_VARIANTS: [(&str, Option<f64>); 4] = [
@@ -39,8 +38,8 @@ pub struct StreamItInstance {
     pub ccr_label: &'static str,
     /// Probed period bound, when any solver succeeded at any decade.
     pub period: Option<f64>,
-    /// One outcome per solver (portfolio order); empty if `period` is None.
-    pub outcomes: Vec<SolverOutcome>,
+    /// The portfolio's report at `period`; `None` if `period` is None.
+    pub report: Option<PortfolioReport>,
 }
 
 /// A full campaign: the solver names (table headers) and the per-instance
@@ -91,23 +90,20 @@ pub fn streamit_campaign_on(
                 ^ (ci as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             let base = Instance::from_shared(Arc::new(g), Arc::clone(&pf), 1.0);
             let probed = probe_instance(&base, inst_seed);
-            let (period, outcomes) = match probed {
-                Some(inst) => (
-                    Some(inst.period()),
-                    run_portfolio(&inst, solvers, inst_seed),
-                ),
-                None => (None, Vec::new()),
-            };
             StreamItInstance {
                 spec: *spec,
                 ccr_label,
-                period,
-                outcomes,
+                period: probed.as_ref().map(Instance::period),
+                report: probed.map(|inst| {
+                    Portfolio::new(solvers.to_vec())
+                        .seeded(inst_seed)
+                        .run(&inst)
+                }),
             }
         })
         .collect();
     StreamItCampaign {
-        names: solver_names(solvers),
+        names: Portfolio::new(solvers.to_vec()).solver_names(),
         instances,
     }
 }
@@ -142,15 +138,15 @@ pub fn figure_text(campaign: &StreamItCampaign, title: &str) -> String {
         let mut rows = Vec::new();
         for inst in campaign.instances.iter().filter(|i| i.ccr_label == label) {
             let mut row = vec![inst.spec.index.to_string(), inst.spec.name.to_string()];
-            match inst.period {
-                Some(t) => {
+            match (inst.period, &inst.report) {
+                (Some(t), Some(report)) => {
                     row.push(format!("{t:.0e}"));
-                    let best = best_energy(&inst.outcomes);
-                    for o in &inst.outcomes {
+                    let best = report.best_energy();
+                    for o in &report.runs {
                         row.push(fmt_norm(o.energy().zip(best).map(|(e, b)| e / b)));
                     }
                 }
-                None => {
+                _ => {
                     row.push("-".into());
                     row.extend(std::iter::repeat_n(
                         "fail".to_string(),
@@ -179,13 +175,13 @@ pub fn figure_text(campaign: &StreamItCampaign, title: &str) -> String {
 pub fn count_failures(campaign: &StreamItCampaign) -> Vec<usize> {
     let mut fails = vec![0usize; campaign.names.len()];
     for inst in &campaign.instances {
-        if inst.outcomes.is_empty() {
+        let Some(report) = &inst.report else {
             for f in fails.iter_mut() {
                 *f += 1;
             }
             continue;
-        }
-        for (k, o) in inst.outcomes.iter().enumerate() {
+        };
+        for (k, o) in report.runs.iter().enumerate() {
             if o.result.is_err() {
                 fails[k] += 1;
             }
@@ -216,8 +212,9 @@ pub fn table2_text(c44: &StreamItCampaign, c66: &StreamItCampaign) -> String {
 pub fn campaign_csv_rows(campaign: &StreamItCampaign, grid: &str) -> Vec<Vec<String>> {
     let mut rows = Vec::new();
     for inst in &campaign.instances {
-        let best = best_energy(&inst.outcomes);
-        for o in &inst.outcomes {
+        let Some(report) = &inst.report else { continue };
+        let best = report.best_energy();
+        for o in &report.runs {
             rows.push(vec![
                 grid.to_string(),
                 inst.spec.index.to_string(),

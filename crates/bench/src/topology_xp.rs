@@ -331,11 +331,11 @@ pub fn smoke_text(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::default_solvers;
+    use ea_core::solvers::default_heuristics;
 
     #[test]
     fn smoke_passes_on_every_backend_and_policy() {
-        let solvers = default_solvers();
+        let solvers = default_heuristics();
         for kind in TopologyKind::ALL {
             for routing in [None, Some(RoutePolicy::Yx)] {
                 smoke_text(kind, routing, 7, &solvers).unwrap();

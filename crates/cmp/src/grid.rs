@@ -82,11 +82,12 @@ impl Platform {
     /// The paper's electrical parameters on an alternative interconnect
     /// backend, with the backend's default routing policy (mesh → XY,
     /// torus/ring → shortest). A [`TopologyKind::Ring`] has no second
-    /// dimension: the grid is flattened to a ring of `p·q` cores.
+    /// dimension: the grid is flattened to a ring of `p·q` cores (panics
+    /// if that count overflows `u32`).
     pub fn paper_topology(kind: TopologyKind, p: u32, q: u32) -> Self {
         assert!(p >= 1 && q >= 1);
         let (p, q) = match kind {
-            TopologyKind::Ring => (1, p * q),
+            TopologyKind::Ring => (1, p.checked_mul(q).expect("ring core count overflows u32")),
             _ => (p, q),
         };
         Platform {

@@ -5,49 +5,6 @@ use cmp_mapping::{evaluate_with, Evaluation, Mapping};
 use cmp_platform::{Platform, RouteTable};
 use spg::Spg;
 
-/// The five heuristics of paper §5, in the order plotted in Figures 8–13.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HeuristicKind {
-    /// §5.1 — random DAG-partition and placement, best of ten draws.
-    Random,
-    /// §5.2 — greedy wavefront growth, one pass per speed, downgrade.
-    Greedy,
-    /// §5.3 — two-dimensional nested dynamic program.
-    Dpa2d,
-    /// §5.4 — optimal uni-directional uni-line DP on the snake.
-    Dpa1d,
-    /// §5.4 — `DPA2D` on a virtual `1 × pq` CMP, mapped along the snake.
-    Dpa2d1d,
-}
-
-/// All five heuristics, in plot order.
-pub const ALL_HEURISTICS: [HeuristicKind; 5] = [
-    HeuristicKind::Random,
-    HeuristicKind::Greedy,
-    HeuristicKind::Dpa2d,
-    HeuristicKind::Dpa1d,
-    HeuristicKind::Dpa2d1d,
-];
-
-impl HeuristicKind {
-    /// Display name matching the paper's figures.
-    pub fn name(self) -> &'static str {
-        match self {
-            HeuristicKind::Random => "Random",
-            HeuristicKind::Greedy => "Greedy",
-            HeuristicKind::Dpa2d => "DPA2D",
-            HeuristicKind::Dpa1d => "DPA1D",
-            HeuristicKind::Dpa2d1d => "DPA2D1D",
-        }
-    }
-}
-
-impl std::fmt::Display for HeuristicKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// State-reduction telemetry of a `DPA1D` solve (see the
 /// [`crate::dpa1d`] module docs): how much of the admitted transition
 /// system the dominance frontier actually relaxed, and — when
@@ -258,12 +215,6 @@ mod tests {
     use cmp_mapping::assign_min_speeds;
     use cmp_platform::CoreId;
     use spg::chain;
-
-    #[test]
-    fn names_match_paper() {
-        let names: Vec<&str> = ALL_HEURISTICS.iter().map(|h| h.name()).collect();
-        assert_eq!(names, vec!["Random", "Greedy", "DPA2D", "DPA1D", "DPA2D1D"]);
-    }
 
     #[test]
     fn validated_accepts_good_and_rejects_bad() {

@@ -64,7 +64,6 @@ use spg::{NodeSet, Spg, StageId};
 
 use crate::common::{validated_with, BudgetPhase, Failure, PruneStats, Solution};
 use crate::instance::{Instance, SharedLattice};
-use crate::solver::{SolveCtx, Solver};
 
 /// Complexity budgets for `DPA1D`.
 #[derive(Debug, Clone)]
@@ -525,22 +524,6 @@ impl EcalTable {
             .find(|&&(freq, _)| freq >= needed)
             .map(|&(_, energy_per_cycle)| self.leak + w * energy_per_cycle)
     }
-}
-
-/// Runs `DPA1D` on the snake embedding of `pf`.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ea_core::solvers::Dpa1d` with an `Instance` (shares the interned lattice across calls)"
-)]
-pub fn dpa1d(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    cfg: &Dpa1dConfig,
-) -> Result<Solution, Failure> {
-    let inst = Instance::new(spg.clone(), pf.clone(), period);
-    crate::solvers::Dpa1d { cfg: cfg.clone() }.solve(&inst, &SolveCtx::new(0))
 }
 
 /// `DPA1D` on an instance's session caches: its interned

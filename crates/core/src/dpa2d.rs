@@ -26,30 +26,17 @@
 use std::collections::HashMap;
 
 use cmp_mapping::{assign_min_speeds, Mapping, RouteSpec, REL_TOL};
-use cmp_platform::{CoreId, Platform, RouteTable};
+use cmp_platform::{CoreId, Platform};
 use spg::{Spg, StageId};
 
 use crate::common::{validated_with, Failure, Solution};
+use crate::instance::Instance;
 
-/// Runs `DPA2D` on the physical grid and validates the result with
-/// row-first XY routing.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ea_core::solvers::Dpa2d` with an `Instance`"
-)]
-pub fn dpa2d(spg: &Spg, pf: &Platform, period: f64) -> Result<Solution, Failure> {
-    dpa2d_run(spg, pf, period, None)
-}
-
-/// `DPA2D` implementation behind both the deprecated free function and the
-/// [`crate::solvers::Dpa2d`] solver.
-pub(crate) fn dpa2d_run(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    table: Option<&RouteTable>,
-) -> Result<Solution, Failure> {
+/// Runs `DPA2D` on the physical grid and validates the result with the
+/// instance's cached route table for the platform's policy (row-first XY
+/// on the paper's mesh).
+pub(crate) fn dpa2d_run(inst: &Instance) -> Result<Solution, Failure> {
+    let (spg, pf, period) = (inst.spg(), inst.platform(), inst.period());
     if pf.is_faulted() {
         // The nested column DP assumes a full rectangular grid; other
         // solvers in the portfolio cover faulted platforms.
@@ -65,7 +52,8 @@ pub(crate) fn dpa2d_run(
         speed,
         routes: RouteSpec::for_platform(pf),
     };
-    validated_with(spg, pf, mapping, period, table)
+    let table = inst.route_table(pf.policy);
+    validated_with(spg, pf, mapping, period, Some(&table))
 }
 
 /// One outgoing communication: `volume` bytes leaving the column from core
@@ -431,7 +419,7 @@ mod tests {
     fn single_column_when_period_is_loose() {
         let pf = Platform::paper(4, 4);
         let g = chain(&[1e6; 10], &[1e3; 9]);
-        let sol = dpa2d_run(&g, &pf, 1.0, None).unwrap();
+        let sol = dpa2d_run(&Instance::new(g, pf, 1.0)).unwrap();
         assert_eq!(sol.eval.active_cores, 1, "a loose pipeline fits one core");
     }
 
@@ -442,10 +430,10 @@ mod tests {
         let g = chain(&[0.9e9; 8], &[1e3; 7]);
         // 8 stages of 0.9e9 cycles at T=1s need 8 cores -> must fail with
         // only 4 columns.
-        assert!(dpa2d_run(&g, &pf, 1.0, None).is_err());
+        assert!(dpa2d_run(&Instance::new(g, pf.clone(), 1.0)).is_err());
         // 4 stages fit (one per column).
         let g = chain(&[0.9e9; 4], &[1e3; 3]);
-        let sol = dpa2d_run(&g, &pf, 1.0, None).unwrap();
+        let sol = dpa2d_run(&Instance::new(g, pf, 1.0)).unwrap();
         assert_eq!(sol.eval.active_cores, 4);
     }
 
@@ -458,7 +446,7 @@ mod tests {
             .map(|_| chain(&[1e3, 0.8e9, 0.8e9, 1e3], &[1e4; 3]))
             .collect();
         let g = parallel_many(&branches);
-        let sol = dpa2d_run(&g, &pf, 1.0, None).unwrap();
+        let sol = dpa2d_run(&Instance::new(g, pf, 1.0)).unwrap();
         // 8 heavy inner stages; needs well over 4 cores, across rows.
         assert!(sol.eval.active_cores > 4);
         let rows: HashSet<u32> = sol.mapping.alloc.iter().map(|c| c.u).collect();
@@ -496,6 +484,6 @@ mod tests {
     fn infeasible_period_fails() {
         let pf = Platform::paper(2, 2);
         let g = chain(&[3e9, 1.0], &[1.0]);
-        assert!(dpa2d_run(&g, &pf, 1.0, None).is_err());
+        assert!(dpa2d_run(&Instance::new(g, pf, 1.0)).is_err());
     }
 }

@@ -12,31 +12,17 @@
 //! lattice on high-elevation graphs.
 
 use cmp_mapping::{assign_min_speeds, Mapping, RouteSpec};
-use cmp_platform::{snake_core, Platform, RouteTable};
-use spg::Spg;
+use cmp_platform::{snake_core, RoutePolicy};
 
 use crate::common::{validated_with, Failure, Solution};
 use crate::dpa2d::dpa2d_alloc;
+use crate::instance::Instance;
 
 /// Runs `DPA2D1D`: `DPA2D` on a virtual `1 × pq` platform, snaked onto the
-/// physical grid.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ea_core::solvers::Dpa2d1d` with an `Instance`"
-)]
-pub fn dpa2d1d(spg: &Spg, pf: &Platform, period: f64) -> Result<Solution, Failure> {
-    dpa2d1d_run(spg, pf, period, None)
-}
-
-/// `DPA2D1D` implementation behind both the deprecated free function and
-/// the [`crate::solvers::Dpa2d1d`] solver.
-pub(crate) fn dpa2d1d_run(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    table: Option<&RouteTable>,
-) -> Result<Solution, Failure> {
+/// physical grid and validated with the instance's cached snake route
+/// table.
+pub(crate) fn dpa2d1d_run(inst: &Instance) -> Result<Solution, Failure> {
+    let (spg, pf, period) = (inst.spg(), inst.platform(), inst.period());
     if pf.is_faulted() {
         // The virtual 1×r platform cannot express faults at physical
         // coordinates; other solvers cover faulted platforms.
@@ -62,12 +48,14 @@ pub(crate) fn dpa2d1d_run(
         speed,
         routes: RouteSpec::Snake,
     };
-    validated_with(spg, pf, mapping, period, table)
+    let table = inst.route_table(RoutePolicy::Snake);
+    validated_with(spg, pf, mapping, period, Some(&table))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmp_platform::Platform;
     use spg::{chain, parallel_many};
 
     #[test]
@@ -76,7 +64,7 @@ mod tests {
         // all p*q snake positions.
         let pf = Platform::paper(4, 4);
         let g = chain(&[0.9e9; 8], &[1e3; 7]);
-        let sol = dpa2d1d_run(&g, &pf, 1.0, None).unwrap();
+        let sol = dpa2d1d_run(&Instance::new(g, pf, 1.0)).unwrap();
         assert_eq!(sol.eval.active_cores, 8);
     }
 
@@ -84,7 +72,7 @@ mod tests {
     fn loose_period_single_core() {
         let pf = Platform::paper(4, 4);
         let g = chain(&[1e6; 10], &[1e3; 9]);
-        let sol = dpa2d1d_run(&g, &pf, 1.0, None).unwrap();
+        let sol = dpa2d1d_run(&Instance::new(g, pf, 1.0)).unwrap();
         assert_eq!(sol.eval.active_cores, 1);
     }
 
@@ -99,7 +87,7 @@ mod tests {
             .map(|_| chain(&[1e3, 0.3e9, 0.3e9, 1e3], &[1e4; 3]))
             .collect();
         let g = parallel_many(&branches);
-        let sol = dpa2d1d_run(&g, &pf, 1.0, None).unwrap();
+        let sol = dpa2d1d_run(&Instance::new(g, pf, 1.0)).unwrap();
         assert!(sol.eval.active_cores >= 2);
     }
 
@@ -107,6 +95,6 @@ mod tests {
     fn infeasible_fails() {
         let pf = Platform::paper(2, 2);
         let g = chain(&[3e9, 1.0], &[1.0]);
-        assert!(dpa2d1d_run(&g, &pf, 1.0, None).is_err());
+        assert!(dpa2d1d_run(&Instance::new(g, pf, 1.0)).is_err());
     }
 }

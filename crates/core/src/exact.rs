@@ -20,6 +20,7 @@ use cmp_platform::{CoreId, Platform, RouteOrder, Topology};
 use spg::{Spg, StageId};
 
 use crate::common::{better, validated, Failure, Solution};
+use crate::instance::Instance;
 
 /// Which partitions are admissible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,30 +53,11 @@ impl Default for ExactConfig {
     }
 }
 
-/// Finds the minimum-energy valid mapping by exhaustive search.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ea_core::solvers::Exact` with an `Instance`"
-)]
-pub fn exact(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    cfg: &ExactConfig,
-) -> Result<Solution, Failure> {
-    exact_run(spg, pf, period, cfg, &spg.topo_order())
-}
-
-/// Exhaustive search over a caller-provided topological stage order (the
-/// [`crate::solvers::Exact`] solver passes the instance's cached order).
-pub(crate) fn exact_run(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    cfg: &ExactConfig,
-    order: &[StageId],
-) -> Result<Solution, Failure> {
+/// Finds the minimum-energy valid mapping by exhaustive search over the
+/// instance's cached topological stage order.
+pub(crate) fn exact_run(inst: &Instance, cfg: &ExactConfig) -> Result<Solution, Failure> {
+    let (spg, pf, period) = (inst.spg(), inst.platform(), inst.period());
+    let order = inst.topo_order();
     let n = spg.n();
     if n > cfg.max_stages {
         return Err(Failure::budget(
@@ -286,18 +268,15 @@ fn place_blocks(
 mod tests {
     use super::*;
     use crate::dpa1d::{dpa1d_run, Dpa1dConfig};
-    use crate::instance::Instance;
     use spg::{chain, parallel};
 
-    /// Non-deprecated local stand-in for the legacy free function (shadows
-    /// the glob import), so the tests exercise `exact_run` directly.
     fn exact(
         spg: &Spg,
         pf: &Platform,
         period: f64,
         cfg: &ExactConfig,
     ) -> Result<Solution, Failure> {
-        exact_run(spg, pf, period, cfg, &spg.topo_order())
+        exact_run(&Instance::new(spg.clone(), pf.clone(), period), cfg)
     }
 
     #[test]

@@ -33,45 +33,24 @@ use cmp_platform::{CoreId, Platform, RouteTable};
 use spg::{Spg, StageId};
 
 use crate::common::{better, validated_with, Failure, Solution};
+use crate::instance::Instance;
 
-/// Runs `Greedy`: one wavefront pass per available speed, downgrade, keep
-/// the lowest-energy valid mapping.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ea_core::solvers::Greedy` with an `Instance` (skips provably infeasible speeds)"
-)]
-pub fn greedy(spg: &Spg, pf: &Platform, period: f64) -> Result<Solution, Failure> {
-    greedy_opts(spg, pf, period, true)
-}
-
-/// `Greedy` with the §5.2 speed-downgrade post-pass made optional, for the
-/// downgrade ablation experiment.
-pub fn greedy_opts(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    downgrade: bool,
-) -> Result<Solution, Failure> {
-    greedy_run(spg, pf, period, downgrade, 0, None)
-}
-
-/// `Greedy` starting from speed index `k_lo`. The [`crate::solvers::Greedy`]
-/// solver passes the instance's shared speed-feasibility floor: a wavefront
-/// pass at a speed below the heaviest stage's slowest feasible speed can
-/// never place that stage, so those passes are skipped without changing the
-/// result.
+/// Runs `Greedy` from speed index `k_lo`: one wavefront pass per speed,
+/// downgrade, keep the lowest-energy valid mapping. The
+/// [`crate::solvers::Greedy`] solver passes the instance's shared
+/// speed-feasibility floor: a wavefront pass at a speed below the heaviest
+/// stage's slowest feasible speed can never place that stage, so those
+/// passes are skipped without changing the result.
 pub(crate) fn greedy_run(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
+    inst: &Instance,
     downgrade: bool,
     k_lo: usize,
-    table: Option<&RouteTable>,
 ) -> Result<Solution, Failure> {
+    let (spg, pf, period) = (inst.spg(), inst.platform(), inst.period());
+    let table = inst.route_table(pf.policy);
     let mut best: Option<Solution> = None;
     for k in k_lo..pf.power.m() {
-        best = better(best, greedy_at_speed(spg, pf, period, k, downgrade, table));
+        best = better(best, greedy_at_speed(spg, pf, period, k, downgrade, &table));
     }
     best.ok_or_else(|| Failure::NoValidMapping("greedy failed at every speed".into()))
 }
@@ -90,7 +69,7 @@ fn greedy_at_speed(
     period: f64,
     k: usize,
     downgrade: bool,
-    table: Option<&RouteTable>,
+    table: &RouteTable,
 ) -> Option<Solution> {
     let n = spg.n();
     let freq = pf.power.speed(k).freq;
@@ -216,7 +195,7 @@ fn greedy_at_speed(
         speed: uniform,
         routes: RouteSpec::for_platform(pf),
     };
-    let at_speed = validated_with(spg, pf, mapping, period, table).ok()?;
+    let at_speed = validated_with(spg, pf, mapping, period, Some(table)).ok()?;
     if !downgrade {
         return Some(at_speed);
     }
@@ -227,7 +206,7 @@ fn greedy_at_speed(
         speed: downgraded,
         routes: RouteSpec::for_platform(pf),
     };
-    match validated_with(spg, pf, mapping, period, table) {
+    match validated_with(spg, pf, mapping, period, Some(table)) {
         Ok(sol) => Some(sol),
         Err(_) => Some(at_speed),
     }
@@ -239,11 +218,16 @@ mod tests {
     use crate::common::validated;
     use spg::{chain, parallel_many, SpgGenConfig};
 
+    /// `Greedy` with the downgrade pass, sweeping every speed from 0.
+    fn greedy(g: &Spg, pf: &Platform, period: f64) -> Result<Solution, Failure> {
+        greedy_run(&Instance::new(g.clone(), pf.clone(), period), true, 0)
+    }
+
     #[test]
     fn loose_period_collapses_to_single_core() {
         let pf = Platform::paper(4, 4);
         let g = chain(&[1e6; 10], &[1e3; 9]);
-        let sol = greedy_opts(&g, &pf, 1.0, true).unwrap();
+        let sol = greedy(&g, &pf, 1.0).unwrap();
         assert_eq!(sol.eval.active_cores, 1, "everything fits one slow core");
         // Energy = leak + dynamic at the slowest speed.
         let expect = 0.08 + (1e7 / 0.15e9) * 0.08;
@@ -256,7 +240,7 @@ mod tests {
         // 8 stages of 0.5e9 cycles each; at 1 GHz each core fits 2 per
         // second, so at least 4 cores are needed for T = 1.
         let g = chain(&[0.5e9; 8], &[1e3; 7]);
-        let sol = greedy_opts(&g, &pf, 1.0, true).unwrap();
+        let sol = greedy(&g, &pf, 1.0).unwrap();
         assert!(sol.eval.active_cores >= 4);
     }
 
@@ -264,7 +248,7 @@ mod tests {
     fn impossible_period_fails() {
         let pf = Platform::paper(2, 2);
         let g = chain(&[2e9, 1.0], &[1.0]);
-        assert!(greedy_opts(&g, &pf, 1.0, true).is_err());
+        assert!(greedy(&g, &pf, 1.0).is_err());
     }
 
     #[test]
@@ -275,7 +259,7 @@ mod tests {
             .map(|_| chain(&[1e3, 0.4e9, 1e3], &[1e4; 2]))
             .collect();
         let g = parallel_many(&branches);
-        let sol = greedy_opts(&g, &pf, 1.0, true).unwrap();
+        let sol = greedy(&g, &pf, 1.0).unwrap();
         assert!(sol.eval.active_cores >= 2);
     }
 
@@ -294,7 +278,7 @@ mod tests {
         };
         let g = spg::random_spg(&cfg, &mut rng);
         let t = 0.05;
-        if let Ok(sol) = greedy_opts(&g, &pf, t, true) {
+        if let Ok(sol) = greedy(&g, &pf, t) {
             // Re-deriving min speeds for its allocation must reproduce it.
             let speeds = assign_min_speeds(&g, &pf, &sol.mapping.alloc, t).unwrap();
             let m = Mapping {

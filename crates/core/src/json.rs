@@ -10,8 +10,7 @@
 //!
 //! Lived in `ea_bench::json` until 0.6; promoted here so the serve
 //! daemon (and anything else below the benchmark harness) can speak the
-//! protocol without depending on the experiment crate. `ea_bench::json`
-//! remains as a deprecated re-export.
+//! protocol without depending on the experiment crate.
 //!
 //! Strictness notes (the wire protocol relies on these):
 //!

@@ -40,9 +40,6 @@
 //! re-validated by `cmp_mapping::evaluate`, or a [`Failure`] explaining why
 //! no valid mapping was produced (the paper's "heuristic fails" outcomes,
 //! counted in Tables 2 and 3).
-//!
-//! The pre-0.2 free functions (`run_heuristic`, `dpa1d`, `exact`, …) remain
-//! as thin `#[deprecated]` shims over the same implementations.
 
 #![warn(missing_docs)]
 
@@ -62,50 +59,12 @@ pub mod solver;
 pub mod solvers;
 pub mod sweep;
 
-pub use common::{
-    BudgetExceeded, BudgetPhase, Failure, HeuristicKind, PruneStats, Solution, ALL_HEURISTICS,
-};
+pub use common::{BudgetExceeded, BudgetPhase, Failure, PruneStats, Solution};
 pub use dpa1d::{Dpa1dConfig, TransitionSkeleton};
 pub use exact::{ExactConfig, PartitionRule};
-pub use greedy::greedy_opts;
 pub use instance::{Instance, SharedLattice};
 pub use portfolio::{Portfolio, PortfolioReport, Race, SolverRun};
 pub use refine::{refine, refine_with, RefineConfig};
 pub use serve::{ServeConfig, Server, Service};
 pub use solver::{SolveCtx, Solver, SolverRegistry};
 pub use sweep::{PeriodSweep, SolveOutcome, SweepAxis, SweepPoint, SweepReport};
-
-// Deprecated pre-0.2 free-function surface, re-exported for downstream
-// compatibility (each carries its own `#[deprecated]` note).
-#[allow(deprecated)]
-pub use dpa1d::dpa1d;
-#[allow(deprecated)]
-pub use dpa2d::dpa2d;
-#[allow(deprecated)]
-pub use dpa2d1d::dpa2d1d;
-#[allow(deprecated)]
-pub use exact::exact;
-#[allow(deprecated)]
-pub use greedy::greedy;
-#[allow(deprecated)]
-pub use random::random_heuristic;
-
-use cmp_platform::Platform;
-use spg::Spg;
-
-/// Runs one heuristic by kind. `seed` only affects [`HeuristicKind::Random`].
-#[doc(hidden)]
-#[deprecated(
-    since = "0.2.0",
-    note = "build an `Instance` and use `HeuristicKind::solver` (or `Portfolio`) instead"
-)]
-pub fn run_heuristic(
-    kind: HeuristicKind,
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    seed: u64,
-) -> Result<Solution, Failure> {
-    let inst = Instance::new(spg.clone(), pf.clone(), period);
-    kind.solver().solve(&inst, &SolveCtx::new(seed))
-}

@@ -37,6 +37,7 @@ pub enum Race {
 }
 
 /// One solver's outcome within a portfolio run.
+#[derive(Debug, Clone)]
 pub struct SolverRun {
     /// The solver's [`Solver::name`].
     pub name: String,
@@ -56,6 +57,7 @@ impl SolverRun {
 }
 
 /// The outcome of [`Portfolio::run`].
+#[derive(Debug, Clone)]
 pub struct PortfolioReport {
     /// Per-solver outcomes, in portfolio order. Under
     /// [`Race::FirstFeasible`] in sequential mode, solvers after the first

@@ -23,41 +23,26 @@ use rand_chacha::ChaCha8Rng;
 use spg::{Spg, StageId};
 
 use crate::common::{better, validated_with, Failure, Solution};
+use crate::instance::Instance;
 
 /// Number of independent draws (paper §5.1: "Random calls ten times this
 /// procedure").
 pub const RANDOM_TRIALS: usize = 10;
 
-/// Runs the `Random` heuristic: best of [`RANDOM_TRIALS`] random draws.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ea_core::solvers::Random` with an `Instance`"
-)]
-pub fn random_heuristic(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    seed: u64,
-) -> Result<Solution, Failure> {
-    random_trials(spg, pf, period, seed, RANDOM_TRIALS, None)
-}
-
-/// `Random` with an explicit trial count, behind both the deprecated free
-/// function and the [`crate::solvers::Random`] solver (which passes its
-/// session's cached route table).
+/// `Random` with an explicit trial count, behind the
+/// [`crate::solvers::Random`] solver: best of `trials` draws, each
+/// validated against the instance's cached route table.
 pub(crate) fn random_trials(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
+    inst: &Instance,
     seed: u64,
     trials: usize,
-    table: Option<&RouteTable>,
 ) -> Result<Solution, Failure> {
+    let (spg, pf, period) = (inst.spg(), inst.platform(), inst.period());
+    let table = inst.route_table(pf.policy);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut best: Option<Solution> = None;
     for _ in 0..trials {
-        best = better(best, random_once(spg, pf, period, &mut rng, table));
+        best = better(best, random_once(spg, pf, period, &mut rng, &table));
     }
     best.ok_or_else(|| Failure::NoValidMapping(format!("no valid draw in {trials} trials")))
 }
@@ -68,7 +53,7 @@ fn random_once<R: Rng>(
     pf: &Platform,
     period: f64,
     rng: &mut R,
-    table: Option<&RouteTable>,
+    table: &RouteTable,
 ) -> Option<Solution> {
     let (clusters, speeds) = random_partition(spg, pf, period, rng)?;
     // Random one-to-one placement of clusters onto cores with a live PE
@@ -91,7 +76,7 @@ fn random_once<R: Rng>(
         speed,
         routes: RouteSpec::for_platform(pf),
     };
-    validated_with(spg, pf, mapping, period, table).ok()
+    validated_with(spg, pf, mapping, period, Some(table)).ok()
 }
 
 /// Step 1: a random chain of clusters respecting the DAG-partition rule and
@@ -161,18 +146,16 @@ mod tests {
 
     #[test]
     fn loose_period_succeeds_on_chain() {
-        let pf = Platform::paper(4, 4);
-        let g = chain(&[1e6; 10], &[1e3; 9]);
-        let sol = random_trials(&g, &pf, 1.0, 42, RANDOM_TRIALS, None).unwrap();
+        let inst = Instance::new(chain(&[1e6; 10], &[1e3; 9]), Platform::paper(4, 4), 1.0);
+        let sol = random_trials(&inst, 42, RANDOM_TRIALS).unwrap();
         assert!(sol.energy() > 0.0);
     }
 
     #[test]
     fn impossible_period_fails() {
-        let pf = Platform::paper(2, 2);
-        let g = chain(&[2e9, 2e9], &[1.0]);
+        let inst = Instance::new(chain(&[2e9, 2e9], &[1.0]), Platform::paper(2, 2), 1.0);
         // One stage alone already exceeds T at the fastest speed.
-        assert!(random_trials(&g, &pf, 1.0, 1, RANDOM_TRIALS, None).is_err());
+        assert!(random_trials(&inst, 1, RANDOM_TRIALS).is_err());
     }
 
     #[test]
@@ -220,10 +203,9 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let pf = Platform::paper(4, 4);
-        let g = chain(&[1e6; 8], &[1e3; 7]);
-        let a = random_trials(&g, &pf, 0.01, 9, RANDOM_TRIALS, None).unwrap();
-        let b = random_trials(&g, &pf, 0.01, 9, RANDOM_TRIALS, None).unwrap();
+        let inst = Instance::new(chain(&[1e6; 8], &[1e3; 7]), Platform::paper(4, 4), 0.01);
+        let a = random_trials(&inst, 9, RANDOM_TRIALS).unwrap();
+        let b = random_trials(&inst, 9, RANDOM_TRIALS).unwrap();
         assert_eq!(a.energy(), b.energy());
     }
 
@@ -231,8 +213,7 @@ mod tests {
     fn more_clusters_than_cores_fails() {
         // 5 stages, each saturating a core at top speed, on a 2x2 CMP with a
         // period that forces one stage per cluster.
-        let pf = Platform::paper(2, 2);
-        let g = chain(&[0.9e9; 5], &[1.0; 4]);
-        assert!(random_trials(&g, &pf, 1.0, 3, RANDOM_TRIALS, None).is_err());
+        let inst = Instance::new(chain(&[0.9e9; 5], &[1.0; 4]), Platform::paper(2, 2), 1.0);
+        assert!(random_trials(&inst, 3, RANDOM_TRIALS).is_err());
     }
 }

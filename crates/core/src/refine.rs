@@ -120,6 +120,7 @@ pub fn refine_with(
 mod tests {
     use super::*;
     use crate::common::validated;
+    use crate::instance::Instance;
     use crate::random::random_trials;
     use cmp_mapping::{evaluate, RouteSpec};
     use cmp_platform::RouteOrder;
@@ -130,7 +131,7 @@ mod tests {
         let pf = Platform::paper(3, 3);
         let g = chain(&[2e8; 8], &[1e5; 7]);
         let t = 0.4;
-        let start = random_trials(&g, &pf, t, 3, 10, None).unwrap();
+        let start = random_trials(&Instance::new(g.clone(), pf.clone(), t), 3, 10).unwrap();
         let refined = refine(&g, &pf, &start, t, &RefineConfig::default());
         assert!(refined.energy() <= start.energy() * (1.0 + 1e-12));
         // Result still validates.

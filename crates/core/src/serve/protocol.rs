@@ -26,6 +26,15 @@ use crate::json::{obj, Json};
 /// memory commitment.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
+/// Most cores a request's platform may have (`p·q`): 7× the paper's
+/// largest grid (6×6). Route tables hold `n_cores²` entries, so the wire
+/// bounds the platform before anything is built.
+pub const MAX_CORES: u64 = 256;
+
+/// Largest stage count of a `"family"` workload. Generators allocate in
+/// proportion to `n` before any solver budget applies.
+pub const MAX_FAMILY_N: u64 = 4096;
+
 /// Writes one frame (length prefix + serialized JSON) and flushes.
 pub fn write_frame<W: Write>(w: &mut W, msg: &Json) -> io::Result<()> {
     let body = msg.to_string();
@@ -196,11 +205,14 @@ impl WorkloadReq {
         }
         if let Some(fam) = v.get("family").and_then(Json::as_str) {
             let family = FamilyKind::from_str(fam)?;
-            let n = req_u64(v, "n")? as usize;
+            let n = req_u64(v, "n")?;
             let seed = opt_u64(v, "seed")?.unwrap_or(0);
-            if n < 2 {
-                return Err(format!("family workloads need n >= 2, got {n}"));
+            if !(2..=MAX_FAMILY_N).contains(&n) {
+                return Err(format!(
+                    "family workloads need 2 <= n <= {MAX_FAMILY_N}, got {n}"
+                ));
             }
+            let n = n as usize;
             return Ok(WorkloadReq::Family { family, n, seed });
         }
         if let Some(c) = v.get("chain") {
@@ -253,16 +265,23 @@ impl WorkloadReq {
 /// paper's 4×4 mesh with XY routing. The optional `"faults"` member
 /// injects dead cores (`"cores": [[u,v], …]`) and dead links
 /// (`"links": [[u1,v1,u2,v2], …]`, endpoints topology-adjacent); see
-/// `docs/fault-model.md` for the semantics.
+/// `docs/fault-model.md` for the semantics. At most [`MAX_CORES`] cores.
 pub fn platform_from_json(v: Option<&Json>) -> Result<Platform, String> {
     let Some(v) = v else {
         return Ok(Platform::paper(4, 4));
     };
-    let p = opt_u64(v, "p")?.unwrap_or(4) as u32;
-    let q = opt_u64(v, "q")?.unwrap_or(4) as u32;
+    let p = opt_u64(v, "p")?.unwrap_or(4);
+    let q = opt_u64(v, "q")?.unwrap_or(4);
     if p == 0 || q == 0 {
         return Err("platform dimensions must be positive".to_string());
     }
+    if !matches!(p.checked_mul(q), Some(n) if n <= MAX_CORES) {
+        return Err(format!(
+            "a {p}x{q} platform exceeds the {MAX_CORES}-core limit"
+        ));
+    }
+    // Both factors are at most MAX_CORES now, so they fit in u32.
+    let (p, q) = (p as u32, q as u32);
     let topology = match v.get("topology").and_then(Json::as_str) {
         Some(s) => TopologyKind::from_str(s)?,
         None => TopologyKind::Mesh,
@@ -791,6 +810,33 @@ mod tests {
             parse(r#"{"op":"sweep","workload":{"streamit":"FFT"},"values":[0.2,1.5]}"#).is_err(),
             "utilisation grid values above 1 are rejected"
         );
+    }
+
+    #[test]
+    fn platform_and_family_sizes_are_bounded() {
+        let solve = |workload: &str, platform: &str| {
+            parse(&format!(
+                r#"{{"op":"solve","workload":{workload},"platform":{platform},"period":1}}"#
+            ))
+        };
+        let fft = r#"{"streamit":"FFT"}"#;
+        assert!(solve(fft, r#"{"p":16,"q":16}"#).is_ok());
+        assert!(solve(fft, r#"{"p":1,"q":256,"topology":"ring"}"#).is_ok());
+        for platform in [
+            r#"{"p":16,"q":17}"#,
+            r#"{"p":4294967297,"q":1}"#,
+            r#"{"p":65536,"q":65536,"topology":"ring"}"#,
+            r#"{"p":4294967296,"q":4294967296}"#,
+        ] {
+            let err = solve(fft, platform).unwrap_err();
+            assert!(err.contains("256-core limit"), "{platform}: {err}");
+        }
+        let chain = |n: u64| format!(r#"{{"family":"deep-chain","n":{n}}}"#);
+        assert!(solve(&chain(MAX_FAMILY_N), "{}").is_ok());
+        for n in [1, MAX_FAMILY_N + 1, 1 << 40] {
+            let err = solve(&chain(n), "{}").unwrap_err();
+            assert!(err.contains("n <= 4096"), "n = {n}: {err}");
+        }
     }
 
     #[test]

@@ -9,9 +9,7 @@
 
 use std::sync::Arc;
 
-use cmp_platform::RoutePolicy;
-
-use crate::common::{Failure, HeuristicKind, Solution};
+use crate::common::{Failure, Solution};
 use crate::dpa1d::Dpa1dConfig;
 use crate::exact::ExactConfig;
 use crate::instance::Instance;
@@ -56,15 +54,7 @@ impl Solver for Random {
     fn solve(&self, inst: &Instance, ctx: &SolveCtx) -> Result<Solution, Failure> {
         ctx.check_budget()?;
         reject_infeasible(inst)?;
-        let table = inst.route_table(inst.platform().policy);
-        crate::random::random_trials(
-            inst.spg(),
-            inst.platform(),
-            inst.period(),
-            ctx.seed,
-            self.trials,
-            Some(&table),
-        )
+        crate::random::random_trials(inst, ctx.seed, self.trials)
     }
 }
 
@@ -93,15 +83,7 @@ impl Solver for Greedy {
         // The shared speed-feasibility floor: wavefront passes below the
         // heaviest stage's slowest feasible speed can never place it.
         let k_lo = inst.min_uniform_speed().unwrap_or(0);
-        let table = inst.route_table(inst.platform().policy);
-        crate::greedy::greedy_run(
-            inst.spg(),
-            inst.platform(),
-            inst.period(),
-            self.downgrade,
-            k_lo,
-            Some(&table),
-        )
+        crate::greedy::greedy_run(inst, self.downgrade, k_lo)
     }
 }
 
@@ -117,8 +99,7 @@ impl Solver for Dpa2d {
     fn solve(&self, inst: &Instance, ctx: &SolveCtx) -> Result<Solution, Failure> {
         ctx.check_budget()?;
         reject_infeasible(inst)?;
-        let table = inst.route_table(inst.platform().policy);
-        crate::dpa2d::dpa2d_run(inst.spg(), inst.platform(), inst.period(), Some(&table))
+        crate::dpa2d::dpa2d_run(inst)
     }
 }
 
@@ -156,8 +137,7 @@ impl Solver for Dpa2d1d {
     fn solve(&self, inst: &Instance, ctx: &SolveCtx) -> Result<Solution, Failure> {
         ctx.check_budget()?;
         reject_infeasible(inst)?;
-        let table = inst.route_table(RoutePolicy::Snake);
-        crate::dpa2d1d::dpa2d1d_run(inst.spg(), inst.platform(), inst.period(), Some(&table))
+        crate::dpa2d1d::dpa2d1d_run(inst)
     }
 }
 
@@ -176,13 +156,7 @@ impl Solver for Exact {
     fn solve(&self, inst: &Instance, ctx: &SolveCtx) -> Result<Solution, Failure> {
         ctx.check_budget()?;
         reject_infeasible(inst)?;
-        crate::exact::exact_run(
-            inst.spg(),
-            inst.platform(),
-            inst.period(),
-            &self.cfg,
-            inst.topo_order(),
-        )
+        crate::exact::exact_run(inst, &self.cfg)
     }
 }
 
@@ -230,7 +204,7 @@ impl Solver for Refined {
 }
 
 /// The five §5 heuristics at default configuration, in the paper's plot
-/// order (the order of [`crate::ALL_HEURISTICS`]).
+/// order (Figures 8–13).
 pub fn default_heuristics() -> Vec<Arc<dyn Solver>> {
     vec![
         Arc::new(Random::default()),
@@ -239,19 +213,6 @@ pub fn default_heuristics() -> Vec<Arc<dyn Solver>> {
         Arc::new(Dpa1d::default()),
         Arc::new(Dpa2d1d),
     ]
-}
-
-impl HeuristicKind {
-    /// The default-configured solver for this heuristic.
-    pub fn solver(self) -> Arc<dyn Solver> {
-        match self {
-            HeuristicKind::Random => Arc::new(Random::default()),
-            HeuristicKind::Greedy => Arc::new(Greedy::default()),
-            HeuristicKind::Dpa2d => Arc::new(Dpa2d),
-            HeuristicKind::Dpa1d => Arc::new(Dpa1d::default()),
-            HeuristicKind::Dpa2d1d => Arc::new(Dpa2d1d),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -274,37 +235,24 @@ mod tests {
         assert_eq!(Exact::default().name(), "Exact");
     }
 
+    /// `Greedy` starts its speed sweep at the instance's feasibility floor
+    /// ([`Instance::min_uniform_speed`]); skipping the passes below it must
+    /// not change the answer of a sweep from speed 0.
     #[test]
-    fn solvers_match_their_legacy_free_functions() {
-        #![allow(deprecated)]
-        let inst = small_instance();
-        let (g, pf, t) = (inst.spg().clone(), inst.platform().clone(), inst.period());
-        let ctx = SolveCtx::new(11);
-        let pairs: Vec<(Result<Solution, Failure>, Result<Solution, Failure>)> = vec![
-            (
-                Random::default().solve(&inst, &ctx),
-                crate::random_heuristic(&g, &pf, t, 11),
-            ),
-            (
-                Greedy::default().solve(&inst, &ctx),
-                crate::greedy(&g, &pf, t),
-            ),
-            (Dpa2d.solve(&inst, &ctx), crate::dpa2d(&g, &pf, t)),
-            (
-                Dpa1d::default().solve(&inst, &ctx),
-                crate::dpa1d(&g, &pf, t, &Dpa1dConfig::default()),
-            ),
-            (Dpa2d1d.solve(&inst, &ctx), crate::dpa2d1d(&g, &pf, t)),
-            (
-                Exact::default().solve(&inst, &ctx),
-                crate::exact(&g, &pf, t, &ExactConfig::default()),
-            ),
-        ];
-        for (new, old) in pairs {
-            match (new, old) {
-                (Ok(a), Ok(b)) => assert_eq!(a.energy(), b.energy()),
+    fn greedy_speed_floor_matches_a_full_sweep() {
+        let pf = Platform::paper(4, 4);
+        let streamit = [1usize, 6, 7, 8, 9, 12].map(|idx| {
+            let g = spg::streamit_workflow(&spg::STREAMIT_SPECS[idx - 1], 2011);
+            let t = g.total_work() / (8.0 * 1e9);
+            Instance::new(g, pf.clone(), t)
+        });
+        for inst in streamit.iter().chain([&small_instance()]) {
+            let floored = Greedy::default().solve(inst, &SolveCtx::new(0));
+            let full = crate::greedy::greedy_run(inst, true, 0);
+            match (floored, full) {
+                (Ok(a), Ok(b)) => assert_eq!(a.energy().to_bits(), b.energy().to_bits()),
                 (Err(_), Err(_)) => {}
-                (a, b) => panic!("solver/legacy mismatch: {a:?} vs {b:?}"),
+                (a, b) => panic!("speed floor changed feasibility: {a:?} vs {b:?}"),
             }
         }
     }

@@ -302,6 +302,60 @@ fn deeply_nested_frame_is_a_bad_request_not_a_crash() {
     daemon.join().unwrap();
 }
 
+/// Sends one oversized request on a real socket, expects `bad_request`,
+/// then requires an ordinary FFT solve on the same connection to be
+/// answered: an unbounded size must cost one request, not the daemon.
+fn oversized_request_is_refused_and_the_daemon_keeps_serving(hostile: &str) {
+    let server = Server::bind_tcp("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr().unwrap();
+    let daemon = thread::spawn(move || server.run().unwrap());
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut ask = |req: &Json| {
+        write_frame(&mut stream, req).unwrap();
+        read_frame(&mut stream)
+            .expect("the daemon must answer within the timeout")
+            .expect("the daemon must answer before hanging up")
+    };
+    let resp = ask(&Json::parse(hostile).unwrap());
+    assert_eq!(
+        resp.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str),
+        Some("bad_request"),
+        "response: {resp}"
+    );
+    let resp = ask(&solve_frame(streamit("FFT"), "greedy,dpa1d", &[]));
+    assert!(energy_bits(&resp).is_some(), "response: {resp}");
+    drop(stream);
+
+    Client::connect_tcp(addr).unwrap().shutdown().unwrap();
+    daemon.join().unwrap();
+}
+
+/// A ring whose `p·q` overflows `u32`: wrapped, it is a 0-core platform
+/// whose solve panics the scheduler thread and wedges the daemon.
+#[test]
+fn oversized_platform_is_a_bad_request() {
+    oversized_request_is_refused_and_the_daemon_keeps_serving(
+        r#"{"op":"solve","workload":{"streamit":"FFT"},
+            "platform":{"p":65536,"q":65536,"topology":"ring"},"utilisation":0.5}"#,
+    );
+}
+
+/// A 2^40-stage family: instantiating it aborts the process on
+/// allocation.
+#[test]
+fn oversized_family_is_a_bad_request() {
+    oversized_request_is_refused_and_the_daemon_keeps_serving(
+        r#"{"op":"solve","workload":{"family":"deep-chain","n":1099511627776},
+            "utilisation":0.5}"#,
+    );
+}
+
 /// `bind_unix` probes an existing socket before unlinking it: a live
 /// daemon keeps its endpoint (`AddrInUse`), a crashed daemon's stale file
 /// is replaced, and a non-socket file is never deleted.

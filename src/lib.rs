@@ -239,87 +239,11 @@
 //! --suite incremental` measures remap-vs-cold latency over a seeded
 //! StreamIt fault campaign and gates the ≥2× median speedup in
 //! `BENCH_incremental.json`.
-//!
-//! ## Migrating from the 0.1 free functions
-//!
-//! The pre-0.2 free functions remain as thin `#[deprecated]` shims; new
-//! code builds an [`prelude::Instance`] once and reuses it:
-//!
-//! | 0.1 call | 0.2 replacement |
-//! |---|---|
-//! | `run_heuristic(kind, &g, &pf, t, seed)` | `kind.solver().solve(&inst, &SolveCtx::new(seed))` |
-//! | `greedy(&g, &pf, t)` | `solvers::Greedy::default().solve(&inst, &ctx)` |
-//! | `random_heuristic(&g, &pf, t, seed)` | `solvers::Random::default().solve(&inst, &ctx)` |
-//! | `dpa2d(&g, &pf, t)` | `solvers::Dpa2d.solve(&inst, &ctx)` |
-//! | `dpa1d(&g, &pf, t, &cfg)` | `solvers::Dpa1d { cfg }.solve(&inst, &ctx)` |
-//! | `dpa2d1d(&g, &pf, t)` | `solvers::Dpa2d1d.solve(&inst, &ctx)` |
-//! | `exact(&g, &pf, t, &cfg)` | `solvers::Exact { cfg }.solve(&inst, &ctx)` |
-//! | `refine(&g, &pf, &sol, t, &cfg)` | `solvers::Refined::new(inner).solve(&inst, &ctx)` (or keep `refine` — not deprecated) |
-//! | run-them-all loops | `Portfolio::heuristics().seeded(seed).run(&inst)` |
-//!
-//! The instance is where the sharing lives: `DPA1D`'s interned ideal
-//! lattice, the snake and topological orders, the per-stage
-//! speed-feasibility table, and (since 0.3) the per-policy precomputed
-//! route tables are computed once per instance instead of once per call,
-//! which is what makes portfolio runs and §6.1.3 period probes measurably
-//! faster than the 0.1 free-function orchestration.
-//!
-//! ## Migrating from 0.2 (topology backends)
-//!
-//! 0.3 generalises the platform over pluggable interconnect backends. The
-//! paper's mesh remains the default and `Platform::paper` results are
-//! bit-identical; the few signature changes:
-//!
-//! | 0.2 | 0.3 |
-//! |---|---|
-//! | `Platform { p, q, power, bw, e_bit, p_leak_comm }` literals | add `topology`/`policy` fields, or spread `..Platform::paper(p, q)` |
-//! | `pf.neighbours(c) -> Vec<CoreId>` | allocation-free iterator (`.count()` instead of `.len()`, etc.) |
-//! | `pf.link_index(l)` trusted adjacent inputs | panics on links the topology does not own (wrap links valid on torus/ring) |
-//! | `evaluate(spg, pf, m, t)` | unchanged — or `inst.evaluate_mapping(&m)` / `evaluate_with(…, Some(&table))` for the route-table fast path |
-//! | `refine(…)` | unchanged (builds a local table) — or `refine_with(…, Some(&table))` |
-//! | `simulate(…)` | unchanged — or `simulate_with(…, Some(&table))` |
-//!
-//! ## Migrating from 0.6 (JSON moved into the core)
-//!
-//! 0.7 promotes the dependency-free JSON module from `ea_bench::json`
-//! into `ea_core::json` (re-exported here as [`json`]) so the serve
-//! protocol can use it without depending on the bench crate.
-//! `ea_bench::json` remains as a `#[deprecated]` re-export; swap
-//! `use ea_bench::json::...` for `use spg_cmp::json::...` (or
-//! `ea_core::json::...`) — names and behaviour are unchanged.
-//!
-//! ## Migrating from 0.7 (dominance pruning, certified bounds)
-//!
-//! 0.8 adds the state-reduction layer to `DPA1D`. Energies are
-//! **bit-identical** wherever 0.7 produced one (pinned by
-//! `tests/prune.rs` and the committed baselines); what changed:
-//!
-//! | 0.7 | 0.8 |
-//! |---|---|
-//! | `Dpa1dConfig { ideal_cap, edge_cap, relax_par_threshold }` literals | add `dominance: bool` (default `true`) and `frontier_cap: usize` (default `usize::MAX`), or spread `..Dpa1dConfig::default()` (0.10 removed `relax_par_threshold` and `dominance` again) |
-//! | `Solution { mapping, eval }` literals | add `prune: Option<PruneStats>` (`None` for non-`DPA1D` solvers; `validated` fills it) |
-//! | complete transition system over `edge_cap` ⇒ `Failure::TooExpensive(Materialise)` | a bounded work-ceiling skeleton + per-period streaming solve the point exactly (the 0.7 hard failure is gone for good since 0.10) |
-//! | no way to trade exactness for state | `frontier_cap: n` truncates each frontier to `n` states and returns a solution carrying a certified `Solution::bound_gap()` (the true optimum lies within the gap) instead of failing |
-//! | — | `PruneStats` telemetry (`transitions_kept` / `transitions_pruned` / `frontier_max` / `bound_gap`) on `Solution::prune`, surfaced as optional campaign-JSONL fields, in serve `solve`/`sweep` responses, and aggregated in the daemon's `stats.prune` object |
-//!
-//! ## Migrating from 0.9 (one `DPA1D` engine)
-//!
-//! 0.10 collapses `DPA1D` to one transition producer (the cached
-//! [`prelude::TransitionSkeleton`], or a streaming DFS when none fits the
-//! edge cap) and one sequential relaxer. Energies are **bit-identical**;
-//! what changed:
-//!
-//! | 0.9 | 0.10 |
-//! |---|---|
-//! | `Dpa1dConfig { .., relax_par_threshold, dominance, .. }` literals | stop compiling: both fields are gone. Keep `ideal_cap`, `edge_cap`, `frontier_cap` and spread `..Dpa1dConfig::default()` |
-//! | `dominance: false` | no replacement: pruning is always on and value-preserving |
-//! | `relax_par_threshold` | no replacement: the relaxation is sequential |
-//! | `--cache-dir` spill envelope version 1 | version 2 (skeleton images drop the transposed index); version-1 files are skipped at boot |
 
 pub use cmp_mapping as mapping;
 pub use cmp_platform as platform;
 pub use ea_core as heuristics;
-/// Dependency-free JSON support (moved from `ea_bench::json` in 0.7).
+/// Dependency-free JSON support (the serve wire format).
 pub use ea_core::json;
 /// Solve-as-a-service: the `xp serve` daemon's server, client, and
 /// artifact-cache building blocks.
@@ -336,19 +260,14 @@ pub mod prelude {
         Speed, Topology, TopologyKind,
     };
     pub use ea_core::solvers;
-    pub use ea_core::{greedy_opts, refine, refine_with};
+    pub use ea_core::{refine, refine_with};
     pub use ea_core::{
-        BudgetExceeded, BudgetPhase, Dpa1dConfig, ExactConfig, Failure, HeuristicKind, Instance,
-        PartitionRule, PeriodSweep, Portfolio, PortfolioReport, PruneStats, Race, RefineConfig,
-        SharedLattice, Solution, SolveCtx, SolveOutcome, Solver, SolverRegistry, SolverRun,
-        SweepAxis, SweepPoint, SweepReport, TransitionSkeleton, ALL_HEURISTICS,
+        BudgetExceeded, BudgetPhase, Dpa1dConfig, ExactConfig, Failure, Instance, PartitionRule,
+        PeriodSweep, Portfolio, PortfolioReport, PruneStats, Race, RefineConfig, SharedLattice,
+        Solution, SolveCtx, SolveOutcome, Solver, SolverRegistry, SolverRun, SweepAxis, SweepPoint,
+        SweepReport, TransitionSkeleton,
     };
     pub use spg::{
         self, EdgeId, Edit, FamilyKind, FamilyParams, Spg, SpgGenConfig, StageId, WorkloadSpec,
     };
-
-    // Deprecated 0.1 surface, kept importable so downstream code compiles
-    // (with deprecation warnings) while migrating.
-    #[allow(deprecated)]
-    pub use ea_core::{dpa1d, dpa2d, dpa2d1d, exact, greedy, random_heuristic, run_heuristic};
 }

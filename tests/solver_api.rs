@@ -1,7 +1,6 @@
 //! Tests for the solver-session API (`Instance` / `Solver` /
 //! `SolverRegistry` / `Portfolio`): portfolio determinism across execution
-//! modes, registry round-trips, and equivalence of every `Solver::solve`
-//! against its legacy free function on the StreamIt suite.
+//! modes, registry round-trips, and the probe → portfolio pipeline.
 
 use spg::{streamit_workflow, STREAMIT_SPECS};
 use spg_cmp::prelude::*;
@@ -76,97 +75,6 @@ fn registry_roundtrip() {
         assert_eq!(refined.name(), format!("Refined({name})"));
     }
     assert!(reg.get("no-such-solver").is_none());
-}
-
-/// Each `Solver::solve` agrees with its legacy free function on the
-/// StreamIt suite: identical energies on success, failure on both sides
-/// otherwise (the shared-lattice and speed-floor optimisations must be
-/// behaviour-preserving).
-#[test]
-fn solvers_equal_legacy_free_functions_on_streamit() {
-    #![allow(deprecated)]
-    let pf = Platform::paper(4, 4);
-    // A mix of low-elevation (DPA1D-tractable) and high-elevation
-    // (DPA1D-failing) workflows.
-    for idx in [1usize, 6, 7, 8, 9, 12] {
-        let spec = &STREAMIT_SPECS[idx - 1];
-        let g = streamit_workflow(spec, 2011);
-        let t = period_for(&g);
-        let inst = Instance::new(g.clone(), pf.clone(), t);
-        let ctx = SolveCtx::new(2011);
-        type Case<'a> = (
-            &'a str,
-            Result<Solution, Failure>,
-            Result<Solution, Failure>,
-        );
-        let cases: Vec<Case> = vec![
-            (
-                "Random",
-                solvers::Random::default().solve(&inst, &ctx),
-                random_heuristic(&g, &pf, t, 2011),
-            ),
-            (
-                "Greedy",
-                solvers::Greedy::default().solve(&inst, &ctx),
-                greedy(&g, &pf, t),
-            ),
-            (
-                "DPA2D",
-                solvers::Dpa2d.solve(&inst, &ctx),
-                dpa2d(&g, &pf, t),
-            ),
-            (
-                "DPA1D",
-                solvers::Dpa1d::default().solve(&inst, &ctx),
-                dpa1d(&g, &pf, t, &Dpa1dConfig::default()),
-            ),
-            (
-                "DPA2D1D",
-                solvers::Dpa2d1d.solve(&inst, &ctx),
-                dpa2d1d(&g, &pf, t),
-            ),
-        ];
-        for (name, new, old) in cases {
-            match (new, old) {
-                (Ok(a), Ok(b)) => assert_eq!(
-                    a.energy(),
-                    b.energy(),
-                    "{}/{name}: solver energy diverges from legacy",
-                    spec.name
-                ),
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!(
-                    "{}/{name}: feasibility diverges (solver ok={}, legacy ok={})",
-                    spec.name,
-                    a.is_ok(),
-                    b.is_ok()
-                ),
-            }
-        }
-    }
-}
-
-/// `run_heuristic` (the deprecated shim) routes through the same solvers.
-#[test]
-#[allow(deprecated)]
-fn run_heuristic_shim_matches_solver() {
-    let pf = Platform::paper(2, 2);
-    let g = spg::chain(&[2e8; 6], &[1e4; 5]);
-    let t = 0.5;
-    let inst = Instance::new(g.clone(), pf.clone(), t);
-    for kind in ALL_HEURISTICS {
-        let via_shim = run_heuristic(kind, &g, &pf, t, 5);
-        let via_solver = kind.solver().solve(&inst, &SolveCtx::new(5));
-        match (via_shim, via_solver) {
-            (Ok(a), Ok(b)) => assert_eq!(a.energy(), b.energy(), "{kind}"),
-            (Err(_), Err(_)) => {}
-            (a, b) => panic!(
-                "{kind}: shim/solver disagree ({} vs {})",
-                a.is_ok(),
-                b.is_ok()
-            ),
-        }
-    }
 }
 
 /// The probed instance reuses its caches and the portfolio wins with a

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use ea_bench::{default_solvers, probe_instance};
+use ea_bench::probe_instance;
 use spg_cmp::prelude::*;
 use stream_sim::{simulate_with, SimConfig};
 
@@ -90,7 +90,7 @@ fn mesh_xy_energies_bit_identical_to_pre_refactor_baseline() {
 /// StreamIt suite and all three topology backends.
 #[test]
 fn table_driven_evaluate_is_bit_identical_across_suite() {
-    let solvers = default_solvers();
+    let solvers = solvers::default_heuristics();
     for kind in TopologyKind::ALL {
         let pf = Arc::new(Platform::paper_topology(kind, 4, 4));
         for spec in STREAMIT_SPECS.iter() {
