@@ -19,23 +19,40 @@
 //! the chosen path is exact, so the final evaluator-checked mapping agrees
 //! with the DP's energy.
 //!
+//! ## Memory discipline
+//!
+//! The nested DP allocates nothing per candidate. Its buffers live in one
+//! `Scratch`, reused by every column: one y-sorted stage array per column
+//! (a group is a slice of it, membership an O(1) label test), the inner
+//! cell table, and one candidate `ColState`. A candidate placement is
+//! written into that scratch state with `Vec::clone_from` (reusing its
+//! buffers) and **swapped** into its target cell only when it improves
+//! it, so the losing state's buffers become the next candidate's. Outer
+//! cells keep only their own column — its `(stage, row)` list, its
+//! outgoing distribution and an `m′` back-pointer — and the allocation is
+//! rebuilt once, by walking the back-pointers from the best final cell.
+//! The horizontal crossing of a cell's distribution is checked once, when
+//! the cell is filled. The solve context's deadline is polled once per
+//! outer cell.
+//!
 //! `DPA2D` deliberately wastes cores on low-elevation graphs (a pipeline
 //! only ever enrolls one core per column — paper §6.2.1) and shines on fat,
 //! high-elevation graphs.
 
-use std::collections::HashMap;
+use std::ops::RangeInclusive;
 
 use cmp_mapping::{assign_min_speeds, Mapping, RouteSpec, REL_TOL};
 use cmp_platform::{CoreId, Platform};
-use spg::{Spg, StageId};
+use spg::{Label, Spg, StageId};
 
-use crate::common::{validated_with, Failure, Solution};
+use crate::common::{validated_with, BudgetPhase, Failure, Solution};
 use crate::instance::Instance;
+use crate::solver::SolveCtx;
 
 /// Runs `DPA2D` on the physical grid and validates the result with the
 /// instance's cached route table for the platform's policy (row-first XY
 /// on the paper's mesh).
-pub(crate) fn dpa2d_run(inst: &Instance) -> Result<Solution, Failure> {
+pub(crate) fn dpa2d_run(inst: &Instance, ctx: &SolveCtx) -> Result<Solution, Failure> {
     let (spg, pf, period) = (inst.spg(), inst.platform(), inst.period());
     if pf.is_faulted() {
         // The nested column DP assumes a full rectangular grid; other
@@ -44,7 +61,7 @@ pub(crate) fn dpa2d_run(inst: &Instance) -> Result<Solution, Failure> {
             "DPA2D does not support faulted platforms".into(),
         ));
     }
-    let alloc = dpa2d_alloc(spg, pf, period)?;
+    let alloc = dpa2d_alloc(spg, pf, period, ctx).0?;
     let speed = assign_min_speeds(spg, pf, &alloc, period)
         .ok_or_else(|| Failure::NoValidMapping("speed assignment failed".into()))?;
     let mapping = Mapping {
@@ -56,6 +73,28 @@ pub(crate) fn dpa2d_run(inst: &Instance) -> Result<Solution, Failure> {
     validated_with(spg, pf, mapping, period, Some(&table))
 }
 
+/// Deterministic work counts of one nested DP: they pin what the DP did,
+/// not how fast.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Dpa2dWork {
+    /// Outer cells `(m, v)` filled with a feasible column cut.
+    pub outer_cells: u64,
+    /// Inner column DPs run (`ecol` calls).
+    pub ecol_calls: u64,
+    /// Candidate placements tried (`place_group` calls).
+    pub place_calls: u64,
+    /// `m′` scans cut short: the column's work exceeds `p` cores at top
+    /// speed.
+    pub work_pruned: u64,
+    /// `g2` scans ended by a group that misses the period at top speed.
+    pub period_rejects: u64,
+    /// Placements rejected by a vertical link over its bandwidth.
+    pub vertical_rejects: u64,
+    /// Filled cells whose outgoing distribution overflows a row's
+    /// horizontal link (they cannot feed a next column).
+    pub horizontal_rejects: u64,
+}
+
 /// One outgoing communication: `volume` bytes leaving the column from core
 /// row `row`, destined to stage `dest` in a later column.
 #[derive(Debug, Clone, Copy)]
@@ -65,10 +104,9 @@ struct OutComm {
     dest: StageId,
 }
 
-/// Carried per-column bookkeeping (cloned along the DP's argmin path —
-/// flat vectors keep those clones cheap memcpys instead of hash-map
-/// rebuilds).
-#[derive(Debug, Clone, Default)]
+/// Per-column bookkeeping of one inner-DP cell. Flat vectors of `Copy`
+/// entries, so copying into a scratch state reuses its buffers.
+#[derive(Debug, Default)]
 struct ColState {
     /// `(stage, row)` of each stage already placed in this column (columns
     /// hold a handful of stages, so linear scans beat hashing).
@@ -77,25 +115,125 @@ struct ColState {
     vload_down: Vec<f64>,
     /// Vertical link loads, decreasing-row direction (`link i: i+1 → i`).
     vload_up: Vec<f64>,
-    /// Incoming communications not yet delivered (entry row, volume, dest).
-    pending_in: Vec<(u32, f64, u32)>,
-    /// Intra-column edges whose destination is not yet placed
-    /// (source row, volume, dest).
-    pending_edge: Vec<(u32, f64, u32)>,
+    /// Communications whose destination is not yet placed, as (row,
+    /// volume, dest): the incoming ones (at their entry row) first, then
+    /// intra-column edges (at their source row), in arrival order.
+    pending: Vec<(u32, f64, u32)>,
     /// Distribution `D` of communications leaving this column.
     out: Vec<OutComm>,
 }
 
+impl ColState {
+    /// Makes `self` a copy of `src` without reallocating buffers that are
+    /// already large enough.
+    fn copy_from(&mut self, src: &ColState) {
+        self.row_of.clone_from(&src.row_of);
+        self.vload_down.clone_from(&src.vload_down);
+        self.vload_up.clone_from(&src.vload_up);
+        self.pending.clone_from(&src.pending);
+        self.out.clone_from(&src.out);
+    }
+
+    /// Adds `vol` bytes to every vertical link between `from_row` and
+    /// `to_row` (direction-aware), checking bandwidth, and returns the hop
+    /// energy.
+    fn add_vertical(
+        &mut self,
+        pf: &Platform,
+        from_row: u32,
+        to_row: u32,
+        vol: f64,
+        bw_cap: f64,
+    ) -> Option<f64> {
+        if from_row == to_row {
+            return Some(0.0);
+        }
+        let (a, b) = (from_row.min(to_row) as usize, from_row.max(to_row) as usize);
+        let loads = if to_row > from_row {
+            &mut self.vload_down
+        } else {
+            &mut self.vload_up
+        };
+        for link in &mut loads[a..b] {
+            *link += vol;
+            if *link > bw_cap {
+                return None;
+            }
+        }
+        Some(pf.hop_energy(vol) * (b - a) as f64)
+    }
+}
+
+/// Inner DP cell: y-levels `1..=g` placed on the column's first `u` rows.
+#[derive(Debug, Default)]
+struct InnerCell {
+    live: bool,
+    energy: f64,
+    state: ColState,
+}
+
+/// Outer DP cell: x-levels `1..=m` placed on columns `0..v`.
+struct OuterCell {
+    energy: f64,
+    /// Distribution `D` leaving column `v − 1`.
+    dist: Vec<OutComm>,
+    /// `(stage, row)` of the stages column `v − 1` holds.
+    row_of: Vec<(u32, u32)>,
+    /// Back-pointer: the last x-level of columns `0..v−1`.
+    mp: usize,
+    /// Hop energy of `dist` crossing into column `v`; `None` when a row's
+    /// horizontal link would overflow.
+    cross: Option<f64>,
+}
+
+/// The DP's reusable buffers (see the module docs) and its work counts.
+#[derive(Default)]
+struct Scratch {
+    /// The column's stages sorted by y-level, stable in `by_x` order.
+    stages: Vec<StageId>,
+    /// `y_start[y]`: index in `stages` of the first stage at level `y`
+    /// (`ymax + 2` entries).
+    y_start: Vec<usize>,
+    /// Counting-sort fill cursor.
+    cursor: Vec<usize>,
+    /// Inner DP table, `(ymax + 1) × (p + 1)`, level-major.
+    cells: Vec<InnerCell>,
+    /// Where a candidate placement is built.
+    cand: ColState,
+    /// Per-row horizontal load of one crossing.
+    row_load: Vec<f64>,
+    work: Dpa2dWork,
+}
+
+/// The inputs every cell of one nested DP shares.
+struct Dp<'a> {
+    spg: &'a Spg,
+    pf: &'a Platform,
+    period: f64,
+    bw_cap: f64,
+    p: usize,
+    ymax: usize,
+    /// Stages per x-level.
+    by_x: Vec<Vec<StageId>>,
+    /// Per-level work prefix sums, for pruning.
+    work_prefix: Vec<f64>,
+    /// What `p` cores hold at top speed in one period.
+    cap_column: f64,
+}
+
 /// The stage→core allocation computed by the nested DP, on the grid of
-/// `pf` (which may be a virtual `1 × r` platform for `DPA2D1D`).
-pub(crate) fn dpa2d_alloc(spg: &Spg, pf: &Platform, period: f64) -> Result<Vec<CoreId>, Failure> {
+/// `pf` (which may be a virtual `1 × r` platform for `DPA2D1D`), with the
+/// DP's work counts. The deadline is polled once per outer cell.
+pub(crate) fn dpa2d_alloc(
+    spg: &Spg,
+    pf: &Platform,
+    period: f64,
+    ctx: &SolveCtx,
+) -> (Result<Vec<CoreId>, Failure>, Dpa2dWork) {
     let xmax = spg.xmax() as usize;
-    let q = pf.q as usize;
     let tol = 1.0 + REL_TOL;
-    let bw_cap = period * pf.bw * tol;
     let cap_work = period * pf.power.max_freq() * tol;
 
-    // Stages per x-level, and per-level work prefix sums for pruning.
     let mut by_x: Vec<Vec<StageId>> = vec![Vec::new(); xmax + 1];
     for s in spg.stages() {
         by_x[spg.label(s).x as usize].push(s);
@@ -104,307 +242,343 @@ pub(crate) fn dpa2d_alloc(spg: &Spg, pf: &Platform, period: f64) -> Result<Vec<C
     for x in 1..=xmax {
         work_prefix[x] = work_prefix[x - 1] + by_x[x].iter().map(|s| spg.weight(*s)).sum::<f64>();
     }
+    let dp = Dp {
+        spg,
+        pf,
+        period,
+        bw_cap: period * pf.bw * tol,
+        p: pf.p as usize,
+        ymax: spg.elevation() as usize,
+        by_x,
+        work_prefix,
+        cap_column: pf.p as f64 * cap_work,
+    };
 
-    /// Outer DP cell: levels `1..=m` on columns `0..v`.
-    struct OuterCell {
-        energy: f64,
-        dist: Vec<OutComm>,
-        alloc: Vec<Option<CoreId>>,
-    }
-    let mut outer: Vec<Vec<Option<OuterCell>>> = (0..=xmax)
-        .map(|_| {
-            let mut row = Vec::with_capacity(q + 1);
-            row.resize_with(q + 1, || None);
-            row
-        })
-        .collect();
-
-    for v in 1..=q {
+    // layers[v][m]: outer cell (m, v). Layers past xmax stay empty, and
+    // layer 0 stands for "no previous column".
+    let vmax = (pf.q as usize).min(xmax);
+    let mut layers: Vec<Vec<Option<OuterCell>>> = Vec::with_capacity(vmax + 1);
+    layers.push(Vec::new());
+    let mut s = Scratch::default();
+    for v in 1..=vmax {
+        let mut layer: Vec<Option<OuterCell>> = Vec::with_capacity(xmax + 1);
+        layer.resize_with(v, || None);
         for m in v..=xmax {
-            let mut best: Option<OuterCell> = None;
-            // m' = index of the last level of the previous columns; v = 1
-            // has no previous column (m' = 0, empty distribution).
-            let lo = if v == 1 { 0 } else { v - 1 };
-            let hi = if v == 1 { 0 } else { m - 1 };
-            for mp in (lo..=hi).rev() {
-                // Work-based pruning: this column cannot hold more than
-                // p cores' worth of cycles (monotone in the range size).
-                if work_prefix[m] - work_prefix[mp] > pf.p as f64 * cap_work {
-                    break;
+            if ctx.expired() {
+                return (Err(Failure::budget(BudgetPhase::Deadline, 0, 0)), s.work);
+            }
+            let feeds_next = v < vmax && m < xmax;
+            layer.push(dp.outer_cell(&layers[v - 1], v, m, feeds_next, &mut s));
+        }
+        layers.push(layer);
+    }
+
+    let best_v = (1..=vmax)
+        .filter(|&v| layers[v][xmax].is_some())
+        .min_by(|&a, &b| {
+            let energy = |v: usize| layers[v][xmax].as_ref().expect("filtered").energy;
+            energy(a)
+                .partial_cmp(&energy(b))
+                .expect("energies are finite")
+        });
+    let Some(best_v) = best_v else {
+        return (
+            Err(Failure::NoValidMapping("no feasible column cut".into())),
+            s.work,
+        );
+    };
+    let mut alloc: Vec<Option<CoreId>> = vec![None; spg.n()];
+    let (mut m, mut v) = (xmax, best_v);
+    while v > 0 {
+        let cell = layers[v][m]
+            .as_ref()
+            .expect("back-pointers name filled cells");
+        for &(sid, row) in &cell.row_of {
+            alloc[sid as usize] = Some(CoreId {
+                u: row,
+                v: (v - 1) as u32,
+            });
+        }
+        (m, v) = (cell.mp, v - 1);
+    }
+    let alloc = alloc
+        .into_iter()
+        .map(|c| c.ok_or_else(|| Failure::NoValidMapping("stage left unplaced".into())))
+        .collect();
+    (alloc, s.work)
+}
+
+impl Dp<'_> {
+    /// Fills outer cell `(m, v)` from layer `prev` (`v − 1`): scans `m′`
+    /// downwards and keeps the argmin column. Only a cell that `feeds_next`
+    /// (a later cell can extend it) has its horizontal crossing checked.
+    fn outer_cell(
+        &self,
+        prev: &[Option<OuterCell>],
+        v: usize,
+        m: usize,
+        feeds_next: bool,
+        s: &mut Scratch,
+    ) -> Option<OuterCell> {
+        // m' = index of the last level of the previous columns; v = 1
+        // has no previous column (m' = 0, empty distribution).
+        let (lo, hi) = if v == 1 { (0, 0) } else { (v - 1, m - 1) };
+        let mut best: Option<(f64, usize)> = None;
+        let mut best_col = ColState::default();
+        for mp in (lo..=hi).rev() {
+            // Work-based pruning: this column cannot hold more than p
+            // cores' worth of cycles (monotone in the range size).
+            if self.work_prefix[m] - self.work_prefix[mp] > self.cap_column {
+                s.work.work_pruned += 1;
+                break;
+            }
+            let (prev_energy, h_energy, d_in): (f64, f64, &[OutComm]) = if v == 1 {
+                (0.0, 0.0, &[])
+            } else {
+                let Some(prev) = prev[mp].as_ref() else {
+                    continue;
+                };
+                let Some(h) = prev.cross else {
+                    continue;
+                };
+                (prev.energy, h, &prev.dist)
+            };
+            let Some((col_energy, col)) = self.ecol(s, mp + 1, m, d_in) else {
+                continue;
+            };
+            let cand = prev_energy + h_energy + col_energy;
+            if best.is_none_or(|(e, _)| cand < e) {
+                best = Some((cand, mp));
+                std::mem::swap(&mut best_col, col);
+            }
+        }
+        let (energy, mp) = best?;
+        s.work.outer_cells += 1;
+        let cross = if feeds_next {
+            self.horizontal_crossing(&best_col.out, s)
+        } else {
+            None
+        };
+        Some(OuterCell {
+            energy,
+            dist: best_col.out,
+            row_of: best_col.row_of,
+            mp,
+            cross,
+        })
+    }
+
+    /// Per-row bandwidth check and hop energy for a distribution crossing
+    /// one column boundary.
+    fn horizontal_crossing(&self, dist: &[OutComm], s: &mut Scratch) -> Option<f64> {
+        s.row_load.clear();
+        s.row_load.resize(self.p, 0.0);
+        let mut energy = 0.0;
+        for c in dist {
+            s.row_load[c.row as usize] += c.volume;
+            energy += self.pf.hop_energy(c.volume);
+        }
+        if s.row_load.iter().any(|&load| load > self.bw_cap) {
+            s.work.horizontal_rejects += 1;
+            None
+        } else {
+            Some(energy)
+        }
+    }
+
+    /// Inner DP: places the stages of x-levels `m1..=m2` onto the `p` cores
+    /// of one column, given the incoming distribution `d_in`. Returns the
+    /// column's energy (compute + vertical hops) and its final state
+    /// (including the outgoing distribution), which lives in `s` until the
+    /// next call.
+    fn ecol<'s>(
+        &self,
+        s: &'s mut Scratch,
+        m1: usize,
+        m2: usize,
+        d_in: &[OutComm],
+    ) -> Option<(f64, &'s mut ColState)> {
+        s.work.ecol_calls += 1;
+        let (p, ymax) = (self.p, self.ymax);
+        let labels = self.spg.labels();
+        let weights = self.spg.weights();
+        let xs = m1 as u32..=m2 as u32;
+
+        // The column's stages sorted by y-level (a stable counting sort).
+        let levels = &self.by_x[m1..=m2];
+        s.y_start.clear();
+        s.y_start.resize(ymax + 2, 0);
+        for &st in levels.iter().flatten() {
+            s.y_start[labels[st.idx()].y as usize + 1] += 1;
+        }
+        for y in 1..ymax + 2 {
+            s.y_start[y] += s.y_start[y - 1];
+        }
+        s.cursor.clone_from(&s.y_start);
+        s.stages.clear();
+        s.stages.resize(s.y_start[ymax + 1], StageId(0));
+        for &st in levels.iter().flatten() {
+            let y = labels[st.idx()].y as usize;
+            s.stages[s.cursor[y]] = st;
+            s.cursor[y] += 1;
+        }
+
+        // Initial state: split incoming communications into deliveries
+        // (dest in this column) and pass-throughs (re-emitted at the same
+        // row).
+        let width = p + 1;
+        let n_cells = (ymax + 1) * width;
+        if s.cells.len() < n_cells {
+            s.cells.resize_with(n_cells, InnerCell::default);
+        }
+        for cell in &mut s.cells[..n_cells] {
+            cell.live = false;
+        }
+        let init = &mut s.cells[0];
+        init.live = true;
+        init.energy = 0.0;
+        let st = &mut init.state;
+        st.row_of.clear();
+        st.pending.clear();
+        st.out.clear();
+        for loads in [&mut st.vload_down, &mut st.vload_up] {
+            loads.clear();
+            loads.resize(p.saturating_sub(1), 0.0);
+        }
+        for c in d_in {
+            if xs.contains(&labels[c.dest.idx()].x) {
+                st.pending.push((c.row, c.volume, c.dest.0));
+            } else {
+                st.out.push(*c);
+            }
+        }
+
+        for g in 0..=ymax {
+            for u in 0..p {
+                let from = g * width + u;
+                if !s.cells[from].live {
+                    continue;
                 }
-                let (prev_energy, prev_dist, prev_alloc): (
-                    f64,
-                    &[OutComm],
-                    Option<&Vec<Option<CoreId>>>,
-                ) = if v == 1 {
-                    (0.0, &[], None)
-                } else {
-                    let Some(prev) = outer[mp][v - 1].as_ref() else {
+                let base_energy = s.cells[from].energy;
+                // The group's work, summed stage by stage in group order.
+                let mut work = 0.0;
+                for g2 in g..=ymax {
+                    let group = &s.stages[s.y_start[g + 1]..s.y_start[g2 + 1]];
+                    if g2 > g {
+                        for st in &s.stages[s.y_start[g2]..s.y_start[g2 + 1]] {
+                            work += weights[st.idx()];
+                        }
+                    }
+                    let compute = if group.is_empty() {
+                        0.0
+                    } else {
+                        // Work only grows with g2: once the group misses
+                        // the period at top speed, so does every larger
+                        // one.
+                        let Some(e) = self.pf.power.best_compute_energy(work, self.period) else {
+                            s.work.period_rejects += 1;
+                            break;
+                        };
+                        e
+                    };
+                    s.work.place_calls += 1;
+                    let placed = self.place_group(
+                        &s.cells[from].state,
+                        &mut s.cand,
+                        group,
+                        (&xs, g as u32 + 1..=g2 as u32),
+                        u as u32,
+                        compute,
+                    );
+                    let Some(cost) = placed else {
+                        s.work.vertical_rejects += 1;
                         continue;
                     };
-                    (prev.energy, prev.dist.as_slice(), Some(&prev.alloc))
-                };
-                // Horizontal crossing from column v-2 to v-1: per-row
-                // bandwidth check plus one hop of energy per entry.
-                let Some(h_energy) = horizontal_crossing(pf, prev_dist, bw_cap) else {
-                    continue;
-                };
-                let Some((col_energy, col_state)) =
-                    ecol(spg, pf, period, &by_x, mp + 1, m, prev_dist, bw_cap)
-                else {
-                    continue;
-                };
-                let cand = prev_energy + h_energy + col_energy;
-                if best.as_ref().is_none_or(|b| cand < b.energy) {
-                    let mut alloc: Vec<Option<CoreId>> = match prev_alloc {
-                        Some(a) => a.clone(),
-                        None => vec![None; spg.n()],
-                    };
-                    for &(sid, row) in &col_state.row_of {
-                        alloc[sid as usize] = Some(CoreId {
-                            u: row,
-                            v: (v - 1) as u32,
-                        });
+                    let cand = base_energy + cost;
+                    let to = &mut s.cells[g2 * width + u + 1];
+                    if !to.live || cand < to.energy {
+                        to.live = true;
+                        to.energy = cand;
+                        std::mem::swap(&mut to.state, &mut s.cand);
                     }
-                    best = Some(OuterCell {
-                        energy: cand,
-                        dist: col_state.out,
-                        alloc,
+                }
+            }
+        }
+
+        let last = &mut s.cells[ymax * width + p];
+        if !last.live {
+            return None;
+        }
+        debug_assert!(last.state.pending.is_empty(), "undelivered comms");
+        Some((last.energy, &mut last.state))
+    }
+
+    /// Places one y-group on core row `row` of the current column: copies
+    /// `src` into `dst` (reusing `dst`'s buffers) and applies the
+    /// placement there. The group is the column's stages whose labels
+    /// fall in `(xs, ys)`; `compute` is its compute energy. Returns the
+    /// placement's energy, or `None` when a vertical link's bandwidth
+    /// would be violated.
+    fn place_group(
+        &self,
+        src: &ColState,
+        dst: &mut ColState,
+        group: &[StageId],
+        (xs, ys): (&RangeInclusive<u32>, RangeInclusive<u32>),
+        row: u32,
+        compute: f64,
+    ) -> Option<f64> {
+        dst.copy_from(src);
+        if group.is_empty() {
+            return Some(0.0);
+        }
+        let (pf, bw_cap) = (self.pf, self.bw_cap);
+        let labels = self.spg.labels();
+        let member = |l: Label| xs.contains(&l.x) && ys.contains(&l.y);
+        let mut cost = compute;
+        for s in group {
+            dst.row_of.push((s.0, row));
+        }
+
+        // Deliver the pending communications destined to this group.
+        let mut kept = 0;
+        for i in 0..dst.pending.len() {
+            let (from_row, vol, dest) = dst.pending[i];
+            if member(labels[dest as usize]) {
+                cost += dst.add_vertical(pf, from_row, row, vol, bw_cap)?;
+            } else {
+                dst.pending[kept] = dst.pending[i];
+                kept += 1;
+            }
+        }
+        dst.pending.truncate(kept);
+
+        // Outgoing edges of the newly placed stages.
+        for s in group {
+            for (_, e) in self.spg.out_edges(*s) {
+                let d = e.dst;
+                let label = labels[d.idx()];
+                if member(label) {
+                    continue; // same core, free
+                }
+                if xs.contains(&label.x) {
+                    let placed = dst.row_of.iter().find(|&&(sid, _)| sid == d.0);
+                    if let Some(&(_, rd)) = placed {
+                        cost += dst.add_vertical(pf, row, rd, e.volume, bw_cap)?;
+                    } else {
+                        dst.pending.push((row, e.volume, d.0));
+                    }
+                } else {
+                    dst.out.push(OutComm {
+                        row,
+                        volume: e.volume,
+                        dest: d,
                     });
                 }
             }
-            outer[m][v] = best;
         }
+        Some(cost)
     }
-
-    let best_v = (1..=q)
-        .filter(|&v| outer[xmax][v].is_some())
-        .min_by(|&a, &b| {
-            let ea = outer[xmax][a].as_ref().unwrap().energy;
-            let eb = outer[xmax][b].as_ref().unwrap().energy;
-            ea.partial_cmp(&eb).unwrap()
-        })
-        .ok_or_else(|| Failure::NoValidMapping("no feasible column cut".into()))?;
-    let cell = outer[xmax][best_v].as_ref().unwrap();
-    cell.alloc
-        .iter()
-        .map(|c| c.ok_or_else(|| Failure::NoValidMapping("stage left unplaced".into())))
-        .collect()
-}
-
-/// Per-row bandwidth check and hop energy for a distribution crossing one
-/// column boundary.
-fn horizontal_crossing(pf: &Platform, dist: &[OutComm], bw_cap: f64) -> Option<f64> {
-    let mut per_row: HashMap<u32, f64> = HashMap::new();
-    let mut energy = 0.0;
-    for c in dist {
-        *per_row.entry(c.row).or_insert(0.0) += c.volume;
-        energy += pf.hop_energy(c.volume);
-    }
-    if per_row.values().any(|&v| v > bw_cap) {
-        None
-    } else {
-        Some(energy)
-    }
-}
-
-/// Inner DP: places the stages of x-levels `m1..=m2` onto the `p` cores of
-/// one column, given the incoming distribution `d_in`. Returns the column's
-/// energy (compute + vertical hops) and its final state (including the
-/// outgoing distribution).
-#[allow(clippy::too_many_arguments)]
-fn ecol(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    by_x: &[Vec<StageId>],
-    m1: usize,
-    m2: usize,
-    d_in: &[OutComm],
-    bw_cap: f64,
-) -> Option<(f64, ColState)> {
-    let p = pf.p as usize;
-    let ymax = spg.elevation() as usize;
-
-    // Which stages live in this column, grouped by y-level.
-    let mut in_column = vec![false; spg.n()];
-    let mut by_y: Vec<Vec<StageId>> = vec![Vec::new(); ymax + 1];
-    for level in by_x.iter().take(m2 + 1).skip(m1) {
-        for &s in level {
-            in_column[s.idx()] = true;
-            by_y[spg.label(s).y as usize].push(s);
-        }
-    }
-
-    // Initial state: split incoming communications into deliveries (dest in
-    // this column) and pass-throughs (re-emitted at the same row).
-    let mut init = ColState {
-        vload_down: vec![0.0; p.saturating_sub(1)],
-        vload_up: vec![0.0; p.saturating_sub(1)],
-        ..Default::default()
-    };
-    for c in d_in {
-        if in_column[c.dest.idx()] {
-            init.pending_in.push((c.row, c.volume, c.dest.0));
-        } else {
-            init.out.push(*c);
-        }
-    }
-
-    // cells[g][u]: levels 1..=g placed using the first u rows.
-    let mut cells: Vec<Vec<Option<(f64, ColState)>>> = vec![vec![None; p + 1]; ymax + 1];
-    cells[0][0] = Some((0.0, init));
-
-    for g in 0..=ymax {
-        for u in 0..p {
-            let Some((base_energy, _)) = cells[g][u].as_ref().map(|(e, _)| (*e, ())) else {
-                continue;
-            };
-            for g2 in g..=ymax {
-                // Quick dominance: skip if target already at least as good
-                // with zero additional cost (empty group case handled by
-                // cost >= 0).
-                let group: Vec<StageId> =
-                    (g + 1..=g2).flat_map(|y| by_y[y].iter().copied()).collect();
-                let state = &cells[g][u].as_ref().unwrap().1;
-                let Some((cost, new_state)) =
-                    place_group(spg, pf, period, state, &group, &in_column, u as u32, bw_cap)
-                else {
-                    continue;
-                };
-                let cand = base_energy + cost;
-                if cells[g2][u + 1].as_ref().is_none_or(|(e, _)| cand < *e) {
-                    cells[g2][u + 1] = Some((cand, new_state));
-                }
-            }
-        }
-    }
-
-    let (energy, state) = cells[ymax][p].take()?;
-    debug_assert!(state.pending_in.is_empty(), "undelivered incoming comms");
-    debug_assert!(state.pending_edge.is_empty(), "undelivered internal edges");
-    Some((energy, state))
-}
-
-/// Places one y-group on core row `row` of the current column, updating the
-/// carried state. Returns `None` when the period or a vertical link's
-/// bandwidth would be violated.
-#[allow(clippy::too_many_arguments)]
-fn place_group(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    state: &ColState,
-    group: &[StageId],
-    in_column: &[bool],
-    row: u32,
-    bw_cap: f64,
-) -> Option<(f64, ColState)> {
-    if group.is_empty() {
-        return Some((0.0, state.clone()));
-    }
-    let work: f64 = group.iter().map(|s| spg.weight(*s)).sum();
-    let mut cost = pf.power.best_compute_energy(work, period)?;
-    let mut st = state.clone();
-    let members = |sid: u32| group.iter().any(|s| s.0 == sid);
-    for s in group {
-        st.row_of.push((s.0, row));
-    }
-
-    // Deliver incoming communications destined to this group.
-    let mut kept = Vec::with_capacity(st.pending_in.len());
-    for (from_row, vol, dest) in st.pending_in.drain(..) {
-        if members(dest) {
-            cost += add_vertical(
-                &mut st.vload_down,
-                &mut st.vload_up,
-                pf,
-                from_row,
-                row,
-                vol,
-                bw_cap,
-            )?;
-        } else {
-            kept.push((from_row, vol, dest));
-        }
-    }
-    st.pending_in = kept;
-
-    // Deliver intra-column edges whose destination just got placed.
-    let mut kept = Vec::with_capacity(st.pending_edge.len());
-    for (from_row, vol, dest) in st.pending_edge.drain(..) {
-        if members(dest) {
-            cost += add_vertical(
-                &mut st.vload_down,
-                &mut st.vload_up,
-                pf,
-                from_row,
-                row,
-                vol,
-                bw_cap,
-            )?;
-        } else {
-            kept.push((from_row, vol, dest));
-        }
-    }
-    st.pending_edge = kept;
-
-    // Outgoing edges of the newly placed stages.
-    for s in group {
-        for (_, e) in spg.out_edges(*s) {
-            let d = e.dst;
-            if members(d.0) {
-                continue; // same core, free
-            }
-            if in_column[d.idx()] {
-                if let Some(&(_, rd)) = st.row_of.iter().find(|&&(sid, _)| sid == d.0) {
-                    cost += add_vertical(
-                        &mut st.vload_down,
-                        &mut st.vload_up,
-                        pf,
-                        row,
-                        rd,
-                        e.volume,
-                        bw_cap,
-                    )?;
-                } else {
-                    st.pending_edge.push((row, e.volume, d.0));
-                }
-            } else {
-                st.out.push(OutComm {
-                    row,
-                    volume: e.volume,
-                    dest: d,
-                });
-            }
-        }
-    }
-    Some((cost, st))
-}
-
-/// Adds `vol` bytes to every vertical link between `from_row` and `to_row`
-/// (direction-aware), checking bandwidth, and returns the hop energy.
-fn add_vertical(
-    down: &mut [f64],
-    up: &mut [f64],
-    pf: &Platform,
-    from_row: u32,
-    to_row: u32,
-    vol: f64,
-    bw_cap: f64,
-) -> Option<f64> {
-    if from_row == to_row {
-        return Some(0.0);
-    }
-    let (a, b) = (from_row.min(to_row) as usize, from_row.max(to_row) as usize);
-    let loads = if to_row > from_row { down } else { up };
-    for link in loads.iter_mut().take(b).skip(a) {
-        *link += vol;
-        if *link > bw_cap {
-            return None;
-        }
-    }
-    Some(pf.hop_energy(vol) * (b - a) as f64)
 }
 
 #[cfg(test)]
@@ -415,11 +589,15 @@ mod tests {
     use spg::{chain, parallel_many, SpgGenConfig};
     use std::collections::HashSet;
 
+    fn run(inst: &Instance, ctx: SolveCtx) -> Result<Solution, Failure> {
+        dpa2d_run(inst, &ctx)
+    }
+
     #[test]
     fn single_column_when_period_is_loose() {
         let pf = Platform::paper(4, 4);
         let g = chain(&[1e6; 10], &[1e3; 9]);
-        let sol = dpa2d_run(&Instance::new(g, pf, 1.0)).unwrap();
+        let sol = run(&Instance::new(g, pf, 1.0), SolveCtx::new(0)).unwrap();
         assert_eq!(sol.eval.active_cores, 1, "a loose pipeline fits one core");
     }
 
@@ -430,10 +608,10 @@ mod tests {
         let g = chain(&[0.9e9; 8], &[1e3; 7]);
         // 8 stages of 0.9e9 cycles at T=1s need 8 cores -> must fail with
         // only 4 columns.
-        assert!(dpa2d_run(&Instance::new(g, pf.clone(), 1.0)).is_err());
+        assert!(run(&Instance::new(g, pf.clone(), 1.0), SolveCtx::new(0)).is_err());
         // 4 stages fit (one per column).
         let g = chain(&[0.9e9; 4], &[1e3; 3]);
-        let sol = dpa2d_run(&Instance::new(g, pf, 1.0)).unwrap();
+        let sol = run(&Instance::new(g, pf, 1.0), SolveCtx::new(0)).unwrap();
         assert_eq!(sol.eval.active_cores, 4);
     }
 
@@ -446,7 +624,7 @@ mod tests {
             .map(|_| chain(&[1e3, 0.8e9, 0.8e9, 1e3], &[1e4; 3]))
             .collect();
         let g = parallel_many(&branches);
-        let sol = dpa2d_run(&Instance::new(g, pf, 1.0)).unwrap();
+        let sol = run(&Instance::new(g, pf, 1.0), SolveCtx::new(0)).unwrap();
         // 8 heavy inner stages; needs well over 4 cores, across rows.
         assert!(sol.eval.active_cores > 4);
         let rows: HashSet<u32> = sol.mapping.alloc.iter().map(|c| c.u).collect();
@@ -468,7 +646,7 @@ mod tests {
         // DP-internal feasibility equals the evaluator's: whenever the DP
         // returns an allocation, validation must succeed.
         for t in [1.0, 0.1, 0.02] {
-            if let Ok(alloc) = dpa2d_alloc(&g, &pf, t) {
+            if let Ok(alloc) = dpa2d_alloc(&g, &pf, t, &SolveCtx::new(0)).0 {
                 let speed = assign_min_speeds(&g, &pf, &alloc, t).unwrap();
                 let m = Mapping {
                     alloc,
@@ -484,6 +662,89 @@ mod tests {
     fn infeasible_period_fails() {
         let pf = Platform::paper(2, 2);
         let g = chain(&[3e9, 1.0], &[1.0]);
-        assert!(dpa2d_run(&Instance::new(g, pf, 1.0)).is_err());
+        assert!(run(&Instance::new(g, pf, 1.0), SolveCtx::new(0)).is_err());
+    }
+
+    /// The work counts of two fixed 20-stage instances, one solved and one
+    /// failing, between them exercising every rejection cause. The counts
+    /// must not depend on the pool width.
+    #[test]
+    fn work_counts_are_pinned_and_width_independent() {
+        use rand::SeedableRng;
+        let cases = [
+            (
+                1,
+                0.005,
+                true,
+                Dpa2dWork {
+                    outer_cells: 30,
+                    ecol_calls: 135,
+                    place_calls: 2456,
+                    work_pruned: 0,
+                    period_rejects: 120,
+                    vertical_rejects: 26,
+                    horizontal_rejects: 4,
+                },
+            ),
+            (
+                5,
+                0.003,
+                false,
+                Dpa2dWork {
+                    outer_cells: 12,
+                    ecol_calls: 33,
+                    place_calls: 399,
+                    work_pruned: 8,
+                    period_rejects: 63,
+                    vertical_rejects: 20,
+                    horizontal_rejects: 6,
+                },
+            ),
+        ];
+        let pf = Platform::paper(3, 3);
+        for (seed, period, solves, expected) in cases {
+            let cfg = SpgGenConfig {
+                n: 20,
+                elevation: 3,
+                ccr: Some(0.01),
+                ..Default::default()
+            };
+            let g = spg::random_spg(&cfg, &mut rand_chacha::ChaCha8Rng::seed_from_u64(seed));
+            for width in [1, 2] {
+                let (alloc, work) = rayon::ThreadPool::new(width)
+                    .install(|| dpa2d_alloc(&g, &pf, period, &SolveCtx::new(0)));
+                assert_eq!(alloc.is_ok(), solves, "seed {seed}, width {width}");
+                assert_eq!(work, expected, "seed {seed}, width {width}");
+            }
+        }
+    }
+
+    fn vocoder_4x4() -> Instance {
+        let spec = spg::STREAMIT_SPECS
+            .iter()
+            .find(|s| s.name == "Vocoder")
+            .unwrap();
+        let g = spg::streamit_workflow(spec, 2011);
+        Instance::for_utilisation(g, Platform::paper(4, 4), 0.3)
+    }
+
+    /// The deadline is polled inside the DP, not only at solver entry.
+    #[test]
+    fn deadline_expires_inside_the_outer_dp() {
+        let inst = vocoder_4x4();
+        let ctx = SolveCtx::budgeted(0, std::time::Duration::from_millis(1));
+        match run(&inst, ctx) {
+            Err(Failure::TooExpensive(b)) => assert_eq!(b.phase, BudgetPhase::Deadline),
+            other => panic!("expected a deadline failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_generous_deadline_changes_no_energy() {
+        let inst = vocoder_4x4();
+        let free = run(&inst, SolveCtx::new(0)).unwrap();
+        let ctx = SolveCtx::budgeted(0, std::time::Duration::from_secs(3600));
+        let bounded = run(&inst, ctx).unwrap();
+        assert_eq!(free.energy().to_bits(), bounded.energy().to_bits());
     }
 }

@@ -17,11 +17,12 @@ use cmp_platform::{snake_core, RoutePolicy};
 use crate::common::{validated_with, Failure, Solution};
 use crate::dpa2d::dpa2d_alloc;
 use crate::instance::Instance;
+use crate::solver::SolveCtx;
 
 /// Runs `DPA2D1D`: `DPA2D` on a virtual `1 × pq` platform, snaked onto the
 /// physical grid and validated with the instance's cached snake route
 /// table.
-pub(crate) fn dpa2d1d_run(inst: &Instance) -> Result<Solution, Failure> {
+pub(crate) fn dpa2d1d_run(inst: &Instance, ctx: &SolveCtx) -> Result<Solution, Failure> {
     let (spg, pf, period) = (inst.spg(), inst.platform(), inst.period());
     if pf.is_faulted() {
         // The virtual 1×r platform cannot express faults at physical
@@ -32,7 +33,7 @@ pub(crate) fn dpa2d1d_run(inst: &Instance) -> Result<Solution, Failure> {
     }
     let r = pf.n_cores() as u32;
     let virt = pf.reshaped(1, r);
-    let valloc = dpa2d_alloc(spg, &virt, period)?;
+    let valloc = dpa2d_alloc(spg, &virt, period, ctx).0?;
     // Virtual core (0, j) becomes snake position j on the physical grid.
     let alloc: Vec<_> = valloc
         .into_iter()
@@ -64,7 +65,7 @@ mod tests {
         // all p*q snake positions.
         let pf = Platform::paper(4, 4);
         let g = chain(&[0.9e9; 8], &[1e3; 7]);
-        let sol = dpa2d1d_run(&Instance::new(g, pf, 1.0)).unwrap();
+        let sol = dpa2d1d_run(&Instance::new(g, pf, 1.0), &SolveCtx::new(0)).unwrap();
         assert_eq!(sol.eval.active_cores, 8);
     }
 
@@ -72,7 +73,7 @@ mod tests {
     fn loose_period_single_core() {
         let pf = Platform::paper(4, 4);
         let g = chain(&[1e6; 10], &[1e3; 9]);
-        let sol = dpa2d1d_run(&Instance::new(g, pf, 1.0)).unwrap();
+        let sol = dpa2d1d_run(&Instance::new(g, pf, 1.0), &SolveCtx::new(0)).unwrap();
         assert_eq!(sol.eval.active_cores, 1);
     }
 
@@ -87,7 +88,7 @@ mod tests {
             .map(|_| chain(&[1e3, 0.3e9, 0.3e9, 1e3], &[1e4; 3]))
             .collect();
         let g = parallel_many(&branches);
-        let sol = dpa2d1d_run(&Instance::new(g, pf, 1.0)).unwrap();
+        let sol = dpa2d1d_run(&Instance::new(g, pf, 1.0), &SolveCtx::new(0)).unwrap();
         assert!(sol.eval.active_cores >= 2);
     }
 
@@ -95,6 +96,6 @@ mod tests {
     fn infeasible_fails() {
         let pf = Platform::paper(2, 2);
         let g = chain(&[3e9, 1.0], &[1.0]);
-        assert!(dpa2d1d_run(&Instance::new(g, pf, 1.0)).is_err());
+        assert!(dpa2d1d_run(&Instance::new(g, pf, 1.0), &SolveCtx::new(0)).is_err());
     }
 }

@@ -51,11 +51,12 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::AssertUnwindSafe;
 #[cfg(unix)]
 use std::path::Path;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -134,6 +135,26 @@ const SHUTDOWN_STALL_LIMIT: Duration = Duration::from_millis(500);
 /// full socket buffer).
 const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Locks `m`, recovering the guard when a panicking holder poisoned it.
+/// No solver code runs under the service's locks, only short cache and
+/// histogram updates, so one panic there must not fail every later
+/// request.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f`, turning a panic into its message (the `internal` error
+/// frame's text) instead of unwinding into the caller's thread.
+fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into())
+    })
+}
+
 /// How many jobs the scheduler thread drains per batch. Bounds the width
 /// of one [`Portfolio::run_batch`] wave; a drain never blocks waiting to
 /// fill the batch, so the cap only matters under real backlog.
@@ -159,6 +180,11 @@ impl Service {
     /// With [`ServeConfig::batching`] on, this also spawns the scheduler
     /// thread.
     pub fn new(cfg: ServeConfig) -> Self {
+        Service::with_registry(cfg, SolverRegistry::with_defaults())
+    }
+
+    /// [`Service::new`] resolving request solver names against `registry`.
+    pub(crate) fn with_registry(cfg: ServeConfig, registry: SolverRegistry) -> Self {
         let mut cache = ArtifactCache::new(cfg.cache_bytes);
         let mut spill_stats = SpillStats::default();
         if let Some(dir) = &cfg.cache_dir {
@@ -170,12 +196,13 @@ impl Service {
         let (queue_cap, batching) = (cfg.queue_cap, cfg.batching);
         let core = Arc::new(ServiceCore {
             cfg,
-            registry: SolverRegistry::with_defaults(),
+            registry,
             cache: Mutex::new(cache),
             queue: SolveQueue::new(queue_cap),
             shutdown: std::sync::atomic::AtomicBool::new(false),
             requests: AtomicU64::new(0),
             bad_requests: AtomicU64::new(0),
+            internal_errors: AtomicU64::new(0),
             cold: Mutex::new(LatencyHistogram::new()),
             warm: Mutex::new(LatencyHistogram::new()),
             spill_loaded: spill_stats.loaded,
@@ -218,7 +245,7 @@ impl Drop for Service {
         // Closing the queue wakes the scheduler, which drains whatever is
         // already queued (answering every waiter) and exits.
         self.core.request_shutdown();
-        if let Some(worker) = self.worker.lock().unwrap().take() {
+        if let Some(worker) = lock(&self.worker).take() {
             let _ = worker.join();
         }
     }
@@ -247,6 +274,8 @@ pub struct ServiceCore {
     shutdown: std::sync::atomic::AtomicBool,
     requests: AtomicU64,
     bad_requests: AtomicU64,
+    /// Requests answered `internal` because their handling panicked.
+    internal_errors: AtomicU64,
     cold: Mutex<LatencyHistogram>,
     warm: Mutex<LatencyHistogram>,
     /// Artifacts reloaded from the spill directory at startup.
@@ -314,21 +343,21 @@ impl ServiceCore {
 
     /// Artifact-cache counter snapshot.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().unwrap().stats()
+        lock(&self.cache).stats()
     }
 
     /// Recent evictions, oldest first (see
     /// [`ArtifactCache::eviction_log`]).
     pub fn eviction_log(&self) -> Vec<ArtifactKey> {
-        self.cache.lock().unwrap().eviction_log().to_vec()
+        lock(&self.cache).eviction_log().to_vec()
     }
 
     /// Handles one request frame and returns the response frame. Never
-    /// panics on malformed input — bad requests get a `bad_request` error
-    /// frame.
+    /// panics: bad requests get a `bad_request` error frame, and a panic
+    /// while handling one (a solver bug) gets an `internal` one.
     pub fn handle(&self, frame: &Json) -> Json {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let response = match parse_request(frame) {
+        let response = isolate(|| match parse_request(frame) {
             Err(msg) => error_response("bad_request", &msg),
             Ok(Request::Ping) => ok_response(obj([("pong", Json::from(true))])),
             Ok(Request::Stats) => ok_response(self.stats_json()),
@@ -338,7 +367,8 @@ impl ServiceCore {
             }
             Ok(Request::Solve(req)) => self.dispatch_solve(req),
             Ok(Request::Sweep(req)) => self.sweep(&req),
-        };
+        })
+        .unwrap_or_else(|msg| self.internal_error(&msg));
         // Count every bad_request, whether it failed at the frame, the
         // request grammar, or resolution (unknown workload/solver).
         let kind = response
@@ -351,12 +381,22 @@ impl ServiceCore {
         response
     }
 
+    /// Counts and builds the `internal` error frame of a request whose
+    /// handling panicked.
+    fn internal_error(&self, panic: &str) -> Json {
+        self.internal_errors.fetch_add(1, Ordering::Relaxed);
+        error_response(
+            "internal",
+            &format!("handling the request panicked: {panic}"),
+        )
+    }
+
     /// The `stats` payload: request counters, cache counters, and
     /// warm/cold latency distributions.
     pub fn stats_json(&self) -> Json {
         let cache = self.cache_stats();
         let hist = |h: &Mutex<LatencyHistogram>| {
-            let h = h.lock().unwrap();
+            let h = lock(h);
             obj([
                 ("count", Json::from(h.count())),
                 ("mean_ms", Json::from(h.mean() / 1e6)),
@@ -374,6 +414,10 @@ impl ServiceCore {
             (
                 "bad_requests",
                 Json::from(self.bad_requests.load(Ordering::Relaxed)),
+            ),
+            (
+                "internal_errors",
+                Json::from(self.internal_errors.load(Ordering::Relaxed)),
             ),
             (
                 "cache",
@@ -490,12 +534,11 @@ impl ServiceCore {
     fn estimate_solve_ns(&self, workload: &spg::Spg, req: &SolveReq) -> u64 {
         let keys = Self::request_keys(workload, req);
         let resident = {
-            let cache = self.cache.lock().unwrap();
+            let cache = lock(&self.cache);
             keys.iter().all(|k| cache.contains(k))
         };
         let hist = if resident { &self.warm } else { &self.cold };
-        let hist = hist.lock().unwrap();
-        hist.percentile(0.5)
+        lock(hist).percentile(0.5)
     }
 
     /// The full request-identity fingerprint used for single-flight
@@ -556,7 +599,7 @@ impl ServiceCore {
             }
         };
         let mut hits = [false; 3];
-        let mut cache = self.cache.lock().unwrap();
+        let mut cache = lock(&self.cache);
         for (i, key) in keys.iter().enumerate() {
             if let Some(artifact) = cache.get(key) {
                 hits[i] = true;
@@ -598,7 +641,7 @@ impl ServiceCore {
             platform,
             ceiling: ceiling.to_bits(),
         };
-        let mut cache = self.cache.lock().unwrap();
+        let mut cache = lock(&self.cache);
         match cache.get(&key) {
             Some(Artifact::Skeleton(s)) => {
                 inst.seed_skeleton(s);
@@ -623,7 +666,7 @@ impl ServiceCore {
     ) -> Vec<(ArtifactKey, Artifact)> {
         let policy = inst.platform().policy;
         let mut fresh = Vec::new();
-        let mut cache = self.cache.lock().unwrap();
+        let mut cache = lock(&self.cache);
         if !hits[0] {
             if let Some(l) = inst.cached_lattice() {
                 let a = Artifact::Lattice(l);
@@ -692,7 +735,7 @@ impl ServiceCore {
 
     fn record_latency(&self, warm: bool, nanos: u64) {
         let hist = if warm { &self.warm } else { &self.cold };
-        hist.lock().unwrap().record(nanos);
+        lock(hist).record(nanos);
     }
 
     /// Routes a decoded solve. With batching on, the request is
@@ -738,6 +781,7 @@ impl ServiceCore {
                 predicted_wait_ns,
                 queue_depth,
             } => overloaded_response(predicted_wait_ns, queue_depth),
+            // Inline, on this connection thread: `handle` catches a panic.
             Admission::Draining(job) => self.solve_job(*job),
         }
     }
@@ -747,7 +791,9 @@ impl ServiceCore {
     /// [`Portfolio::run_batch`] wave, then fan each response to its
     /// waiters. Coalesced waiters receive a byte-identical clone of the
     /// leader's frame (including `wall_ms` — they shared the solve, so
-    /// they share its latency sample too).
+    /// they share its latency sample too). A job whose preparation, solve
+    /// or response panics is answered `internal`; the rest of the batch,
+    /// and the scheduler thread, carry on.
     fn run_batch_jobs(&self, jobs: Vec<SolveJob>) {
         let total = jobs.len() as u64;
         let mut groups: Vec<(SolveJob, Vec<mpsc::Sender<Json>>)> = Vec::new();
@@ -778,31 +824,53 @@ impl ServiceCore {
                         tx,
                         ..
                     } = job;
-                    let p = self.prepare_solve(workload, solvers, &req, arrival);
+                    let p = isolate(|| self.prepare_solve(workload, solvers, &req, arrival));
                     (p, req, arrival, tx, extras)
                 })
                 .collect()
         };
-        let reports: Vec<PortfolioReport> = {
-            let pairs: Vec<(&Portfolio, &Instance)> = prepared
-                .iter()
-                .map(|(p, ..)| (&p.portfolio, &p.inst))
-                .collect();
-            match pairs.as_slice() {
-                // A batch of one is exactly a plain run; skip the
-                // flattening (identical report either way).
-                [(portfolio, inst)] => vec![portfolio.run(inst)],
-                _ => Portfolio::run_batch(&pairs),
+        let ready: Vec<&PreparedSolve> = prepared
+            .iter()
+            .filter_map(|(p, ..)| p.as_ref().ok())
+            .collect();
+        let mut reports = Self::run_wave(&ready).into_iter();
+        for (p, req, arrival, tx, extras) in &prepared {
+            let response = match p {
+                Ok(p) => reports
+                    .next()
+                    .expect("one report per prepared solve")
+                    .and_then(|report| isolate(|| self.finish_solve(p, &report, req, *arrival))),
+                Err(msg) => Err(msg.clone()),
             }
-        };
-        for ((p, req, arrival, tx, extras), report) in prepared.iter().zip(&reports) {
-            let response = self.finish_solve(p, report, req, *arrival);
+            .unwrap_or_else(|msg| self.internal_error(&msg));
             for extra in extras {
                 let _ = extra.send(response.clone());
             }
             let _ = tx.send(response);
         }
         self.queue.batch_done(total, deduped);
+    }
+
+    /// Runs prepared solves as one portfolio wave. A panic anywhere in the
+    /// wave re-runs each solve alone, so only the panicking ones fail:
+    /// solves are deterministic, so the others' answers do not change.
+    fn run_wave(ready: &[&PreparedSolve]) -> Vec<Result<PortfolioReport, String>> {
+        let pairs: Vec<(&Portfolio, &Instance)> =
+            ready.iter().map(|p| (&p.portfolio, &p.inst)).collect();
+        let wave = isolate(|| match pairs.as_slice() {
+            // A batch of one is exactly a plain run; skip the flattening
+            // (identical report either way).
+            [(portfolio, inst)] => vec![portfolio.run(inst)],
+            _ => Portfolio::run_batch(&pairs),
+        });
+        match wave {
+            Ok(reports) => reports.into_iter().map(Ok).collect(),
+            Err(msg) if pairs.len() == 1 => vec![Err(msg)],
+            Err(_) => pairs
+                .iter()
+                .map(|(portfolio, inst)| isolate(|| portfolio.run(inst)))
+                .collect(),
+        }
     }
 
     /// Runs one job inline (the post-shutdown drain path).
@@ -1772,5 +1840,135 @@ mod tests {
         let bye = svc.handle(&Json::parse(r#"{"op":"shutdown"}"#).unwrap());
         assert_eq!(bye.get("ok").and_then(Json::as_bool), Some(true));
         assert!(svc.shutdown_requested());
+    }
+
+    /// A solver that always panics, standing in for a solver bug.
+    struct Boom;
+
+    impl crate::solver::Solver for Boom {
+        fn name(&self) -> &str {
+            "Boom"
+        }
+
+        fn solve(
+            &self,
+            _: &Instance,
+            _: &crate::solver::SolveCtx,
+        ) -> Result<crate::common::Solution, crate::common::Failure> {
+            panic!("deliberate solver panic")
+        }
+    }
+
+    fn boom_registry() -> SolverRegistry {
+        let mut registry = SolverRegistry::with_defaults();
+        registry.register(Arc::new(Boom));
+        registry
+    }
+
+    fn boom_frame() -> Json {
+        let mut frame = solve_frame(5);
+        if let Json::Obj(fields) = &mut frame {
+            fields.insert("solvers".into(), Json::from("boom"));
+        }
+        frame
+    }
+
+    fn error_kind(resp: &Json) -> Option<&str> {
+        resp.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str)
+    }
+
+    /// A panicking solve costs its own request, not the daemon: it is
+    /// answered `internal` over the socket, counted in `stats`, and the
+    /// scheduler thread goes on to solve the next request.
+    #[test]
+    fn a_panicking_solver_costs_one_request_not_the_daemon() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let server = Server {
+            listener: ListenerKind::Tcp(listener),
+            service: Arc::new(Service::with_registry(
+                ServeConfig::default(),
+                boom_registry(),
+            )),
+        };
+        let addr = server.local_addr().unwrap();
+        let daemon = std::thread::spawn(move || server.run().unwrap());
+        let mut client = super::super::Client::connect_tcp(addr).unwrap();
+
+        let resp = client.request(&boom_frame()).unwrap();
+        assert_eq!(error_kind(&resp), Some("internal"), "{resp}");
+        let resp = client.request(&solve_frame(5)).unwrap();
+        assert!(
+            resp.get("result").and_then(|r| r.get("energy")).is_some(),
+            "the next request must still solve: {resp}"
+        );
+        let stats = client.stats().unwrap();
+        let internal = stats
+            .get("result")
+            .and_then(|r| r.get("internal_errors"))
+            .and_then(Json::as_f64);
+        assert_eq!(internal, Some(1.0));
+
+        client.shutdown().unwrap();
+        daemon.join().unwrap();
+    }
+
+    /// After shutdown, a panicking solve runs inline on the connection
+    /// thread (or, racing the drain, on the scheduler): either way it is
+    /// answered `internal`, and the next solve still succeeds.
+    #[test]
+    fn a_panic_after_shutdown_is_answered_internal() {
+        let svc = Service::with_registry(ServeConfig::default(), boom_registry());
+        let _ = svc.handle(&Json::parse(r#"{"op":"shutdown"}"#).unwrap());
+        let resp = svc.handle(&boom_frame());
+        assert_eq!(error_kind(&resp), Some("internal"), "{resp}");
+        let resp = svc.handle(&solve_frame(7));
+        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
+    }
+
+    /// In a batch, only the panicking job fails: its batch-mate gets the
+    /// same frame it gets when solved alone.
+    #[test]
+    fn a_panic_in_a_batch_fails_only_its_own_job() {
+        let svc = Service::with_registry(
+            ServeConfig {
+                batching: false,
+                ..ServeConfig::default()
+            },
+            boom_registry(),
+        );
+        let job = |frame: &Json| {
+            let Ok(Request::Solve(req)) = parse_request(frame) else {
+                panic!("fixture must parse as a solve");
+            };
+            let workload = req.workload.instantiate().unwrap();
+            let solvers = svc.solvers_for(req.solvers.as_deref()).unwrap();
+            let dedup = svc.request_fingerprint(&workload, &req, &solvers);
+            let (tx, rx) = mpsc::channel();
+            let job = SolveJob {
+                req,
+                workload,
+                solvers,
+                dedup,
+                est_ns: 0,
+                deadline_ns: None,
+                arrival: Instant::now(),
+                tx,
+            };
+            (job, rx)
+        };
+        let (bad, bad_rx) = job(&boom_frame());
+        let (good, good_rx) = job(&solve_frame(5));
+        svc.run_batch_jobs(vec![bad, good]);
+        let bad = bad_rx.recv().unwrap();
+        assert_eq!(error_kind(&bad), Some("internal"), "{bad}");
+        let good = good_rx.recv().unwrap();
+        let alone = Service::new(ServeConfig::default()).handle(&solve_frame(5));
+        assert_eq!(
+            result_of(&good).get("energy"),
+            result_of(&alone).get("energy")
+        );
+        assert_eq!(svc.scheduler_stats().batches, 1);
     }
 }

@@ -18,9 +18,9 @@ use crate::instance::Instance;
 /// optional wall-clock deadline.
 ///
 /// Deadline checking is **coarse-grained**: solvers test it at their entry
-/// (and between major phases where natural), not inside inner loops, so a
-/// budget bounds when new work *starts* rather than preempting running DP
-/// sweeps.
+/// (and between major phases where natural), so a budget mostly bounds
+/// when new work *starts*. `DPA2D` and `DPA2D1D` also poll it once per
+/// outer DP cell; the other solvers' DP sweeps still run to completion.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolveCtx {
     /// Seed for randomized solvers (only `Random` draws from it today).

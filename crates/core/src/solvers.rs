@@ -99,7 +99,7 @@ impl Solver for Dpa2d {
     fn solve(&self, inst: &Instance, ctx: &SolveCtx) -> Result<Solution, Failure> {
         ctx.check_budget()?;
         reject_infeasible(inst)?;
-        crate::dpa2d::dpa2d_run(inst)
+        crate::dpa2d::dpa2d_run(inst, ctx)
     }
 }
 
@@ -137,7 +137,7 @@ impl Solver for Dpa2d1d {
     fn solve(&self, inst: &Instance, ctx: &SolveCtx) -> Result<Solution, Failure> {
         ctx.check_budget()?;
         reject_infeasible(inst)?;
-        crate::dpa2d1d::dpa2d1d_run(inst)
+        crate::dpa2d1d::dpa2d1d_run(inst, ctx)
     }
 }
 

@@ -1,0 +1,255 @@
+//! Golden `DPA2D` and `DPA2D1D` outcomes: the bit pattern of every energy,
+//! or the exact failure message, on the 12 StreamIt flows (4×4 and 6×6
+//! meshes, utilisation 0.3 and 0.5) and on seeded random SPGs (n = 50,
+//! elevation 2/4/16, CCR 10/0.1, on 4×4 at utilisation 0.3/0.5 and at the
+//! decade period 0.01 s).
+//!
+//! The values were recorded from the nested DP as it stood before it was
+//! rewritten to allocate nothing per candidate; the rewrite promises the
+//! same floating-point operations in the same order, so every row must
+//! still match bit for bit at any pool width. Do not regenerate the table
+//! to make a change pass: a differing row is a changed answer.
+//!
+//! Rows marked `tier1` run in the default suite (well under five seconds
+//! in the debug profile); the rest run with `--include-ignored`.
+
+use rand::SeedableRng;
+use spg_cmp::prelude::*;
+
+/// What one solver must return on one instance.
+#[derive(Debug, Clone, Copy)]
+enum Expect {
+    /// `f64::to_bits` of the solution's energy.
+    Energy(u64),
+    /// The failure's `Display` text.
+    Fails(&'static str),
+}
+use Expect::{Energy, Fails};
+
+/// `(instance key, solver, tier1, expected outcome)`.
+#[rustfmt::skip]
+const GOLDEN: &[(&str, &str, bool, Expect)] = &[
+    ("streamit:Beamformer p4x4 u0.3", "DPA2D", true, Energy(0x3f997043bf007322)),
+    ("streamit:Beamformer p4x4 u0.3", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:ChannelVocoder p4x4 u0.3", "DPA2D", true, Energy(0x3f963cee9029ff29)),
+    ("streamit:ChannelVocoder p4x4 u0.3", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:Filterbank p4x4 u0.3", "DPA2D", false, Energy(0x3fa1d47d7062c12b)),
+    ("streamit:Filterbank p4x4 u0.3", "DPA2D1D", false, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:FMRadio p4x4 u0.3", "DPA2D", true, Energy(0x3f9325083faa37f7)),
+    ("streamit:FMRadio p4x4 u0.3", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:Vocoder p4x4 u0.3", "DPA2D", false, Energy(0x3fa9f922584ad038)),
+    ("streamit:Vocoder p4x4 u0.3", "DPA2D1D", false, Energy(0x3fb50741c9ad7498)),
+    ("streamit:BitonicSort p4x4 u0.3", "DPA2D", true, Energy(0x3f99f13522ac5e2e)),
+    ("streamit:BitonicSort p4x4 u0.3", "DPA2D1D", true, Energy(0x3f904c9199676c9e)),
+    ("streamit:DCT p4x4 u0.3", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:DCT p4x4 u0.3", "DPA2D1D", true, Energy(0x3f744a29025594b0)),
+    ("streamit:DES p4x4 u0.3", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:DES p4x4 u0.3", "DPA2D1D", true, Energy(0x3f92ce971d2e0690)),
+    ("streamit:FFT p4x4 u0.3", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:FFT p4x4 u0.3", "DPA2D1D", true, Energy(0x3f79939e9836b527)),
+    ("streamit:MPEG2-noparser p4x4 u0.3", "DPA2D", true, Energy(0x3f9203c1f0c9653b)),
+    ("streamit:MPEG2-noparser p4x4 u0.3", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:Serpent p4x4 u0.3", "DPA2D", false, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:Serpent p4x4 u0.3", "DPA2D1D", false, Energy(0x3fa6f169c886d109)),
+    ("streamit:TDE p4x4 u0.3", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:TDE p4x4 u0.3", "DPA2D1D", true, Energy(0x3f870ec10269827d)),
+    ("streamit:Beamformer p4x4 u0.5", "DPA2D", true, Energy(0x3fa46c4a06fd3c8e)),
+    ("streamit:Beamformer p4x4 u0.5", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:ChannelVocoder p4x4 u0.5", "DPA2D", true, Energy(0x3fa1c0d2396a84df)),
+    ("streamit:ChannelVocoder p4x4 u0.5", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:Filterbank p4x4 u0.5", "DPA2D", true, Energy(0x3fa836846c6b176d)),
+    ("streamit:Filterbank p4x4 u0.5", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:FMRadio p4x4 u0.5", "DPA2D", true, Energy(0x3f9d642f0f3bf224)),
+    ("streamit:FMRadio p4x4 u0.5", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:Vocoder p4x4 u0.5", "DPA2D", false, Energy(0x3fb3ee327fd49233)),
+    ("streamit:Vocoder p4x4 u0.5", "DPA2D1D", false, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:BitonicSort p4x4 u0.5", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:BitonicSort p4x4 u0.5", "DPA2D1D", true, Energy(0x3f96944e86de472e)),
+    ("streamit:DCT p4x4 u0.5", "DPA2D", true, Fails("no valid mapping: stage 1 exceeds the fastest speed at T = 0.0005068810398712535")),
+    ("streamit:DCT p4x4 u0.5", "DPA2D1D", true, Fails("no valid mapping: stage 1 exceeds the fastest speed at T = 0.0005068810398712535")),
+    ("streamit:DES p4x4 u0.5", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:DES p4x4 u0.5", "DPA2D1D", true, Energy(0x3f97321f8fbaa662)),
+    ("streamit:FFT p4x4 u0.5", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:FFT p4x4 u0.5", "DPA2D1D", true, Energy(0x3f839fc3df9f58ad)),
+    ("streamit:MPEG2-noparser p4x4 u0.5", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:MPEG2-noparser p4x4 u0.5", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:Serpent p4x4 u0.5", "DPA2D", false, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:Serpent p4x4 u0.5", "DPA2D1D", false, Energy(0x3faa61aab3f35d7b)),
+    ("streamit:TDE p4x4 u0.5", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:TDE p4x4 u0.5", "DPA2D1D", true, Energy(0x3f8e124ed92efa8b)),
+    ("streamit:Beamformer p6x6 u0.3", "DPA2D", true, Energy(0x3f9a7d5f8c404c9e)),
+    ("streamit:Beamformer p6x6 u0.3", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:ChannelVocoder p6x6 u0.3", "DPA2D", true, Energy(0x3f9e3f903b767f81)),
+    ("streamit:ChannelVocoder p6x6 u0.3", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:Filterbank p6x6 u0.3", "DPA2D", false, Energy(0x3fa18076d7dd097f)),
+    ("streamit:Filterbank p6x6 u0.3", "DPA2D1D", false, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:FMRadio p6x6 u0.3", "DPA2D", true, Energy(0x3f97591720738c26)),
+    ("streamit:FMRadio p6x6 u0.3", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:Vocoder p6x6 u0.3", "DPA2D", false, Energy(0x3fb02fdb87a50c08)),
+    ("streamit:Vocoder p6x6 u0.3", "DPA2D1D", false, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:BitonicSort p6x6 u0.3", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:BitonicSort p6x6 u0.3", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:DCT p6x6 u0.3", "DPA2D", true, Fails("no valid mapping: stage 1 exceeds the fastest speed at T = 0.00037546743694166925")),
+    ("streamit:DCT p6x6 u0.3", "DPA2D1D", true, Fails("no valid mapping: stage 1 exceeds the fastest speed at T = 0.00037546743694166925")),
+    ("streamit:DES p6x6 u0.3", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:DES p6x6 u0.3", "DPA2D1D", true, Energy(0x3f978d3a85e4d423)),
+    ("streamit:FFT p6x6 u0.3", "DPA2D", true, Fails("no valid mapping: stage 14 exceeds the fastest speed at T = 0.0007867691250519793")),
+    ("streamit:FFT p6x6 u0.3", "DPA2D1D", true, Fails("no valid mapping: stage 14 exceeds the fastest speed at T = 0.0007867691250519793")),
+    ("streamit:MPEG2-noparser p6x6 u0.3", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:MPEG2-noparser p6x6 u0.3", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:Serpent p6x6 u0.3", "DPA2D", false, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:Serpent p6x6 u0.3", "DPA2D1D", false, Energy(0x3fa725254b880dee)),
+    ("streamit:TDE p6x6 u0.3", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:TDE p6x6 u0.3", "DPA2D1D", true, Energy(0x3f8abe4895ba2e61)),
+    ("streamit:Beamformer p6x6 u0.5", "DPA2D", true, Energy(0x3fa67823484a2909)),
+    ("streamit:Beamformer p6x6 u0.5", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:ChannelVocoder p6x6 u0.5", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:ChannelVocoder p6x6 u0.5", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:Filterbank p6x6 u0.5", "DPA2D", true, Energy(0x3fa9c674b47f96d2)),
+    ("streamit:Filterbank p6x6 u0.5", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:FMRadio p6x6 u0.5", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:FMRadio p6x6 u0.5", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:Vocoder p6x6 u0.5", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:Vocoder p6x6 u0.5", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:BitonicSort p6x6 u0.5", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:BitonicSort p6x6 u0.5", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:DCT p6x6 u0.5", "DPA2D", true, Fails("no valid mapping: stage 0 exceeds the fastest speed at T = 0.00022528046216500154")),
+    ("streamit:DCT p6x6 u0.5", "DPA2D1D", true, Fails("no valid mapping: stage 0 exceeds the fastest speed at T = 0.00022528046216500154")),
+    ("streamit:DES p6x6 u0.5", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:DES p6x6 u0.5", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:FFT p6x6 u0.5", "DPA2D", true, Fails("no valid mapping: stage 3 exceeds the fastest speed at T = 0.00047206147503118753")),
+    ("streamit:FFT p6x6 u0.5", "DPA2D1D", true, Fails("no valid mapping: stage 3 exceeds the fastest speed at T = 0.00047206147503118753")),
+    ("streamit:MPEG2-noparser p6x6 u0.5", "DPA2D", true, Fails("no valid mapping: stage 0 exceeds the fastest speed at T = 0.000708444351027205")),
+    ("streamit:MPEG2-noparser p6x6 u0.5", "DPA2D1D", true, Fails("no valid mapping: stage 0 exceeds the fastest speed at T = 0.000708444351027205")),
+    ("streamit:Serpent p6x6 u0.5", "DPA2D", false, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:Serpent p6x6 u0.5", "DPA2D1D", false, Energy(0x3fabfd1ecb9e8c69)),
+    ("streamit:TDE p6x6 u0.5", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("streamit:TDE p6x6 u0.5", "DPA2D1D", true, Energy(0x3f957cf8eb9b56c3)),
+    ("random:n50:e2:ccr10:g50020 p4x4 u0.3", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("random:n50:e2:ccr10:g50020 p4x4 u0.3", "DPA2D1D", true, Energy(0x3f94d5107cc08c4f)),
+    ("random:n50:e2:ccr10:g50020 p4x4 u0.5", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("random:n50:e2:ccr10:g50020 p4x4 u0.5", "DPA2D1D", true, Energy(0x3f99078cfd7b021f)),
+    ("random:n50:e2:ccr10:g50020 p4x4 t0.01", "DPA2D", false, Energy(0x3fa192840a6c4cfe)),
+    ("random:n50:e2:ccr10:g50020 p4x4 t0.01", "DPA2D1D", false, Energy(0x3f947b9310b2ac96)),
+    ("random:n50:e2:ccr0.1:g50021 p4x4 u0.3", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("random:n50:e2:ccr0.1:g50021 p4x4 u0.3", "DPA2D1D", true, Energy(0x3f97c797f1c9f80e)),
+    ("random:n50:e2:ccr0.1:g50021 p4x4 u0.5", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("random:n50:e2:ccr0.1:g50021 p4x4 u0.5", "DPA2D1D", true, Energy(0x3f9e21808715bf4c)),
+    ("random:n50:e2:ccr0.1:g50021 p4x4 t0.01", "DPA2D", false, Energy(0x3f9616047ab236ce)),
+    ("random:n50:e2:ccr0.1:g50021 p4x4 t0.01", "DPA2D1D", false, Energy(0x3f94faf919697b2c)),
+    ("random:n50:e4:ccr10:g50040 p4x4 u0.3", "DPA2D", true, Energy(0x3fa439eac5b1f66f)),
+    ("random:n50:e4:ccr10:g50040 p4x4 u0.3", "DPA2D1D", true, Energy(0x3f957db654042b02)),
+    ("random:n50:e4:ccr10:g50040 p4x4 u0.5", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("random:n50:e4:ccr10:g50040 p4x4 u0.5", "DPA2D1D", true, Energy(0x3f99ca9e226726e4)),
+    ("random:n50:e4:ccr10:g50040 p4x4 t0.01", "DPA2D", false, Energy(0x3f98ab6356f90a3d)),
+    ("random:n50:e4:ccr10:g50040 p4x4 t0.01", "DPA2D1D", false, Energy(0x3f949174cb5d4894)),
+    ("random:n50:e4:ccr0.1:g50041 p4x4 u0.3", "DPA2D", false, Fails("no valid mapping: no feasible column cut")),
+    ("random:n50:e4:ccr0.1:g50041 p4x4 u0.3", "DPA2D1D", false, Energy(0x3f963395a3e98466)),
+    ("random:n50:e4:ccr0.1:g50041 p4x4 u0.5", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("random:n50:e4:ccr0.1:g50041 p4x4 u0.5", "DPA2D1D", true, Energy(0x3f9c7595c239aff6)),
+    ("random:n50:e4:ccr0.1:g50041 p4x4 t0.01", "DPA2D", false, Fails("no valid mapping: cluster quotient graph has a cycle")),
+    ("random:n50:e4:ccr0.1:g50041 p4x4 t0.01", "DPA2D1D", false, Energy(0x3f93e027270c3f7d)),
+    ("random:n50:e16:ccr10:g50160 p4x4 u0.3", "DPA2D", false, Energy(0x3f99100397be5791)),
+    ("random:n50:e16:ccr10:g50160 p4x4 u0.3", "DPA2D1D", false, Energy(0x3f9d993f8b0ac4da)),
+    ("random:n50:e16:ccr10:g50160 p4x4 u0.5", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("random:n50:e16:ccr10:g50160 p4x4 u0.5", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("random:n50:e16:ccr10:g50160 p4x4 t0.01", "DPA2D", false, Energy(0x3f943942f93de473)),
+    ("random:n50:e16:ccr10:g50160 p4x4 t0.01", "DPA2D1D", false, Energy(0x3f96e97fc7a14272)),
+    ("random:n50:e16:ccr0.1:g50161 p4x4 u0.3", "DPA2D", false, Fails("no valid mapping: cluster quotient graph has a cycle")),
+    ("random:n50:e16:ccr0.1:g50161 p4x4 u0.3", "DPA2D1D", false, Fails("no valid mapping: no feasible column cut")),
+    ("random:n50:e16:ccr0.1:g50161 p4x4 u0.5", "DPA2D", true, Fails("no valid mapping: no feasible column cut")),
+    ("random:n50:e16:ccr0.1:g50161 p4x4 u0.5", "DPA2D1D", true, Fails("no valid mapping: no feasible column cut")),
+    ("random:n50:e16:ccr0.1:g50161 p4x4 t0.01", "DPA2D", false, Fails("no valid mapping: cluster quotient graph has a cycle")),
+    ("random:n50:e16:ccr0.1:g50161 p4x4 t0.01", "DPA2D1D", false, Energy(0x3fa0bf77cc1609d1)),
+];
+
+/// Builds the instance a [`GOLDEN`] key names:
+/// `streamit:<flow> p<p>x<q> u<u>` or
+/// `random:n<n>:e<elevation>:ccr<ccr>:g<seed> p<p>x<q> (u<u> | t<period>)`.
+fn instance(key: &str) -> Instance {
+    let parts: Vec<&str> = key.split(' ').collect();
+    let [work, plat, bound] = parts[..] else {
+        panic!("malformed key {key}");
+    };
+    let (p, q) = plat
+        .strip_prefix('p')
+        .and_then(|s| s.split_once('x'))
+        .map(|(p, q)| (p.parse().unwrap(), q.parse().unwrap()))
+        .unwrap_or_else(|| panic!("malformed platform in {key}"));
+    let g = if let Some(name) = work.strip_prefix("streamit:") {
+        let spec = spg::STREAMIT_SPECS
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("unknown flow {name}"));
+        spg::streamit_workflow(spec, 2011)
+    } else {
+        let fields: Vec<&str> = work.trim_start_matches("random:").split(':').collect();
+        let [n, e, ccr, seed] = fields[..] else {
+            panic!("malformed random key {key}");
+        };
+        let cfg = SpgGenConfig {
+            n: n[1..].parse().unwrap(),
+            elevation: e[1..].parse().unwrap(),
+            ccr: Some(ccr[3..].parse().unwrap()),
+            ..Default::default()
+        };
+        let seed = seed[1..].parse().unwrap();
+        spg::random_spg(&cfg, &mut rand_chacha::ChaCha8Rng::seed_from_u64(seed))
+    };
+    let pf = Platform::paper(p, q);
+    match (bound.strip_prefix('u'), bound.strip_prefix('t')) {
+        (Some(u), _) => Instance::for_utilisation(g, pf, u.parse().unwrap()),
+        (_, Some(t)) => Instance::new(g, pf, t.parse().unwrap()),
+        _ => panic!("malformed period bound in {key}"),
+    }
+}
+
+/// Solves every selected row and reports all mismatches at once.
+fn check(tier1: bool) {
+    let ctx = SolveCtx::new(0);
+    let mut keys: Vec<&str> = GOLDEN
+        .iter()
+        .filter(|row| row.2 == tier1)
+        .map(|row| row.0)
+        .collect();
+    keys.dedup();
+    let mut checked = 0;
+    let mut mismatches = Vec::new();
+    for key in keys {
+        let inst = instance(key);
+        for &(_, name, _, expect) in GOLDEN.iter().filter(|row| row.0 == key) {
+            let solver: &dyn Solver = match name {
+                "DPA2D" => &solvers::Dpa2d,
+                "DPA2D1D" => &solvers::Dpa2d1d,
+                other => panic!("unknown solver {other}"),
+            };
+            let got = solver.solve(&inst, &ctx);
+            let ok = match (&got, expect) {
+                (Ok(sol), Energy(bits)) => sol.energy().to_bits() == bits,
+                (Err(f), Fails(msg)) => f.to_string() == msg,
+                _ => false,
+            };
+            if !ok {
+                let got = match &got {
+                    Ok(sol) => format!("{:x?}", Energy(sol.energy().to_bits())),
+                    Err(f) => format!("Fails({:?})", f.to_string()),
+                };
+                mismatches.push(format!("{key} {name}: expected {expect:x?}, got {got}"));
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "no golden rows selected");
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+#[test]
+fn dpa2d_golden_tier1() {
+    check(true);
+}
+
+#[test]
+#[ignore = "the heavier half of the golden set; CI's perf gate runs it in release"]
+fn dpa2d_golden_full() {
+    check(false);
+}
