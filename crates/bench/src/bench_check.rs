@@ -23,7 +23,8 @@
 //! (whose checksums gate — parallel scheduling must stay a pure
 //! optimisation), the loopback serve benchmark for `serve/...` names,
 //! the dominance-pruning benchmark for `prune/...` names (`DPA1D` decade
-//! sweeps; scan ratios and bound gaps gate), and
+//! sweeps; scan ratios, bound gaps and complete-transition counts gate),
+//! and
 //! the fault-injection remap campaign for `incremental/...` names
 //! (delta-patched re-solve vs cold rebuild; energies, regrets and the
 //! speedup-median gate bit gate).
@@ -322,9 +323,9 @@ pub fn compute_fresh_metrics(
     }
 
     // Source 6: the dominance-pruning benchmark (prune/... names).
-    // Energies, feasible-point counts, scan ratios, and bound gaps gate —
-    // the prune counters are deterministic — while the sweep walls
-    // advise.
+    // Energies, feasible-point counts, scan ratios, bound gaps, and
+    // complete-transition counts gate — all deterministic — while the
+    // sweep walls advise.
     if needed.iter().any(|m| m.name.starts_with("prune/")) {
         for s in crate::prune_xp::prune_bench(seed) {
             let prefix = format!("prune/{}", s.workload);
@@ -339,6 +340,9 @@ pub fn compute_fresh_metrics(
                 fresh.insert(format!("{prefix}/scan_ratio"), ratio);
             }
             fresh.insert(format!("{prefix}/bound_gap_max"), s.bound_gap_max());
+            if let Some(pairs) = s.complete_transitions {
+                fresh.insert(format!("{prefix}/complete_transitions"), pairs as f64);
+            }
             fresh.insert(format!("{prefix}/pruned_wall"), s.wall_ms);
         }
     }

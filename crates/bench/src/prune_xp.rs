@@ -9,7 +9,9 @@
 //! `BENCH_prune.json` records, per workload: feasible points and median
 //! energy, the scan ratio (admitted transitions relaxed over admitted
 //! transitions total — the deterministic state-reduction figure), the
-//! maximum certified bound gap (0 unless a `frontier_cap` truncates), and
+//! maximum certified bound gap (0 unless a `frontier_cap` truncates), the
+//! size of the complete transition system (the exact nested-ideal-pair
+//! count, which decides whether a complete skeleton is built at all), and
 //! the sweep wall. Deterministic metrics gate in `xp bench-check`; walls
 //! advise.
 
@@ -21,6 +23,7 @@ use ea_core::solvers::Dpa1d;
 use ea_core::sweep::PeriodSweep;
 use ea_core::{Instance, PruneStats, Solver};
 use spg::generate::families::{FamilyKind, FamilyParams, WorkloadSpec};
+use spg::ideal::count_ideal_pairs;
 use spg::{streamit_workflow, Spg, STREAMIT_SPECS};
 
 use crate::report::{fmt_table, median};
@@ -63,6 +66,10 @@ pub struct PruneSweep {
     pub energies: Vec<Option<f64>>,
     /// Per-point prune telemetry (`None` where the point failed).
     pub stats: Vec<Option<PruneStats>>,
+    /// Transitions in the workload's complete (work-uncapped) skeleton:
+    /// its nested ideal pairs, counted, never built when over the edge cap
+    /// (`None` for a non-SP workload).
+    pub complete_transitions: Option<u128>,
     /// Median wall of the sweep, ms.
     pub wall_ms: f64,
 }
@@ -150,6 +157,7 @@ pub fn prune_bench(seed: u64) -> Vec<PruneSweep> {
                 periods: grid,
                 energies,
                 stats,
+                complete_transitions: count_ideal_pairs(&g),
                 wall_ms,
             }
         })
@@ -157,7 +165,8 @@ pub fn prune_bench(seed: u64) -> Vec<PruneSweep> {
 }
 
 /// The `BENCH_prune.json` document. Energies, point counts, scan ratios,
-/// and bound gaps gate (deterministic); walls advise.
+/// bound gaps and complete-transition counts gate (deterministic); walls
+/// advise.
 pub fn prune_bench_json(sweeps: &[PruneSweep]) -> String {
     let mut entries = Vec::new();
     for s in sweeps {
@@ -182,6 +191,11 @@ pub fn prune_bench_json(sweeps: &[PruneSweep]) -> String {
             "    {{\"name\": \"{prefix}/bound_gap_max\", \"value\": {}, \"unit\": \"J\"}}",
             fmt_f64(s.bound_gap_max())
         ));
+        if let Some(pairs) = s.complete_transitions {
+            entries.push(format!(
+                "    {{\"name\": \"{prefix}/complete_transitions\", \"value\": {pairs}, \"unit\": \"count\"}}"
+            ));
+        }
         entries.push(format!(
             "    {{\"name\": \"{prefix}/pruned_wall\", \"value\": {}, \"unit\": \"ms\"}}",
             fmt_f64(s.wall_ms)
@@ -232,6 +246,7 @@ mod tests {
                 }),
                 None,
             ],
+            complete_transitions: Some(1_613_684_663_258_170_449_376),
             wall_ms: 2.0,
         }];
         let doc = prune_bench_json(&sweeps);
@@ -240,6 +255,9 @@ mod tests {
         assert_eq!(get("prune/Fake/feasible_points").value, 2.0);
         assert_eq!(get("prune/Fake/scan_ratio").value, 0.9);
         assert_eq!(get("prune/Fake/bound_gap_max").value, 0.0);
+        let pairs = get("prune/Fake/complete_transitions");
+        assert_eq!(pairs.value, 1_613_684_663_258_170_449_376u128 as f64);
+        assert_eq!(pairs.unit, "count", "the count gates");
         assert_eq!(
             get("prune/Fake/pruned_wall").unit,
             "ms",

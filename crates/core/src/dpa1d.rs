@@ -64,6 +64,7 @@ use spg::{NodeSet, Spg, StageId};
 
 use crate::common::{validated_with, BudgetPhase, Failure, PruneStats, Solution};
 use crate::instance::{Instance, SharedLattice};
+use crate::solver::SolveCtx;
 
 /// Complexity budgets for `DPA1D`.
 #[derive(Debug, Clone)]
@@ -95,6 +96,19 @@ impl Default for Dpa1dConfig {
             frontier_cap: usize::MAX,
         }
     }
+}
+
+/// The failure of a skeleton build over `edge_cap`: the materialise-phase
+/// budget payload with the `edge_cap + 1` witness (saturating, so a cap of
+/// `usize::MAX` cannot overflow). A build returns it at the transition
+/// past the cap; `Instance::transition_skeleton` records it off the exact
+/// pair count without building.
+pub(crate) fn skeleton_overflow(edge_cap: usize) -> Failure {
+    Failure::budget(
+        BudgetPhase::Materialise,
+        edge_cap,
+        edge_cap.saturating_add(1),
+    )
 }
 
 /// Maps a lattice-enumeration failure to the structured budget failure.
@@ -181,7 +195,9 @@ impl std::fmt::Debug for TransitionSkeleton {
 }
 
 impl TransitionSkeleton {
-    /// Number of skeleton transitions (the complete, work-uncapped set).
+    /// Number of transitions this skeleton stores: every nested ideal
+    /// pair for a complete build (see [`spg::ideal::count_ideal_pairs`]),
+    /// or the pairs within the work ceiling for a bounded one.
     pub fn n_transitions(&self) -> usize {
         self.to.len()
     }
@@ -337,9 +353,11 @@ impl TransitionSkeleton {
     /// The skeleton producer: feeds every transition admitted at `adm`'s
     /// thresholds to the relaxer, block by block in id order and in DFS
     /// order within each block — the exact sequence the streaming DFS
-    /// produces at the same period.
-    fn relax_into(&self, adm: &Admission, dp: &mut Relaxer) {
+    /// produces at the same period. Polls `ctx`'s deadline once per source
+    /// block.
+    fn relax_into(&self, adm: &Admission, dp: &mut Relaxer, ctx: &SolveCtx) -> Result<(), Failure> {
         for b in &self.blocks {
+            ctx.check_budget()?;
             if !b.admissible(adm) {
                 continue;
             }
@@ -352,6 +370,7 @@ impl TransitionSkeleton {
                 }
             });
         }
+        Ok(())
     }
 
     /// Builds the transition system over `lattice`, complete
@@ -368,6 +387,10 @@ impl TransitionSkeleton {
         period_ceiling: f64,
     ) -> Result<TransitionSkeleton, Failure> {
         debug_assert_eq!(cuts.len(), lattice.len());
+        #[cfg(test)]
+        if period_ceiling.is_infinite() {
+            COMPLETE_BUILDS.with(|n| n.set(n.get() + 1));
+        }
         // A bounded build applies the ceiling period's admission thresholds
         // at materialisation time: both are monotone in the period, so
         // everything a tighter period admits survives, in DFS order.
@@ -407,11 +430,7 @@ impl TransitionSkeleton {
                 true
             });
             if !ok {
-                return Err(Failure::budget(
-                    BudgetPhase::Materialise,
-                    edge_cap,
-                    edge_cap + 1,
-                ));
+                return Err(skeleton_overflow(edge_cap));
             }
             let end = to.len() as u32;
             if end > start {
@@ -439,6 +458,13 @@ impl TransitionSkeleton {
     }
 }
 
+// Complete skeleton builds started on this thread — the witness that a
+// cache path refused a build instead of running it.
+#[cfg(test)]
+thread_local! {
+    pub(crate) static COMPLETE_BUILDS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
 /// Builds the complete (every-period) skeleton for a shared lattice
 /// (crate-internal constructor used by the `Instance` cache).
 pub(crate) fn build_skeleton(
@@ -459,9 +485,9 @@ pub(crate) fn build_skeleton(
 
 /// Builds a work-ceiling bounded skeleton: exact for every period up to
 /// `period_ceiling` (see [`TransitionSkeleton::serves`]), and typically far
-/// smaller than the complete set — the escape hatch when the complete build
-/// overflows the edge cap (e.g. `BitonicSort`'s ~4.2M complete transitions
-/// against the 1M default cap).
+/// smaller than the complete set — the escape hatch when the complete set
+/// is over the edge cap (e.g. `BitonicSort`'s 4 171 861 complete
+/// transitions against the 1M default cap).
 pub(crate) fn build_skeleton_bounded(
     spg: &Spg,
     pf: &Platform,
@@ -528,14 +554,21 @@ impl EcalTable {
 
 /// `DPA1D` on an instance's session caches: its interned
 /// [`SharedLattice`], its [`TransitionSkeleton`] when one fits the edge
-/// cap, and the snake route table.
-pub(crate) fn dpa1d_run(inst: &Instance, cfg: &Dpa1dConfig) -> Result<Solution, Failure> {
+/// cap, and the snake route table. The relaxation polls `ctx`'s deadline
+/// once per source ideal; the lattice and skeleton builds before it are
+/// bounded by their caps instead, so a deadline failure is never cached on
+/// the instance.
+pub(crate) fn dpa1d_run(
+    inst: &Instance,
+    cfg: &Dpa1dConfig,
+    ctx: &SolveCtx,
+) -> Result<Solution, Failure> {
     let shared = inst
         .lattice(cfg.ideal_cap)
         .map_err(|e| lattice_failure(&e))?;
     let skeleton = inst.transition_skeleton(cfg)?;
     let (spg, pf, period) = (inst.spg(), inst.platform(), inst.period());
-    let (chain, prune) = solve_chain(spg, pf, period, cfg, &shared, skeleton.as_deref())?;
+    let (chain, prune) = solve_chain(spg, pf, period, cfg, &shared, skeleton.as_deref(), ctx)?;
     let table = inst.route_table(RoutePolicy::Snake);
     let mut sol = build_snake_solution(spg, pf, period, &chain, &table)?;
     sol.prune = Some(prune);
@@ -548,7 +581,8 @@ type ChainSolve = (Vec<Vec<StageId>>, PruneStats);
 /// The Theorem 1 dynamic program over a shared lattice: the optimal chain
 /// of clusters (at most one per alive core) for the uni-directional
 /// uni-line. Transitions come from `skeleton` when it serves this period,
-/// and from the streaming DFS otherwise.
+/// and from the streaming DFS otherwise; either producer fails with the
+/// deadline-phase budget once `ctx`'s deadline passes.
 fn solve_chain(
     spg: &Spg,
     pf: &Platform,
@@ -556,6 +590,7 @@ fn solve_chain(
     cfg: &Dpa1dConfig,
     shared: &SharedLattice,
     skeleton: Option<&TransitionSkeleton>,
+    ctx: &SolveCtx,
 ) -> Result<ChainSolve, Failure> {
     let lattice = &shared.lattice;
     let adm = Admission::new(pf, period);
@@ -565,8 +600,8 @@ fn solve_chain(
     // hands out serving skeletons only; the check keeps a mismatched one
     // from slicing out of range).
     match skeleton.filter(|sk| sk.serves(period) && sk.n_ideals as usize == lattice.len()) {
-        Some(sk) => sk.relax_into(&adm, &mut dp),
-        None => stream_into(spg, pf, lattice, &shared.cuts, &adm, &mut dp),
+        Some(sk) => sk.relax_into(&adm, &mut dp, ctx)?,
+        None => stream_into(spg, pf, lattice, &shared.cuts, &adm, &mut dp, ctx)?,
     }
     let (chain, best) = dp.state.backtrack(lattice)?;
     Ok((chain, dp.prune.stats(best)))
@@ -577,7 +612,7 @@ fn solve_chain(
 /// the relaxer the moment the DFS produces it, storing none of them. This
 /// is what makes the edge cap a *soundness-preserving* bound: a
 /// transition system past the cap costs time, not a `TooExpensive`
-/// failure.
+/// failure. Polls `solve_ctx`'s deadline once per source ideal.
 fn stream_into(
     spg: &Spg,
     pf: &Platform,
@@ -585,9 +620,11 @@ fn stream_into(
     cuts: &[f64],
     adm: &Admission,
     dp: &mut Relaxer,
-) {
+    solve_ctx: &SolveCtx,
+) -> Result<(), Failure> {
     let mut ctx = ExtendCtx::new(spg, lattice, adm.cap_work);
     for from in lattice.ids() {
+        solve_ctx.check_budget()?;
         let cut = cuts[from.idx()];
         if from.idx() != 0 && cut > adm.bw_cap {
             continue; // outgoing link overloaded: unreachable boundary
@@ -598,6 +635,7 @@ fn stream_into(
             });
         });
     }
+    Ok(())
 }
 
 /// Per-period admission thresholds (both monotone in the period).
@@ -1152,7 +1190,11 @@ mod tests {
 
     /// `DPA1D` through a fresh session, the way every caller reaches it.
     fn solve(g: &Spg, pf: &Platform, t: f64, cfg: &Dpa1dConfig) -> Result<Solution, Failure> {
-        dpa1d_run(&Instance::new(g.clone(), pf.clone(), t), cfg)
+        dpa1d_run(
+            &Instance::new(g.clone(), pf.clone(), t),
+            cfg,
+            &SolveCtx::default(),
+        )
     }
 
     fn shared(g: &Spg) -> SharedLattice {
@@ -1231,8 +1273,16 @@ mod tests {
     fn chain_clusters_are_contiguous_prefix_partition() {
         let pf = Platform::paper(1, 4);
         let g = chain(&[0.5e9; 6], &[1e3; 5]);
-        let (chain_sol, _) =
-            solve_chain(&g, &pf, 1.0, &Dpa1dConfig::default(), &shared(&g), None).unwrap();
+        let (chain_sol, _) = solve_chain(
+            &g,
+            &pf,
+            1.0,
+            &Dpa1dConfig::default(),
+            &shared(&g),
+            None,
+            &SolveCtx::default(),
+        )
+        .unwrap();
         // Union of clusters in order must walk the chain front to back.
         let topo = g.topo_order();
         let flat: Vec<StageId> = chain_sol
@@ -1279,12 +1329,22 @@ mod tests {
             prev = n;
         }
         assert_eq!(prev, sk.n_transitions(), "a loose period admits all");
-        let (unc, _) = solve_chain(&g, &pf, 1.0, &cfg, &shared, Some(&sk)).unwrap();
+        let (unc, _) =
+            solve_chain(&g, &pf, 1.0, &cfg, &shared, Some(&sk), &SolveCtx::default()).unwrap();
         let tight = Dpa1dConfig {
             edge_cap: 1,
             ..cfg.clone()
         };
-        let (capped, stats) = solve_chain(&g, &pf, 1.0, &tight, &shared, Some(&sk)).unwrap();
+        let (capped, stats) = solve_chain(
+            &g,
+            &pf,
+            1.0,
+            &tight,
+            &shared,
+            Some(&sk),
+            &SolveCtx::default(),
+        )
+        .unwrap();
         assert_eq!(unc, capped, "edge cap must not change the exact chain");
         assert_eq!(stats.bound_gap, 0.0, "uncapped frontier is exact");
         assert!(stats.transitions_kept > 0);
@@ -1336,9 +1396,17 @@ mod tests {
                 complete.admitted_count(&adm),
                 "admitted sets must agree at T={period}"
             );
-            let fresh = solve_chain(&g, &pf, period, &cfg, &shared, None);
+            let fresh = solve_chain(&g, &pf, period, &cfg, &shared, None, &SolveCtx::default());
             for sk in [&complete, &bounded] {
-                let served = solve_chain(&g, &pf, period, &cfg, &shared, Some(sk));
+                let served = solve_chain(
+                    &g,
+                    &pf,
+                    period,
+                    &cfg,
+                    &shared,
+                    Some(sk),
+                    &SolveCtx::default(),
+                );
                 match (&fresh, &served) {
                     (Ok(a), Ok(b)) => assert_eq!(a, b, "skeleton diverged at T={period}"),
                     (Err(_), Err(_)) => {}
@@ -1366,8 +1434,8 @@ mod tests {
                 let inst = Instance::new(g.clone(), pf.clone(), period);
                 let sk = inst.transition_skeleton(&capped).unwrap();
                 assert!(sk.is_none(), "T={period}: {sk:?}");
-                let full = dpa1d_run(&inst, &Dpa1dConfig::default());
-                let streamed = dpa1d_run(&inst, &capped);
+                let full = dpa1d_run(&inst, &Dpa1dConfig::default(), &SolveCtx::default());
+                let streamed = dpa1d_run(&inst, &capped, &SolveCtx::default());
                 match (&full, &streamed) {
                     (Ok(a), Ok(b)) => {
                         assert_eq!(a.energy().to_bits(), b.energy().to_bits());
@@ -1378,6 +1446,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// BitonicSort on the paper's 4×4 grid at utilisation 0.3: its complete
+    /// transition system overflows the default edge cap, so the solve is
+    /// a long streaming relaxation.
+    fn bitonic_session() -> Instance {
+        let spec = spg::STREAMIT_SPECS
+            .iter()
+            .find(|s| s.name == "BitonicSort")
+            .unwrap();
+        Instance::for_utilisation(spg::streamit_workflow(spec, 0), Platform::paper(4, 4), 0.3)
+    }
+
+    /// The deadline is polled inside the relaxation, not only at solver
+    /// entry, and a deadline failure leaves nothing behind on the session.
+    #[test]
+    fn deadline_expires_inside_the_relaxation() {
+        use std::time::Duration;
+        let cfg = Dpa1dConfig::default();
+        let inst = bitonic_session();
+        let ctx = SolveCtx::budgeted(0, Duration::from_millis(1));
+        match dpa1d_run(&inst, &cfg, &ctx) {
+            Err(Failure::TooExpensive(b)) => assert_eq!(b.phase, BudgetPhase::Deadline),
+            other => panic!("expected a deadline failure, got {other:?}"),
+        }
+        // The same session then solves, to the bit of a fresh unbudgeted
+        // session; a generous deadline changes nothing.
+        let hour = SolveCtx::budgeted(0, Duration::from_secs(3600));
+        let after = dpa1d_run(&inst, &cfg, &hour).unwrap();
+        let cold = dpa1d_run(&bitonic_session(), &cfg, &SolveCtx::default()).unwrap();
+        assert_eq!(after.energy().to_bits(), cold.energy().to_bits());
+        assert_eq!(after.prune, cold.prune);
     }
 
     /// A corrupted or mismatched skeleton image is rejected at decode

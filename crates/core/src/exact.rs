@@ -309,7 +309,7 @@ mod tests {
         let t = 1.0;
         let ex = exact(&g, &pf, t, &ExactConfig::default()).unwrap();
         let inst = Instance::new(g.clone(), pf.clone(), t);
-        let dp = dpa1d_run(&inst, &Dpa1dConfig::default()).unwrap();
+        let dp = dpa1d_run(&inst, &Dpa1dConfig::default(), &crate::SolveCtx::default()).unwrap();
         assert!(
             (ex.energy() - dp.energy()).abs() < 1e-9,
             "exact {} vs dpa1d {}",

@@ -14,7 +14,10 @@
 //! * `DPA1D`'s **transition skeleton** ([`TransitionSkeleton`]) — the
 //!   complete cluster-transition system over the lattice, which turns
 //!   each period-sweep point into a threshold-admission pass instead of a
-//!   lattice re-walk;
+//!   lattice re-walk. For a series-parallel workload its exact size
+//!   ([`spg::ideal::count_ideal_pairs`]) is computed first, so a complete
+//!   build over the edge cap is refused without being walked and the
+//!   session goes straight to a bounded build or the streaming DP;
 //! * the **snake order** of the grid (used by `DPA1D` and `DPA2D1D`);
 //! * the **topological stage order** (used by the exact solver);
 //! * the per-stage **speed-feasibility table** (the slowest speed able to
@@ -31,11 +34,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use cmp_mapping::{evaluate_with, Evaluation, Mapping, MappingError};
 use cmp_platform::{snake_core, CoreId, Fault, Platform, RoutePolicy, RouteTable};
-use spg::ideal::{count_ideals, enumerate_ideals, IdealError, IdealLattice};
+use spg::ideal::{count_ideal_pairs, count_ideals, enumerate_ideals, IdealError, IdealLattice};
 use spg::{Edit, Spg, StageId};
 
 use crate::common::Failure;
-use crate::dpa1d::{build_skeleton, build_skeleton_bounded, Dpa1dConfig, TransitionSkeleton};
+use crate::dpa1d::{
+    build_skeleton, build_skeleton_bounded, skeleton_overflow, Dpa1dConfig, TransitionSkeleton,
+};
 
 /// The interned ideal lattice of an instance together with the per-ideal
 /// cut volumes `DPA1D` prices its uni-line links with. Both are
@@ -94,11 +99,13 @@ impl SharedLattice {
 /// enumerations of non-SP graphs, which have no exact count, can fail).
 type LatticeSlot = Mutex<Option<(usize, Result<Arc<SharedLattice>, IdealError>)>>;
 
-/// Cached `DPA1D` transition skeleton: the lattice it was built from (by
-/// pointer), the edge cap the build ran under, and the outcome. A success
-/// serves *any* edge cap (per-period admission enforces the cap on the
-/// admitted count, not on the index size); a build failure at cap `c`
-/// answers any request with cap ≤ `c` (the complete set is even larger).
+/// Cached complete `DPA1D` transition skeleton: the edge cap the build ran
+/// under, and the outcome. A success serves *any* edge cap (per-period
+/// admission enforces the cap on the admitted count, not on the index
+/// size); a failure at cap `c` answers any request with cap ≤ `c` (the
+/// complete set is even larger). For a series-parallel workload that
+/// failure is recorded off the exact pair count, without building; only a
+/// non-SP workload learns it by building until the cap overflows.
 type SkeletonSlot = Mutex<Option<(usize, Result<Arc<TransitionSkeleton>, Failure>)>>;
 
 /// Cached work-ceiling bounded skeleton state (the fallback when the
@@ -129,6 +136,10 @@ struct Derived {
     /// The exact ideal count ([`count_ideals`]; `None` for a non-SP
     /// graph). Structure-only, so every re-target, fault and edit keeps it.
     ideal_count: OnceLock<Option<u128>>,
+    /// The exact nested-pair count, i.e. the complete skeleton's size
+    /// ([`count_ideal_pairs`]; `None` for a non-SP graph). Structure-only,
+    /// like `ideal_count`.
+    pair_count: OnceLock<Option<u128>>,
     skeleton: SkeletonSlot,
     bounded: Mutex<BoundedSkeleton>,
     /// The loosest period a sweep over this instance intends to request
@@ -268,6 +279,17 @@ impl Instance {
             .get_or_init(|| count_ideals(&self.spg))
     }
 
+    /// The exact number of nested ideal pairs `I ⊊ J` — the size of the
+    /// complete transition skeleton — computed once per session family
+    /// (`None` when the graph is not series-parallel). See
+    /// [`count_ideal_pairs`].
+    fn pair_count(&self) -> Option<u128> {
+        *self
+            .derived
+            .pair_count
+            .get_or_init(|| count_ideal_pairs(&self.spg))
+    }
+
     /// The interned ideal lattice (plus cut volumes), enumerated under
     /// `cap`. Cached: a previous successful enumeration is reused whenever
     /// it fits the requested cap. Otherwise the exact ideal count
@@ -317,6 +339,14 @@ impl Instance {
     /// point then pays only the threshold-admission pass and the per-period
     /// `Ecal` lookups instead of re-walking the lattice.
     ///
+    /// Whether the complete build fits `cfg.edge_cap` is decided by the
+    /// exact pair count ([`count_ideal_pairs`], computed once per session
+    /// family) for a series-parallel workload: a complete set over the cap
+    /// is recorded as an overflow without being walked, and the session
+    /// goes straight to its bounded skeleton (a seeded one included) or
+    /// the streaming fallback. Only a non-SP workload, which has no count,
+    /// runs the capped build to find out.
+    ///
     /// Returns:
     ///
     /// * `Ok(Some(_))` — a skeleton serving this session's period: the
@@ -350,8 +380,16 @@ impl Instance {
                 None => false,
             };
             if !known_overflow {
-                let res = build_skeleton(self.spg(), self.platform(), &shared, cfg.edge_cap)
-                    .map(Arc::new);
+                let res = if self
+                    .pair_count()
+                    .is_some_and(|pairs| pairs > cfg.edge_cap as u128)
+                {
+                    // The build would stop at the `edge_cap + 1`-th pair:
+                    // record the failure it would return, unbuilt.
+                    Err(skeleton_overflow(cfg.edge_cap))
+                } else {
+                    build_skeleton(self.spg(), self.platform(), &shared, cfg.edge_cap).map(Arc::new)
+                };
                 *slot = Some((cfg.edge_cap, res.clone()));
                 if let Ok(sk) = res {
                     return Ok(Some(sk));
@@ -637,6 +675,7 @@ impl Instance {
         let derived = Derived {
             lattice: Mutex::new(self.derived.lattice.lock().unwrap().clone()),
             ideal_count: self.derived.ideal_count.clone(),
+            pair_count: self.derived.pair_count.clone(),
             skeleton: Mutex::new(self.derived.skeleton.lock().unwrap().clone()),
             bounded: Mutex::new(self.derived.bounded.lock().unwrap().clone()),
             sweep_ceiling: Mutex::new(*self.derived.sweep_ceiling.lock().unwrap()),
@@ -701,6 +740,7 @@ impl Instance {
         let derived = Derived {
             lattice: Mutex::new(lattice),
             ideal_count: self.derived.ideal_count.clone(),
+            pair_count: self.derived.pair_count.clone(),
             // Skeleton blocks embed value-derived work sums and admission
             // thresholds: rebuilt lazily from the reused lattice.
             skeleton: Mutex::new(None),
@@ -791,8 +831,9 @@ mod tests {
             })
         ));
         assert!(inst.cached_lattice().is_none());
-        // The count is structure-only: every derived session inherits it
-        // without recounting.
+        assert_eq!(inst.pair_count(), Some(u128::MAX));
+        // The counts are structure-only: every derived session inherits
+        // them without recounting.
         let fault = cmp_platform::Fault::Core(CoreId { u: 1, v: 1 });
         let edit = spg::Edit::Retune {
             stage: StageId(1),
@@ -804,7 +845,84 @@ mod tests {
             inst.with_edit(&edit),
         ] {
             assert_eq!(derived.derived.ideal_count.get(), Some(&Some(u128::MAX)));
+            assert_eq!(derived.derived.pair_count.get(), Some(&Some(u128::MAX)));
         }
+    }
+
+    /// Complete skeleton builds this thread has started so far.
+    fn complete_builds() -> u32 {
+        crate::dpa1d::COMPLETE_BUILDS.with(|n| n.get())
+    }
+
+    #[test]
+    fn seeded_bounded_skeleton_serves_without_a_doomed_complete_build() {
+        // 30-chain: 465 nested ideal pairs, over an edge cap of 100.
+        let g = chain(&[1e6; 30], &[1e3; 29]);
+        let cfg = crate::dpa1d::Dpa1dConfig {
+            edge_cap: 100,
+            ..Default::default()
+        };
+        let donor = Instance::new(g.clone(), Platform::paper(2, 2), 0.003);
+        let sk = donor.transition_skeleton(&cfg).unwrap().unwrap();
+        assert!(!sk.is_complete());
+        // The daemon's warm path: a fresh session seeded with the bounded
+        // artifact and nothing in the complete slot.
+        let warm = Instance::new(g, Platform::paper(2, 2), 0.003);
+        warm.seed_lattice(donor.cached_lattice().unwrap());
+        warm.seed_skeleton(Arc::clone(&sk));
+        let before = complete_builds();
+        let served = warm.transition_skeleton(&cfg).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&served, &sk), "the seeded artifact serves");
+        assert_eq!(complete_builds(), before, "the count refuses the build");
+        assert_eq!(warm.derived.pair_count.get(), Some(&Some(465)));
+        // The refusal is recorded like a build overflow at this cap.
+        assert!(matches!(
+            warm.derived.skeleton.lock().unwrap().as_ref(),
+            Some((100, Err(Failure::TooExpensive(b)))) if b.count == 101
+        ));
+    }
+
+    #[test]
+    fn complete_build_under_the_cap_stores_every_counted_pair() {
+        let branches: Vec<Spg> = (0..3).map(|_| chain(&[1e6; 4], &[1e3; 3])).collect();
+        let inst = Instance::new(spg::parallel_many(&branches), Platform::paper(2, 2), 1.0);
+        let pairs = count_ideal_pairs(inst.spg()).unwrap();
+        let cfg = crate::dpa1d::Dpa1dConfig {
+            edge_cap: pairs as usize,
+            ..Default::default()
+        };
+        let before = complete_builds();
+        let sk = inst.transition_skeleton(&cfg).unwrap().unwrap();
+        assert_eq!(complete_builds(), before + 1);
+        assert!(sk.is_complete());
+        assert_eq!(sk.n_transitions() as u128, pairs);
+    }
+
+    #[test]
+    fn non_sp_workload_keeps_the_capped_build() {
+        use spg::{Label, SpgEdge};
+        // The "N" (a->c, a->d, b->d) stops the reduction: no count.
+        let edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (3, 5), (4, 5)]
+            .map(|(a, b)| SpgEdge {
+                src: StageId(a),
+                dst: StageId(b),
+                volume: 1e3,
+            })
+            .to_vec();
+        let labels = (0..6).map(|i| Label { x: i + 1, y: 1 }).collect();
+        let g = Spg::from_parts(vec![1e6; 6], labels, edges);
+        let cfg = crate::dpa1d::Dpa1dConfig {
+            edge_cap: 3,
+            ..Default::default()
+        };
+        let inst = Instance::new(g, Platform::paper(2, 2), 1e-3);
+        let before = complete_builds();
+        let _ = inst.transition_skeleton(&cfg).unwrap();
+        assert_eq!(complete_builds(), before + 1, "no count: the build runs");
+        assert_eq!(inst.derived.pair_count.get(), Some(&None));
+        // Its cap-keyed failure answers the same cap without rebuilding.
+        let _ = inst.transition_skeleton(&cfg).unwrap();
+        assert_eq!(complete_builds(), before + 1);
     }
 
     #[test]

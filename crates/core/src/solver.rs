@@ -20,7 +20,9 @@ use crate::instance::Instance;
 /// Deadline checking is **coarse-grained**: solvers test it at their entry
 /// (and between major phases where natural), so a budget mostly bounds
 /// when new work *starts*. `DPA2D` and `DPA2D1D` also poll it once per
-/// outer DP cell; the other solvers' DP sweeps still run to completion.
+/// outer DP cell, and `DPA1D` once per source ideal of its relaxation (its
+/// lattice and skeleton builds are bounded by their caps instead); the
+/// other solvers' searches still run to completion.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolveCtx {
     /// Seed for randomized solvers (only `Random` draws from it today).

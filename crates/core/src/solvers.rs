@@ -120,7 +120,7 @@ impl Solver for Dpa1d {
     fn solve(&self, inst: &Instance, ctx: &SolveCtx) -> Result<Solution, Failure> {
         ctx.check_budget()?;
         reject_infeasible(inst)?;
-        crate::dpa1d::dpa1d_run(inst, &self.cfg)
+        crate::dpa1d::dpa1d_run(inst, &self.cfg, ctx)
     }
 }
 

@@ -20,7 +20,9 @@
 //! the series-parallel reduction in near-linear time (see
 //! [`mod@crate::recognize`]), so a caller can refuse an over-cap lattice
 //! without enumerating or allocating any of it; `Instance::lattice` in
-//! `ea-core` does exactly that. Enumeration is a BFS over the ideal
+//! `ea-core` does exactly that. [`count_ideal_pairs`] reads the number of
+//! nested ideal pairs off the same reduction, which sizes `DPA1D`'s
+//! transition system the same way. Enumeration is a BFS over the ideal
 //! lattice with a hard cap: a lattice the count has shown to fit is
 //! enumerated in full, and only a DAG the reduction cannot close (not
 //! series-parallel) relies on the cap itself. Exceeding it aborts with
@@ -403,9 +405,19 @@ pub fn ready_stages(spg: &Spg, ideal: NodeSetRef<'_>) -> Vec<StageId> {
 /// `u128::MAX` instead of overflowing. `None` when the reduction does not
 /// close, i.e. `spg` is not two-terminal series-parallel.
 pub fn count_ideals(spg: &Spg) -> Option<u128> {
+    crate::recognize::reduce_spg(spg).1.map(|l| l.ideals())
+}
+
+/// The exact number of nested ideal pairs `I ⊊ J` of `spg` — the size of
+/// `DPA1D`'s complete (work-uncapped) transition system, one transition
+/// per pair — read off the same reduction as [`count_ideals`], so a
+/// caller can refuse a transition build over its cap without walking any
+/// of it. Saturates at `u128::MAX`; `None` when `spg` is not two-terminal
+/// series-parallel.
+pub fn count_ideal_pairs(spg: &Spg) -> Option<u128> {
     crate::recognize::reduce_spg(spg)
         .1
-        .map(|m| m.saturating_add(2))
+        .map(|l| l.proper_pairs())
 }
 
 /// Enumerates every order ideal of `spg`, capped at `cap` ideals.
@@ -507,6 +519,38 @@ mod tests {
             let lat = enumerate_ideals(&g, 10_000).unwrap();
             assert_eq!(lat.len(), n + 1, "a chain's ideals are its prefixes");
             assert_eq!(count_ideals(&g), Some(n as u128 + 1));
+            // Nested pairs are pairs of distinct prefixes.
+            assert_eq!(count_ideal_pairs(&g), Some((n * (n + 1) / 2) as u128));
+        }
+    }
+
+    #[test]
+    fn pair_count_matches_brute_force() {
+        let shapes = [
+            parallel_many(&[uniform_chain(3), uniform_chain(4)]),
+            series(
+                &parallel_many(&[uniform_chain(3), uniform_chain(4), uniform_chain(3)]),
+                &parallel_many(&[uniform_chain(5), uniform_chain(3)]),
+            ),
+            parallel_many(&[
+                series(
+                    &parallel_many(&[uniform_chain(3), uniform_chain(3)]),
+                    &uniform_chain(3),
+                ),
+                uniform_chain(4),
+            ]),
+        ];
+        for g in &shapes {
+            let lat = enumerate_ideals(g, 100_000).unwrap();
+            let mut pairs = 0u128;
+            for i in lat.iter() {
+                for j in lat.iter() {
+                    if i.len() < j.len() && i.is_subset(j) {
+                        pairs += 1;
+                    }
+                }
+            }
+            assert_eq!(count_ideal_pairs(g), Some(pairs));
         }
     }
 
@@ -571,6 +615,7 @@ mod tests {
         let labels = (0..6).map(|i| Label { x: i + 1, y: 1 }).collect();
         let g = Spg::from_parts(vec![1.0; 6], labels, edges);
         assert_eq!(count_ideals(&g), None);
+        assert_eq!(count_ideal_pairs(&g), None);
         // Enumeration still works on it: the cap is its only guard.
         assert!(enumerate_ideals(&g, 1_000).unwrap().len() > 2);
     }
@@ -581,6 +626,7 @@ mod tests {
         let branches: Vec<Spg> = (0..200).map(|_| uniform_chain(3)).collect();
         let g = parallel_many(&branches);
         assert_eq!(count_ideals(&g), Some(u128::MAX));
+        assert_eq!(count_ideal_pairs(&g), Some(u128::MAX));
     }
 
     #[test]

@@ -42,7 +42,9 @@ pub use generate::{
     generate_family, random_spg, FamilyKind, FamilyParams, SpgGenConfig, WorkloadSpec,
 };
 pub use graph::{EdgeId, Label, Spg, SpgEdge, StageId};
-pub use ideal::{count_ideals, enumerate_ideals, IdealError, IdealId, IdealLattice};
+pub use ideal::{
+    count_ideal_pairs, count_ideals, enumerate_ideals, IdealError, IdealId, IdealLattice,
+};
 pub use nodeset::{NodeSet, NodeSetRef};
 pub use recognize::{recognize, recognize_edges, SpRecognition};
 pub use streamit::{streamit_suite, streamit_workflow, StreamItSpec, STREAMIT_SPECS};

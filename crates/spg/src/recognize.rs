@@ -1,5 +1,5 @@
 //! Recognition of two-terminal series-parallel DAGs, and the order-ideal
-//! count that falls out of the same reduction.
+//! counts that fall out of the same reduction.
 //!
 //! The paper's algorithms require the application to *be* a series-parallel
 //! graph (§3.1). Graphs built through [`crate::compose`] are SP by
@@ -14,15 +14,35 @@
 //! until no rule applies. The DAG is two-terminal series-parallel **iff**
 //! the result is the single edge `source → sink`.
 //!
-//! The reduction is also an evaluation. Every live edge `u → w` stands for
-//! the SP subgraph it has absorbed, and carries `M`: the number of order
-//! ideals of that subgraph that contain `u` but not `w`. A base edge has
-//! `M = 1` (just `{u}`); a series reduction through `v` gives `M₁ + M₂`
-//! (the ideal stops before `v`, or contains `v` and stops in the second
-//! half); a parallel merge gives `M₁ · M₂` (the two halves choose
-//! independently). Every ideal of the whole graph other than `∅` and the
-//! full set contains the source but not the sink, so the graph has
-//! `M(source → sink) + 2` ideals — [`crate::ideal::count_ideals`].
+//! The reduction is also an evaluation. A nested pair of order ideals
+//! `I ⊆ J` is the same thing as an order-preserving map `f` from the
+//! stages into the 3-chain `0 < 1 < 2` (`f = 0` on `I`, `1` on `J \ I`,
+//! `2` outside `J`). Every live edge `u → w` stands for the SP subgraph it
+//! has absorbed, and carries its 3×3 **level matrix** `L[b][a]`: the number
+//! of such maps on that subgraph with `f(u) = a` and `f(w) = b`. Every
+//! absorbed stage lies between `u` and `w`, so `L` is lower-triangular
+//! (`b ≥ a`) and:
+//!
+//! * a base edge has `L[b][a] = 1` for every `b ≥ a` (no inner stage);
+//! * a series reduction through `v` multiplies the matrices,
+//!   `L = L₂ · L₁`, summing over the level of `v`;
+//! * a parallel merge multiplies them entry by entry, `L[b][a] = L₁[b][a] ·
+//!   L₂[b][a]` (the two halves choose their inner levels independently).
+//!
+//! Two counts are read off the final `source → sink` matrix `L`:
+//!
+//! * **ideals**: the maps into the 2-chain `{0, 1}` with the source at 0
+//!   and the sink at 1 are the ideals containing the source but not the
+//!   sink; there are `L[1][0]` of them, and `∅` and the full set make
+//!   `L[1][0] + 2` ([`crate::ideal::count_ideals`]);
+//! * **nested pairs** `I ⊊ J`: all maps, `Σ_{b ≥ a} L[b][a]`, count the
+//!   pairs `I ⊆ J`; subtracting the `L[1][0] + 2` pairs with `I = J`
+//!   leaves `L[2][0] + L[2][1] + 1` (the diagonal entries are all 1) —
+//!   [`crate::ideal::count_ideal_pairs`], the size of `DPA1D`'s complete
+//!   transition system.
+//!
+//! All arithmetic saturates at `u128::MAX` (every operation is monotone,
+//! so a saturated count is a sound "at least this many").
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -57,9 +77,59 @@ pub fn recognize_edges(
     reduce(n, source, sink, edges).0
 }
 
-/// Reduces `g`; alongside the recognition outcome, returns `M` of the
-/// final `source → sink` edge when the graph is SP (see the module doc).
-pub(crate) fn reduce_spg(g: &Spg) -> (SpRecognition, Option<u128>) {
+/// The level matrix of one live edge (see the module doc): entry `[b][a]` counts
+/// the order-preserving maps of the edge's absorbed subgraph into the
+/// 3-chain with the edge's tail at level `a` and its head at level `b`.
+/// Entries above the diagonal stay 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Levels([[u128; 3]; 3]);
+
+impl Levels {
+    /// A base edge: no inner stage, so one map per `b ≥ a`.
+    const BASE: Levels = Levels([[1, 0, 0], [1, 1, 0], [1, 1, 1]]);
+
+    /// Series composition through a middle node: `self` is the edge into
+    /// it, `next` the edge out of it (`next · self`).
+    fn series(&self, next: &Levels) -> Levels {
+        let mut out = [[0u128; 3]; 3];
+        for (b, row) in out.iter_mut().enumerate() {
+            for (a, cell) in row.iter_mut().enumerate().take(b + 1) {
+                *cell = (a..=b).fold(0u128, |acc, v| {
+                    acc.saturating_add(next.0[b][v].saturating_mul(self.0[v][a]))
+                });
+            }
+        }
+        Levels(out)
+    }
+
+    /// Parallel composition over the same two terminals.
+    fn parallel(&self, other: &Levels) -> Levels {
+        let mut out = self.0;
+        for (row, other_row) in out.iter_mut().zip(&other.0) {
+            for (cell, &o) in row.iter_mut().zip(other_row) {
+                *cell = cell.saturating_mul(o);
+            }
+        }
+        Levels(out)
+    }
+
+    /// Order ideals of the whole graph, when `self` is its final
+    /// `source → sink` matrix.
+    pub(crate) fn ideals(&self) -> u128 {
+        self.0[1][0].saturating_add(2)
+    }
+
+    /// Nested ideal pairs `I ⊊ J` of the whole graph, when `self` is its
+    /// final `source → sink` matrix.
+    pub(crate) fn proper_pairs(&self) -> u128 {
+        self.0[2][0].saturating_add(self.0[2][1]).saturating_add(1)
+    }
+}
+
+/// Reduces `g`; alongside the recognition outcome, returns the level
+/// matrix of the final `source → sink` edge when the graph is SP (see the
+/// module doc).
+pub(crate) fn reduce_spg(g: &Spg) -> (SpRecognition, Option<Levels>) {
     let edges: Vec<(usize, usize)> = g
         .edges()
         .iter()
@@ -68,31 +138,30 @@ pub(crate) fn reduce_spg(g: &Spg) -> (SpRecognition, Option<u128>) {
     reduce(g.n(), g.source().idx(), g.sink().idx(), &edges)
 }
 
-/// The reduction itself. `succ[u][w]` holds `M` of the live edge `u → w`
-/// (saturating: a count past `u128::MAX` stays there); `pred` mirrors the
-/// edge set without values.
+/// The reduction itself. `succ[u][w]` holds the level matrix of the live
+/// edge `u → w`; `pred` mirrors the edge set without values.
 fn reduce(
     n: usize,
     source: usize,
     sink: usize,
     edges: &[(usize, usize)],
-) -> (SpRecognition, Option<u128>) {
-    let mut succ: Vec<BTreeMap<usize, u128>> = vec![BTreeMap::new(); n];
+) -> (SpRecognition, Option<Levels>) {
+    let mut succ: Vec<BTreeMap<usize, Levels>> = vec![BTreeMap::new(); n];
     let mut pred: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
     let mut series_steps = 0usize;
     let mut parallel_steps = 0usize;
-    // Initial parallel collapse: a duplicate base edge merges as
-    // `M · 1 = M`, so only the step count changes.
+    // Initial parallel collapse: base matrices are 0/1, so a duplicate
+    // base edge merges to itself and only the step count changes.
     for &(a, b) in edges {
         match succ[a].entry(b) {
             Entry::Vacant(e) => {
-                e.insert(1);
+                e.insert(Levels::BASE);
                 pred[b].insert(a);
             }
             Entry::Occupied(_) => parallel_steps += 1,
         }
     }
-    let reducible = |v: usize, succ: &[BTreeMap<usize, u128>], pred: &[BTreeSet<usize>]| {
+    let reducible = |v: usize, succ: &[BTreeMap<usize, Levels>], pred: &[BTreeSet<usize>]| {
         v != source && v != sink && pred[v].len() == 1 && succ[v].len() == 1
     };
     let mut alive = vec![true; n];
@@ -104,7 +173,7 @@ fn reduce(
             continue;
         }
         let u = *pred[v].first().unwrap();
-        let (&w, &m2) = succ[v].first_key_value().unwrap();
+        let (&w, &l2) = succ[v].first_key_value().unwrap();
         if u == w {
             // A cycle u -> v -> u cannot occur in a DAG; bail out.
             continue;
@@ -112,19 +181,19 @@ fn reduce(
         // Remove v; add edge u -> w (merging a parallel duplicate if any).
         alive[v] = false;
         series_steps += 1;
-        let m1 = succ[u].remove(&v).unwrap();
+        let l1 = succ[u].remove(&v).unwrap();
         pred[w].remove(&v);
         pred[v].clear();
         succ[v].clear();
-        let m = m1.saturating_add(m2);
+        let l = l1.series(&l2);
         match succ[u].entry(w) {
             Entry::Vacant(e) => {
-                e.insert(m);
+                e.insert(l);
                 pred[w].insert(u);
             }
             Entry::Occupied(mut e) => {
                 parallel_steps += 1;
-                *e.get_mut() = e.get().saturating_mul(m);
+                *e.get_mut() = e.get().parallel(&l);
             }
         }
         // u and w may now be reducible.
@@ -138,7 +207,7 @@ fn reduce(
     let residual_nodes = alive.iter().filter(|&&a| a).count();
     let reduced_to_edge =
         residual_nodes == 2 && succ[source].len() == 1 && succ[source].contains_key(&sink);
-    let m = if reduced_to_edge {
+    let levels = if reduced_to_edge {
         succ[source].get(&sink).copied()
     } else {
         None
@@ -150,7 +219,7 @@ fn reduce(
             parallel_steps,
             residual_nodes,
         },
-        m,
+        levels,
     )
 }
 

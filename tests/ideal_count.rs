@@ -1,24 +1,43 @@
-//! The exact ideal count against enumeration, and the lattice failure
-//! contract that rests on it.
+//! The exact ideal and nested-pair counts against enumeration, and the
+//! lattice failure contract that rests on them.
 //!
-//! `count_ideals` reads the lattice size off the series-parallel reduction;
-//! `enumerate_ideals` builds the lattice itself. They are independent
-//! computations, so agreement on every small SP shape (exhaustively), on
-//! seeded random SPGs and on the StreamIt suite is the oracle check.
-//! `Instance::lattice` then trusts the count to refuse over-cap lattices
-//! without enumerating, so the second half pins that the refusal is the
-//! very error a capped enumeration gives.
+//! `count_ideals` and `count_ideal_pairs` read the lattice size and the
+//! number of nested ideal pairs off the series-parallel reduction;
+//! `enumerate_ideals` builds the lattice itself, and a complete `DPA1D`
+//! transition skeleton stores one transition per nested pair. They are
+//! independent computations, so agreement on every small SP shape
+//! (exhaustively), on seeded random SPGs and on the StreamIt suite is the
+//! oracle check. `Instance` then trusts the counts to refuse over-cap
+//! lattices and skeletons without building them, so the second half pins
+//! that the refusal is the very error a capped enumeration gives.
 
 use std::collections::BTreeSet;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spg::generate::min_stages_for_elevation;
-use spg::ideal::{count_ideals, enumerate_ideals, IdealError};
+use spg::ideal::{count_ideal_pairs, count_ideals, enumerate_ideals, IdealError};
 use spg::{base, parallel, random_spg, series, streamit_suite};
 use spg_cmp::prelude::*;
 
 const CAP: usize = 60_000;
+
+/// The exact size of `g`'s complete transition skeleton, built with no
+/// edge cap.
+fn complete_transitions(g: &Spg) -> u128 {
+    let cfg = Dpa1dConfig {
+        ideal_cap: usize::MAX,
+        edge_cap: usize::MAX,
+        ..Default::default()
+    };
+    let inst = Instance::new(g.clone(), Platform::paper(2, 2), 1.0);
+    let sk = inst
+        .transition_skeleton(&cfg)
+        .unwrap()
+        .expect("an uncapped complete build always fits");
+    assert!(sk.is_complete());
+    sk.n_transitions() as u128
+}
 
 /// The StreamIt flows whose lattices exceed the default cap.
 const OVER_CAP: [&str; 5] = [
@@ -86,6 +105,12 @@ fn count_matches_enumeration_on_every_small_sp_shape() {
             "{:?}",
             shape_key(g)
         );
+        assert_eq!(
+            count_ideal_pairs(g),
+            Some(complete_transitions(g)),
+            "{:?}",
+            shape_key(g)
+        );
     }
 }
 
@@ -109,7 +134,15 @@ fn count_matches_enumeration_on_random_spgs() {
             // the enumeration must hit the cap exactly as the count says.
             let cap = 20_000;
             match enumerate_ideals(&g, cap) {
-                Ok(lat) => assert_eq!(count, lat.len() as u128, "n {n} e {elevation}"),
+                Ok(lat) => {
+                    assert_eq!(count, lat.len() as u128, "n {n} e {elevation}");
+                    // Skeletons past a debug-build-friendly size are
+                    // covered by the StreamIt flows below.
+                    let pairs = count_ideal_pairs(&g).unwrap();
+                    if pairs <= 200_000 {
+                        assert_eq!(pairs, complete_transitions(&g), "n {n} e {elevation}");
+                    }
+                }
                 Err(IdealError::LimitExceeded { found, .. }) => {
                     assert!(count > cap as u128, "n {n} e {elevation}: count {count}");
                     assert_eq!(found, cap + 1);
@@ -134,7 +167,33 @@ fn count_matches_enumeration_on_streamit_under_the_cap() {
                 "{}",
                 spec.name
             );
+            assert_eq!(
+                count_ideal_pairs(&g),
+                Some(complete_transitions(&g)),
+                "{}",
+                spec.name
+            );
         }
+    }
+}
+
+/// The nested-pair counts of the five over-cap flows, pinned: no skeleton
+/// of them is ever built (their lattices are refused first), so these
+/// literals are the only record of how far past any edge cap they are.
+#[test]
+fn over_cap_streamit_pair_counts_are_pinned() {
+    let pinned: [(&str, u128); 5] = [
+        ("Beamformer", 799_238_085_937_501),
+        ("ChannelVocoder", 168_000_022_548_578_305),
+        ("Filterbank", 1_613_684_663_258_170_449_376),
+        ("FMRadio", 2_376_025_952_257),
+        ("Vocoder", 1_261_443_680_759_079_116_990_209),
+    ];
+    assert_eq!(pinned.map(|(name, _)| name), OVER_CAP);
+    let suite = streamit_suite(0);
+    for (name, pairs) in pinned {
+        let (_, g) = suite.iter().find(|(spec, _)| spec.name == name).unwrap();
+        assert_eq!(count_ideal_pairs(g), Some(pairs), "{name}");
     }
 }
 
