@@ -194,8 +194,11 @@ fn one_campaign(
     let mut rng = ChaCha8Rng::seed_from_u64(event_seed);
 
     // Warm base: one cold solve materialises the lattice, skeleton and
-    // route table the remap side is allowed to keep.
+    // route table the remap side is allowed to keep. Every remap re-solves
+    // this session family, so it declares reuse: `DPA1D` builds the
+    // (fault-invariant) skeleton instead of streaming a one-shot solve.
     let mut warm = Instance::new(g0.clone(), pf0.clone(), period);
+    warm.note_period_ceiling(period);
     let base_energy = portfolio.run(&warm).best_energy();
 
     let mut g_cur = g0;

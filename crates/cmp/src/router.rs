@@ -567,10 +567,14 @@ impl RouteTable {
         let links = wire::get_u32_slice(bytes, &mut pos)?;
         let dead_links = wire::get_u32_slice(bytes, &mut pos)?;
         let n_det = wire::get_len(bytes, &mut pos, 1)?;
-        let detoured: Vec<bool> = wire::take(bytes, &mut pos, n_det)?
+        let detoured = wire::take(bytes, &mut pos, n_det)?
             .iter()
-            .map(|&b| b != 0)
-            .collect();
+            .map(|&b| match b {
+                0 => Ok(false),
+                1 => Ok(true),
+                _ => Err(format!("detour flag byte {b} is neither 0 nor 1")),
+            })
+            .collect::<Result<Vec<bool>, String>>()?;
         if pos != bytes.len() {
             return Err(format!(
                 "{} trailing bytes after route-table image",
@@ -581,7 +585,8 @@ impl RouteTable {
         if n == 0 {
             return Err("route table for an empty grid".into());
         }
-        if offsets.len() != n * n + 1
+        // `p·q` comes off the wire: its square can overflow.
+        if n.checked_mul(n).and_then(|cells| cells.checked_add(1)) != Some(offsets.len())
             || offsets.windows(2).any(|w| w[0] > w[1])
             || offsets.last().copied().unwrap_or(0) as usize != links.len()
         {

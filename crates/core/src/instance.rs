@@ -14,10 +14,13 @@
 //! * `DPA1D`'s **transition skeleton** ([`TransitionSkeleton`]) — the
 //!   complete cluster-transition system over the lattice, which turns
 //!   each period-sweep point into a threshold-admission pass instead of a
-//!   lattice re-walk. For a series-parallel workload its exact size
-//!   ([`spg::ideal::count_ideal_pairs`]) is computed first, so a complete
-//!   build over the edge cap is refused without being walked and the
-//!   session goes straight to a bounded build or the streaming DP;
+//!   lattice re-walk. Built only for a session that will reuse it (see
+//!   [`Instance::note_period_ceiling`]) or on an explicit request; a
+//!   one-shot `DPA1D` solve streams instead. For a series-parallel
+//!   workload its exact size ([`spg::ideal::count_ideal_pairs`]) is
+//!   computed first, so a complete build over the edge cap is refused
+//!   without being walked and the session goes straight to a bounded
+//!   build or the streaming DP;
 //! * the **snake order** of the grid (used by `DPA1D` and `DPA2D1D`);
 //! * the **topological stage order** (used by the exact solver);
 //! * the per-stage **speed-feasibility table** (the slowest speed able to
@@ -41,6 +44,7 @@ use crate::common::Failure;
 use crate::dpa1d::{
     build_skeleton, build_skeleton_bounded, skeleton_overflow, Dpa1dConfig, TransitionSkeleton,
 };
+use crate::solver::SolveCtx;
 
 /// The interned ideal lattice of an instance together with the per-ideal
 /// cut volumes `DPA1D` prices its uni-line links with. Both are
@@ -142,9 +146,10 @@ struct Derived {
     pair_count: OnceLock<Option<u128>>,
     skeleton: SkeletonSlot,
     bounded: Mutex<BoundedSkeleton>,
-    /// The loosest period a sweep over this instance intends to request
-    /// (see [`Instance::note_period_ceiling`]): bounded builds target it
-    /// so one artifact serves the whole grid. `0.0` until noted.
+    /// The loosest period a caller declared this session family will be
+    /// solved at again (see [`Instance::note_period_ceiling`]): bounded
+    /// builds target it so one artifact serves the whole grid. `0.0`
+    /// until declared — `DPA1D` then streams instead of building.
     sweep_ceiling: Mutex<f64>,
     snake: OnceLock<Vec<CoreId>>,
     topo: OnceLock<Vec<StageId>>,
@@ -339,6 +344,11 @@ impl Instance {
     /// point then pays only the threshold-admission pass and the per-period
     /// `Ecal` lookups instead of re-walking the lattice.
     ///
+    /// An explicit call always materialises (or answers from the cache).
+    /// `DPA1D` itself reaches this only on a session that declared reuse
+    /// through [`Instance::note_period_ceiling`]; a one-shot solve streams
+    /// instead, and leaves both skeleton slots as it found them.
+    ///
     /// Whether the complete build fits `cfg.edge_cap` is decided by the
     /// exact pair count ([`count_ideal_pairs`], computed once per session
     /// family) for a series-parallel workload: a complete set over the cap
@@ -366,6 +376,19 @@ impl Instance {
         &self,
         cfg: &Dpa1dConfig,
     ) -> Result<Option<Arc<TransitionSkeleton>>, Failure> {
+        self.skeleton_within(cfg, &SolveCtx::default())
+    }
+
+    /// [`Instance::transition_skeleton`] under `ctx`'s deadline, which
+    /// every build polls once per source ideal. A deadline failure is
+    /// returned as `Err` and recorded nowhere — neither in the complete
+    /// slot nor as a bounded-build failure — so a later solve on this
+    /// session builds as if it had never been tried.
+    pub(crate) fn skeleton_within(
+        &self,
+        cfg: &Dpa1dConfig,
+        ctx: &SolveCtx,
+    ) -> Result<Option<Arc<TransitionSkeleton>>, Failure> {
         let shared = self
             .lattice(cfg.ideal_cap)
             .map_err(|e| crate::dpa1d::lattice_failure(&e))?;
@@ -388,7 +411,8 @@ impl Instance {
                     // record the failure it would return, unbuilt.
                     Err(skeleton_overflow(cfg.edge_cap))
                 } else {
-                    build_skeleton(self.spg(), self.platform(), &shared, cfg.edge_cap).map(Arc::new)
+                    build_skeleton(self.spg(), self.platform(), &shared, cfg.edge_cap, ctx)?
+                        .map(Arc::new)
                 };
                 *slot = Some((cfg.edge_cap, res.clone()));
                 if let Ok(sk) = res {
@@ -397,7 +421,7 @@ impl Instance {
             }
         }
         // The complete set is over budget: fall back to a bounded build.
-        self.bounded_skeleton(cfg, &shared)
+        self.bounded_skeleton(cfg, &shared, ctx)
     }
 
     /// The work-ceiling bounded fallback of [`Instance::transition_skeleton`].
@@ -409,6 +433,7 @@ impl Instance {
         &self,
         cfg: &Dpa1dConfig,
         shared: &Arc<SharedLattice>,
+        ctx: &SolveCtx,
     ) -> Result<Option<Arc<TransitionSkeleton>>, Failure> {
         let hint = *self.derived.sweep_ceiling.lock().unwrap();
         let mut slot = self.derived.bounded.lock().unwrap();
@@ -428,8 +453,15 @@ impl Instance {
                     continue; // proven overflow at this cap and ceiling
                 }
             }
-            match build_skeleton_bounded(self.spg(), self.platform(), shared, cfg.edge_cap, ceiling)
-            {
+            let built = build_skeleton_bounded(
+                self.spg(),
+                self.platform(),
+                shared,
+                cfg.edge_cap,
+                ceiling,
+                ctx,
+            )?;
+            match built {
                 Ok(sk) => {
                     let sk = Arc::new(sk);
                     // Cache the loosest built artifact (it strictly
@@ -457,12 +489,31 @@ impl Instance {
         Ok(None)
     }
 
-    /// Records (max-accumulating) the loosest period this session — or a
-    /// [`Instance::with_period`] re-target sharing its caches — intends to
-    /// request. Period sweeps call this with their grid's loosest resolved
-    /// point before fanning out, so the first bounded skeleton build
-    /// targets a ceiling serving *every* point exactly (see
-    /// [`TransitionSkeleton::serves`]).
+    /// Declares that this session family will be solved more than once,
+    /// up to `period` — `DPA1D`'s reuse contract. The period is
+    /// max-accumulated and shared with every [`Instance::with_period`]
+    /// re-target; [`Instance::with_fault`] and [`Instance::with_edit`]
+    /// carry the declaration over. Non-finite or non-positive periods are
+    /// ignored.
+    ///
+    /// * **Undeclared** (a one-shot solve): `DPA1D` builds no
+    ///   [`TransitionSkeleton`]. It relaxes from one already cached or
+    ///   seeded on the session when that serves the period, and otherwise
+    ///   streams the period's transitions straight into the DP — a
+    ///   skeleton it would use once costs more to build than to stream.
+    /// * **Declared**: the first `DPA1D` solve materialises the skeleton
+    ///   as [`Instance::transition_skeleton`] does — complete when it fits
+    ///   the edge cap, else bounded at the loosest declared period, so one
+    ///   build serves every tighter point exactly (see
+    ///   [`TransitionSkeleton::serves`]) — and caches it for the later
+    ///   solves, and for the `serve` daemon to harvest.
+    ///
+    /// Both producers return the same energies and telemetry to the bit;
+    /// the declaration decides only what is built and stored. Period
+    /// sweeps declare their grid's loosest resolved point before fanning
+    /// out, the daemon declares every solve (its artifact cache harvests
+    /// what the solve built), and an incremental remap campaign declares
+    /// its warm base session.
     pub fn note_period_ceiling(&self, period: f64) {
         if period.is_finite() && period > 0.0 {
             let mut hint = self.derived.sweep_ceiling.lock().unwrap();
@@ -470,6 +521,27 @@ impl Instance {
                 *hint = period;
             }
         }
+    }
+
+    /// Whether a caller has declared reuse through
+    /// [`Instance::note_period_ceiling`].
+    pub(crate) fn reuse_declared(&self) -> bool {
+        *self
+            .derived
+            .sweep_ceiling
+            .lock()
+            .expect("a panicking solve poisoned the reuse declaration")
+            > 0.0
+    }
+
+    /// The cached skeleton serving this session's period — the complete
+    /// one, else the bounded one when its ceiling covers the period —
+    /// without building anything.
+    pub(crate) fn serving_skeleton(&self) -> Option<Arc<TransitionSkeleton>> {
+        self.cached_skeleton().or_else(|| {
+            self.cached_bounded_skeleton()
+                .filter(|sk| sk.serves(self.period))
+        })
     }
 
     /// The precomputed route table for one routing policy on this
@@ -522,6 +594,17 @@ impl Instance {
     /// built on this session) without building it.
     pub fn cached_bounded_skeleton(&self) -> Option<Arc<TransitionSkeleton>> {
         self.derived.bounded.lock().unwrap().built.clone()
+    }
+
+    /// The skeleton build failures recorded on this session: the complete
+    /// slot's, and the bounded slot's `(edge_cap, ceiling)` record.
+    #[cfg(test)]
+    pub(crate) fn skeleton_failures(&self) -> (Option<Failure>, Option<(usize, f64)>) {
+        let complete = self.derived.skeleton.lock().unwrap();
+        let complete = complete
+            .as_ref()
+            .and_then(|(_, r)| r.as_ref().err().cloned());
+        (complete, self.derived.bounded.lock().unwrap().failed)
     }
 
     /// Peeks at the cached route table for one policy without building it.

@@ -918,6 +918,10 @@ impl ServiceCore {
         arrival: Instant,
     ) -> PreparedSolve {
         let (inst, keys, hits, route_patched) = self.seeded_instance(workload, req);
+        // The cache harvests what the solve builds, so every solve
+        // declares reuse: `DPA1D` then materialises its skeleton (for the
+        // next request with these fingerprints) instead of streaming.
+        inst.note_period_ceiling(inst.period());
         // A bounded skeleton built at exactly this period can stand in
         // when no complete skeleton is cached (the complete build may
         // overflow the edge cap for this workload entirely).
