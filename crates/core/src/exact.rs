@@ -14,13 +14,16 @@
 //! heuristic may ever return less energy on instances the solver can close
 //! (with XY routing, which is lossless on `2 × 2` grids where every simple
 //! route is an XY route).
+//!
+//! The solve context's deadline is polled once per enumerated partition.
 
 use cmp_mapping::{assign_min_speeds, is_dag_partition, Mapping, RouteSpec, REL_TOL};
 use cmp_platform::{CoreId, Platform, RouteOrder, Topology};
 use spg::{Spg, StageId};
 
-use crate::common::{better, validated, Failure, Solution};
+use crate::common::{better, validated, BudgetPhase, Failure, Solution};
 use crate::instance::Instance;
+use crate::solver::SolveCtx;
 
 /// Which partitions are admissible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,17 +57,18 @@ impl Default for ExactConfig {
 }
 
 /// Finds the minimum-energy valid mapping by exhaustive search over the
-/// instance's cached topological stage order.
-pub(crate) fn exact_run(inst: &Instance, cfg: &ExactConfig) -> Result<Solution, Failure> {
+/// instance's cached topological stage order, failing with a
+/// [`BudgetPhase::Deadline`] budget once `ctx`'s deadline has passed.
+pub(crate) fn exact_run(
+    inst: &Instance,
+    cfg: &ExactConfig,
+    ctx: &SolveCtx,
+) -> Result<Solution, Failure> {
     let (spg, pf, period) = (inst.spg(), inst.platform(), inst.period());
     let order = inst.topo_order();
     let n = spg.n();
     if n > cfg.max_stages {
-        return Err(Failure::budget(
-            crate::common::BudgetPhase::Search,
-            cfg.max_stages,
-            n,
-        ));
+        return Err(Failure::budget(BudgetPhase::Search, cfg.max_stages, n));
     }
     debug_assert_eq!(order.len(), n);
     let r = pf.n_cores();
@@ -94,13 +98,16 @@ pub(crate) fn exact_run(inst: &Instance, cfg: &ExactConfig) -> Result<Solution, 
         r,
         cap_work,
         &mut |assignment, k| {
+            ctx.check_budget()?;
             try_partition(spg, pf, period, cfg, assignment, k, &route_specs, &mut best);
+            Ok(())
         },
-    );
+    )?;
     best.ok_or_else(|| Failure::NoValidMapping("exhaustive search found no valid mapping".into()))
 }
 
-/// Restricted-growth enumeration of partitions in topological stage order.
+/// Restricted-growth enumeration of partitions in topological stage order;
+/// stops at the first error `leaf` returns.
 #[allow(clippy::too_many_arguments)]
 fn enumerate_partitions(
     spg: &Spg,
@@ -110,11 +117,10 @@ fn enumerate_partitions(
     block_work: &mut Vec<f64>,
     max_blocks: usize,
     cap_work: f64,
-    leaf: &mut impl FnMut(&[usize], usize),
-) {
+    leaf: &mut impl FnMut(&[usize], usize) -> Result<(), Failure>,
+) -> Result<(), Failure> {
     if i == order.len() {
-        leaf(assignment, block_work.len());
-        return;
+        return leaf(assignment, block_work.len());
     }
     let s = order[i];
     let w = spg.weight(s);
@@ -134,7 +140,7 @@ fn enumerate_partitions(
             max_blocks,
             cap_work,
             leaf,
-        );
+        )?;
         block_work[b] -= w;
     }
     // A fresh block (restricted growth: block ids appear in first-use order).
@@ -150,10 +156,11 @@ fn enumerate_partitions(
             max_blocks,
             cap_work,
             leaf,
-        );
+        )?;
         block_work.pop();
     }
     assignment[s.idx()] = usize::MAX;
+    Ok(())
 }
 
 /// Evaluates one partition: placement × route-discipline search.
@@ -276,7 +283,11 @@ mod tests {
         period: f64,
         cfg: &ExactConfig,
     ) -> Result<Solution, Failure> {
-        exact_run(&Instance::new(spg.clone(), pf.clone(), period), cfg)
+        exact_run(
+            &Instance::new(spg.clone(), pf.clone(), period),
+            cfg,
+            &SolveCtx::default(),
+        )
     }
 
     #[test]
@@ -381,6 +392,40 @@ mod tests {
         assert!(sol.eval.max_cycle_time <= 6.0 * (1.0 + 1e-9));
         // T = 5.9: no 2-partition fits.
         assert!(exact(&g, &pf, 5.9, &ExactConfig::default()).is_err());
+    }
+
+    /// A seeded 2×3 instance of `n` stages; at n = 10 its unbounded search
+    /// takes seconds.
+    fn random_2x3(n: usize) -> Instance {
+        use rand::SeedableRng;
+        let cfg = spg::SpgGenConfig {
+            n,
+            elevation: 2,
+            ccr: Some(1.0),
+            ..Default::default()
+        };
+        let g = spg::random_spg(&cfg, &mut rand_chacha::ChaCha8Rng::seed_from_u64(1));
+        Instance::for_utilisation(g, Platform::paper(2, 3), 0.5)
+    }
+
+    /// The deadline is polled inside the search, not only at solver entry.
+    #[test]
+    fn deadline_expires_inside_the_search() {
+        let ctx = SolveCtx::budgeted(0, std::time::Duration::from_millis(1));
+        match exact_run(&random_2x3(10), &ExactConfig::default(), &ctx) {
+            Err(Failure::TooExpensive(b)) => assert_eq!(b.phase, BudgetPhase::Deadline),
+            other => panic!("expected a deadline failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_generous_deadline_changes_no_energy() {
+        let inst = random_2x3(6);
+        let cfg = ExactConfig::default();
+        let free = exact_run(&inst, &cfg, &SolveCtx::new(0)).unwrap();
+        let ctx = SolveCtx::budgeted(0, std::time::Duration::from_secs(3600));
+        let bounded = exact_run(&inst, &cfg, &ctx).unwrap();
+        assert_eq!(free.energy().to_bits(), bounded.energy().to_bits());
     }
 
     use spg::Spg;

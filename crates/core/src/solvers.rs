@@ -156,7 +156,7 @@ impl Solver for Exact {
     fn solve(&self, inst: &Instance, ctx: &SolveCtx) -> Result<Solution, Failure> {
         ctx.check_budget()?;
         reject_infeasible(inst)?;
-        crate::exact::exact_run(inst, &self.cfg)
+        crate::exact::exact_run(inst, &self.cfg, ctx)
     }
 }
 
