@@ -118,19 +118,6 @@ impl Default for Dpa1dConfig {
     }
 }
 
-/// The failure of a skeleton build over `edge_cap`: the materialise-phase
-/// budget payload with the `edge_cap + 1` witness (saturating, so a cap of
-/// `usize::MAX` cannot overflow). A build returns it at the transition
-/// past the cap; `Instance::transition_skeleton` records it off the exact
-/// pair count without building.
-pub(crate) fn skeleton_overflow(edge_cap: usize) -> Failure {
-    Failure::budget(
-        BudgetPhase::Materialise,
-        edge_cap,
-        edge_cap.saturating_add(1),
-    )
-}
-
 /// Maps a lattice-enumeration failure to the structured budget failure.
 pub(crate) fn lattice_failure(e: &IdealError) -> Failure {
     match e {
@@ -393,24 +380,28 @@ impl TransitionSkeleton {
         Ok(())
     }
 
-    /// Builds the transition system over `lattice`, complete
-    /// (`period_ceiling = INFINITY`) or bounded by a work-ceiling period.
-    /// The inner result is the build's outcome: the skeleton, or the
-    /// materialise-phase budget payload when the built set exceeds
-    /// `edge_cap` (the caller falls back to a tighter ceiling or to the
-    /// streaming DFS). The outer `Err` is `solve_ctx`'s deadline, polled
-    /// once per source ideal: it says nothing about the inputs, so callers
-    /// must not cache it.
-    fn build(
+    /// Builds the transition system over a shared lattice up to a
+    /// work-ceiling period: complete at `period_ceiling = INFINITY`, and
+    /// otherwise exact for every period up to the ceiling (see
+    /// [`TransitionSkeleton::serves`]) and typically far smaller — the
+    /// escape hatch when the complete set is over the edge cap (e.g.
+    /// `BitonicSort`'s 4 171 861 complete transitions against the 1M
+    /// default cap). The inner result is the build's outcome: the
+    /// skeleton, or the materialise-phase budget payload with the
+    /// `edge_cap + 1` witness when the built set exceeds `edge_cap` (the
+    /// caller falls back to a tighter ceiling or to the streaming DFS).
+    /// The outer `Err` is `solve_ctx`'s deadline, polled once per source
+    /// ideal: it says nothing about the inputs, so callers must not cache
+    /// it.
+    pub(crate) fn build(
         spg: &Spg,
         pf: &Platform,
-        lattice: &IdealLattice,
-        cuts: &[f64],
+        shared: &SharedLattice,
         edge_cap: usize,
         period_ceiling: f64,
         solve_ctx: &SolveCtx,
     ) -> Result<BuildOutcome, Failure> {
-        debug_assert_eq!(cuts.len(), lattice.len());
+        let (lattice, cuts) = (&shared.lattice, &shared.cuts);
         #[cfg(test)]
         {
             let counter = if period_ceiling.is_infinite() {
@@ -460,7 +451,13 @@ impl TransitionSkeleton {
                 true
             });
             if !ok {
-                return Ok(Err(skeleton_overflow(edge_cap)));
+                // Saturating, so a cap of `usize::MAX` cannot overflow.
+                let witness = edge_cap.saturating_add(1);
+                return Ok(Err(Failure::budget(
+                    BudgetPhase::Materialise,
+                    edge_cap,
+                    witness,
+                )));
             }
             let end = to.len() as u32;
             if end > start {
@@ -500,52 +497,6 @@ pub(crate) type BuildOutcome = Result<TransitionSkeleton, Failure>;
 thread_local! {
     pub(crate) static COMPLETE_BUILDS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
     pub(crate) static BOUNDED_BUILDS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-}
-
-/// Builds the complete (every-period) skeleton for a shared lattice
-/// (crate-internal constructor used by the `Instance` cache); the outer
-/// `Err` is `ctx`'s deadline (see [`TransitionSkeleton::build`]).
-pub(crate) fn build_skeleton(
-    spg: &Spg,
-    pf: &Platform,
-    shared: &SharedLattice,
-    edge_cap: usize,
-    ctx: &SolveCtx,
-) -> Result<BuildOutcome, Failure> {
-    TransitionSkeleton::build(
-        spg,
-        pf,
-        &shared.lattice,
-        &shared.cuts,
-        edge_cap,
-        f64::INFINITY,
-        ctx,
-    )
-}
-
-/// Builds a work-ceiling bounded skeleton: exact for every period up to
-/// `period_ceiling` (see [`TransitionSkeleton::serves`]), and typically far
-/// smaller than the complete set — the escape hatch when the complete set
-/// is over the edge cap (e.g. `BitonicSort`'s 4 171 861 complete
-/// transitions against the 1M default cap).
-pub(crate) fn build_skeleton_bounded(
-    spg: &Spg,
-    pf: &Platform,
-    shared: &SharedLattice,
-    edge_cap: usize,
-    period_ceiling: f64,
-    ctx: &SolveCtx,
-) -> Result<BuildOutcome, Failure> {
-    debug_assert!(period_ceiling.is_finite() && period_ceiling > 0.0);
-    TransitionSkeleton::build(
-        spg,
-        pf,
-        &shared.lattice,
-        &shared.cuts,
-        edge_cap,
-        period_ceiling,
-        ctx,
-    )
 }
 
 /// Hop energy paid on the uni-line link leaving boundary ideal `from`
@@ -1244,25 +1195,15 @@ mod tests {
         )
     }
 
-    /// A complete skeleton build with no deadline.
-    fn complete_build(
-        g: &Spg,
-        pf: &Platform,
-        shared: &SharedLattice,
-        edge_cap: usize,
-    ) -> BuildOutcome {
-        build_skeleton(g, pf, shared, edge_cap, &SolveCtx::default()).expect("no deadline")
-    }
-
-    /// A work-ceiling bounded skeleton build with no deadline.
-    fn bounded_build(
+    /// A skeleton build at `ceiling` (∞ = complete) with no deadline.
+    fn build(
         g: &Spg,
         pf: &Platform,
         shared: &SharedLattice,
         edge_cap: usize,
         ceiling: f64,
     ) -> BuildOutcome {
-        build_skeleton_bounded(g, pf, shared, edge_cap, ceiling, &SolveCtx::default())
+        TransitionSkeleton::build(g, pf, shared, edge_cap, ceiling, &SolveCtx::default())
             .expect("no deadline")
     }
 
@@ -1390,7 +1331,7 @@ mod tests {
         let pf = Platform::paper(2, 2);
         let cfg = Dpa1dConfig::default();
         let shared = shared(&g);
-        let sk = complete_build(&g, &pf, &shared, cfg.edge_cap).unwrap();
+        let sk = build(&g, &pf, &shared, cfg.edge_cap, f64::INFINITY).unwrap();
         let mut prev = 0usize;
         for period in [0.01, 0.1, 1.0, 10.0] {
             let n = sk.admitted_count(&Admission::new(&pf, period));
@@ -1427,11 +1368,11 @@ mod tests {
         let pf = Platform::paper(2, 2);
         let shared = shared(&g);
         // A 30-chain has 31 ideals and C(31,2) = 465 transitions.
-        let sk = complete_build(&g, &pf, &shared, 1_000_000).unwrap();
+        let sk = build(&g, &pf, &shared, 1_000_000, f64::INFINITY).unwrap();
         assert_eq!(sk.n_transitions(), 465);
         assert!(sk.max_cluster_stages() >= 1);
         assert!(sk.is_complete() && sk.serves(f64::MAX));
-        let err = complete_build(&g, &pf, &shared, 100).unwrap_err();
+        let err = build(&g, &pf, &shared, 100, f64::INFINITY).unwrap_err();
         let b = err.budget_exceeded().unwrap();
         assert_eq!(b.phase, BudgetPhase::Materialise);
         assert_eq!(b.cap, 100);
@@ -1439,7 +1380,7 @@ mod tests {
         // admitted set — it fits the cap the complete build overflows.
         // cap_work = 3e6 ⇒ clusters of ≤ 3 stages ⇒ 3·30 − 3 = 87 ≤ 100.
         let ceiling = 0.003;
-        let bounded = bounded_build(&g, &pf, &shared, 100, ceiling).unwrap();
+        let bounded = build(&g, &pf, &shared, 100, ceiling).unwrap();
         assert!(!bounded.is_complete());
         assert!(bounded.serves(ceiling) && !bounded.serves(ceiling * 1.01));
         assert!(bounded.n_transitions() < sk.n_transitions());
@@ -1454,9 +1395,9 @@ mod tests {
         let pf = Platform::paper(2, 3);
         let cfg = Dpa1dConfig::default();
         let shared = shared(&g);
-        let complete = complete_build(&g, &pf, &shared, cfg.edge_cap).unwrap();
+        let complete = build(&g, &pf, &shared, cfg.edge_cap, f64::INFINITY).unwrap();
         let ceiling = 0.5;
-        let bounded = bounded_build(&g, &pf, &shared, cfg.edge_cap, ceiling).unwrap();
+        let bounded = build(&g, &pf, &shared, cfg.edge_cap, ceiling).unwrap();
         assert!(bounded.n_transitions() <= complete.n_transitions());
         for period in [0.5, 0.2, 0.05, 0.01] {
             let adm = Admission::new(&pf, period);
@@ -1578,7 +1519,7 @@ mod tests {
 
     /// The deadline is polled inside skeleton builds too: a session that
     /// declared reuse fails a 1 ms deadline during its bounded build, and
-    /// the failure is recorded in neither skeleton slot, so the next
+    /// the failure is not recorded in the skeleton slot, so the next
     /// (unbudgeted) solve retries the build and answers with the bits of a
     /// fresh session.
     #[test]
@@ -1593,15 +1534,14 @@ mod tests {
             other => panic!("expected a deadline failure, got {other:?}"),
         }
         assert_eq!(builds(), (before.0, before.1 + 1), "stopped in the build");
-        // The complete slot holds only the pair count's refusal. The
-        // bounded slot holds no failure: the deadline stopped the build
-        // before it could overflow, and was not recorded.
-        match inst.skeleton_failures() {
-            (Some(Failure::TooExpensive(b)), None) => {
-                assert_eq!(b.phase, BudgetPhase::Materialise)
-            }
-            other => panic!("the build ran past the deadline or cached it: {other:?}"),
-        }
+        // The slot records only the pair count's refusal of the complete
+        // set: the deadline stopped the bounded build before it could
+        // overflow, and was not recorded.
+        assert_eq!(
+            inst.skeleton_overflows(),
+            [(cfg.edge_cap, f64::INFINITY)],
+            "the build ran past the deadline or cached it"
+        );
         let after = dpa1d_run(&inst, &cfg, &SolveCtx::default());
         assert_eq!(builds(), (before.0, before.1 + 2), "the build is retried");
         let fresh = dpa1d_run(&bitonic_session(), &cfg, &SolveCtx::default());
@@ -1700,7 +1640,7 @@ mod tests {
     fn skeleton_image_round_trips_and_rejects_bad_indices() {
         let g = fork_join();
         let pf = Platform::paper(2, 3);
-        let sk = complete_build(&g, &pf, &shared(&g), 1_000_000).unwrap();
+        let sk = build(&g, &pf, &shared(&g), 1_000_000, f64::INFINITY).unwrap();
         let image = sk.to_bytes();
         // 12 bytes per transition, 36 per block, 40 of framing.
         assert_eq!(

@@ -12,15 +12,18 @@
 //!   is computed first, so an over-cap lattice is refused without being
 //!   enumerated;
 //! * `DPA1D`'s **transition skeleton** ([`TransitionSkeleton`]) — the
-//!   complete cluster-transition system over the lattice, which turns
-//!   each period-sweep point into a threshold-admission pass instead of a
-//!   lattice re-walk. Built only for a session that will reuse it (see
+//!   cluster-transition system over the lattice up to a work ceiling
+//!   (∞ for the complete set), which turns each period-sweep point at or
+//!   below the ceiling into a threshold-admission pass instead of a
+//!   lattice re-walk. One slot keyed by ceiling holds the loosest
+//!   skeleton built or seeded, plus the `(edge_cap, ceiling)` builds
+//!   known to overflow. Built only for a session that will reuse it (see
 //!   [`Instance::note_period_ceiling`]) or on an explicit request; a
 //!   one-shot `DPA1D` solve streams instead. For a series-parallel
-//!   workload its exact size ([`spg::ideal::count_ideal_pairs`]) is
-//!   computed first, so a complete build over the edge cap is refused
-//!   without being walked and the session goes straight to a bounded
-//!   build or the streaming DP;
+//!   workload the complete set's exact size
+//!   ([`spg::ideal::count_ideal_pairs`]) is computed first, so a complete
+//!   build over the edge cap is refused without being walked and the
+//!   session goes straight to a bounded build or the streaming DP;
 //! * the **snake order** of the grid (used by `DPA1D` and `DPA2D1D`);
 //! * the **topological stage order** (used by the exact solver);
 //! * the per-stage **speed-feasibility table** (the slowest speed able to
@@ -41,9 +44,7 @@ use spg::ideal::{count_ideal_pairs, count_ideals, enumerate_ideals, IdealError, 
 use spg::{Edit, Spg, StageId};
 
 use crate::common::Failure;
-use crate::dpa1d::{
-    build_skeleton, build_skeleton_bounded, skeleton_overflow, Dpa1dConfig, TransitionSkeleton,
-};
+use crate::dpa1d::{Dpa1dConfig, TransitionSkeleton};
 use crate::solver::SolveCtx;
 
 /// The interned ideal lattice of an instance together with the per-ideal
@@ -103,33 +104,59 @@ impl SharedLattice {
 /// enumerations of non-SP graphs, which have no exact count, can fail).
 type LatticeSlot = Mutex<Option<(usize, Result<Arc<SharedLattice>, IdealError>)>>;
 
-/// Cached complete `DPA1D` transition skeleton: the edge cap the build ran
-/// under, and the outcome. A success serves *any* edge cap (per-period
-/// admission enforces the cap on the admitted count, not on the index
-/// size); a failure at cap `c` answers any request with cap ≤ `c` (the
-/// complete set is even larger). For a series-parallel workload that
-/// failure is recorded off the exact pair count, without building; only a
-/// non-SP workload learns it by building until the cap overflows.
-type SkeletonSlot = Mutex<Option<(usize, Result<Arc<TransitionSkeleton>, Failure>)>>;
-
-/// Cached work-ceiling bounded skeleton state (the fallback when the
-/// complete transition set overflows the edge cap): at most one built
-/// artifact — the loosest ceiling built so far, which serves every period
-/// at or below it — plus the most binding build *failure* observed.
+/// Cached `DPA1D` transition-skeleton state: one slot keyed by work
+/// ceiling (see [`TransitionSkeleton::period_ceiling`]; a complete build
+/// is the ceiling-∞ case).
 ///
-/// The failure is keyed by both the edge cap it was attempted under and
-/// the ceiling it was attempted at: bounded builds are monotone in both,
-/// so a failure at `(cap, ceiling)` proves failure for any `cap' ≤ cap`
-/// at any `ceiling' ≥ ceiling` — and proves nothing about tighter
-/// ceilings. That keying is what lets a tighter sweep point retry (and
-/// succeed) after a looser point's build overflowed, where a bare
-/// "build failed once" flag would poison the whole session.
+/// It holds at most one built artifact — the loosest ceiling built or
+/// seeded so far, which serves every period at or below it and any edge
+/// cap (per-period admission enforces the cap on the admitted count, not
+/// on the index size) — plus the non-dominated build overflows, keyed by
+/// the edge cap and the ceiling they were attempted at. Builds are
+/// monotone in both, so an overflow at `(cap, ceiling)` proves one at every
+/// `cap' ≤ cap` and `ceiling' ≥ ceiling`, and nothing about tighter
+/// ceilings: a tighter sweep point retries (and may succeed) after a
+/// looser point's build overflowed. A complete overflow is `(cap, ∞)`;
+/// for a series-parallel workload it is recorded off the exact pair count,
+/// without building.
 #[derive(Default, Clone)]
-struct BoundedSkeleton {
+struct SkeletonCache {
     built: Option<Arc<TransitionSkeleton>>,
-    /// `(edge_cap, ceiling)` of the most binding failed build: tightest
-    /// ceiling first, largest cap among equal ceilings.
-    failed: Option<(usize, f64)>,
+    overflows: Vec<(usize, f64)>,
+}
+
+impl SkeletonCache {
+    /// The cached skeleton, if it serves `period`.
+    fn serving(&self, period: f64) -> Option<Arc<TransitionSkeleton>> {
+        self.built.as_ref().filter(|sk| sk.serves(period)).cloned()
+    }
+
+    /// Keeps `sk` when its ceiling is strictly looser than the cached one's.
+    fn keep(&mut self, sk: &Arc<TransitionSkeleton>) {
+        if self
+            .built
+            .as_ref()
+            .is_none_or(|b| sk.period_ceiling() > b.period_ceiling())
+        {
+            self.built = Some(Arc::clone(sk));
+        }
+    }
+
+    /// Whether a recorded overflow proves a build at `(cap, ceiling)`
+    /// overflows too.
+    fn proves_overflow(&self, cap: usize, ceiling: f64) -> bool {
+        self.overflows
+            .iter()
+            .any(|&(c, ceil)| cap <= c && ceiling >= ceil)
+    }
+
+    /// Records an overflow at `(cap, ceiling)`, dropping the records it
+    /// covers.
+    fn record_overflow(&mut self, cap: usize, ceiling: f64) {
+        self.overflows
+            .retain(|&(c, ceil)| !(c <= cap && ceil >= ceiling));
+        self.overflows.push((cap, ceiling));
+    }
 }
 
 /// Period-independent derived structures, shared between an instance and
@@ -144,8 +171,7 @@ struct Derived {
     /// ([`count_ideal_pairs`]; `None` for a non-SP graph). Structure-only,
     /// like `ideal_count`.
     pair_count: OnceLock<Option<u128>>,
-    skeleton: SkeletonSlot,
-    bounded: Mutex<BoundedSkeleton>,
+    skeleton: Mutex<SkeletonCache>,
     /// The loosest period a caller declared this session family will be
     /// solved at again (see [`Instance::note_period_ceiling`]): bounded
     /// builds target it so one artifact serves the whole grid. `0.0`
@@ -338,39 +364,36 @@ impl Instance {
     }
 
     /// The period-independent `DPA1D` transition skeleton for this
-    /// instance (see [`TransitionSkeleton`]): the complete cluster
-    /// transition system over the interned lattice, built at most once and
-    /// shared across [`Instance::with_period`] re-targets — each sweep
-    /// point then pays only the threshold-admission pass and the per-period
-    /// `Ecal` lookups instead of re-walking the lattice.
+    /// instance (see [`TransitionSkeleton`]): the cluster transition system
+    /// over the interned lattice, built at most once per ceiling and shared
+    /// across [`Instance::with_period`] re-targets — each sweep point then
+    /// pays only the threshold-admission pass and the per-period `Ecal`
+    /// lookups instead of re-walking the lattice.
     ///
     /// An explicit call always materialises (or answers from the cache).
     /// `DPA1D` itself reaches this only on a session that declared reuse
     /// through [`Instance::note_period_ceiling`]; a one-shot solve streams
-    /// instead, and leaves both skeleton slots as it found them.
+    /// instead, and leaves the skeleton slot as it found it.
     ///
-    /// Whether the complete build fits `cfg.edge_cap` is decided by the
-    /// exact pair count ([`count_ideal_pairs`], computed once per session
-    /// family) for a series-parallel workload: a complete set over the cap
-    /// is recorded as an overflow without being walked, and the session
-    /// goes straight to its bounded skeleton (a seeded one included) or
-    /// the streaming fallback. Only a non-SP workload, which has no count,
-    /// runs the capped build to find out.
+    /// A cached or seeded skeleton that serves the period answers at once.
+    /// Otherwise the candidate ceilings run loosest first: ∞ (the complete
+    /// set), then the loosest period the session is known to need (the
+    /// declared sweep ceiling, or the period itself), then the period. A
+    /// candidate is skipped when a recorded overflow already proves it
+    /// overflows `cfg.edge_cap`; at ∞ the exact pair count
+    /// ([`count_ideal_pairs`], computed once per session family) decides
+    /// for a series-parallel workload, recording an overflow without
+    /// walking anything. Only a non-SP workload, which has no count, runs
+    /// the capped complete build to find out.
     ///
     /// Returns:
     ///
-    /// * `Ok(Some(_))` — a skeleton serving this session's period: the
-    ///   complete build when it fits `cfg.edge_cap`, else a work-ceiling
-    ///   bounded build targeting the loosest period the session is known
-    ///   to need (see [`Instance::note_period_ceiling`]) — exact for
-    ///   every period it [`TransitionSkeleton::serves`];
-    /// * `Ok(None)` — neither the complete set nor any candidate bounded
-    ///   build (the last candidate is this session's own period) fits
-    ///   `cfg.edge_cap`; `DPA1D` then streams the period's transitions
-    ///   through its extension DFS without storing them (failures are
-    ///   cached too: they are keyed by the cap — and, for bounded builds,
-    ///   the ceiling — they were attempted under, so only genuinely new
-    ///   requests re-run a build);
+    /// * `Ok(Some(_))` — a skeleton that [`TransitionSkeleton::serves`]
+    ///   this session's period, exactly;
+    /// * `Ok(None)` — no candidate fits `cfg.edge_cap`; `DPA1D` then
+    ///   streams the period's transitions through its extension DFS
+    ///   without storing them (the overflows are cached, so only
+    ///   genuinely new requests re-run a build);
     /// * `Err(_)` — lattice enumeration itself exceeded `cfg.ideal_cap`.
     pub fn transition_skeleton(
         &self,
@@ -381,8 +404,7 @@ impl Instance {
 
     /// [`Instance::transition_skeleton`] under `ctx`'s deadline, which
     /// every build polls once per source ideal. A deadline failure is
-    /// returned as `Err` and recorded nowhere — neither in the complete
-    /// slot nor as a bounded-build failure — so a later solve on this
+    /// returned as `Err` and recorded nowhere, so a later solve on this
     /// session builds as if it had never been tried.
     pub(crate) fn skeleton_within(
         &self,
@@ -392,99 +414,35 @@ impl Instance {
         let shared = self
             .lattice(cfg.ideal_cap)
             .map_err(|e| crate::dpa1d::lattice_failure(&e))?;
-        {
-            let mut slot = self.derived.skeleton.lock().unwrap();
-            let known_overflow = match slot.as_ref() {
-                Some((_, Ok(sk))) => return Ok(Some(Arc::clone(sk))),
-                // A complete-build overflow at cap ≥ ours is proof ours
-                // overflows too; a *smaller* failed cap proves nothing, so
-                // fall through and (re)try the complete build.
-                Some((built_cap, Err(_))) => cfg.edge_cap <= *built_cap,
-                None => false,
-            };
-            if !known_overflow {
-                let res = if self
-                    .pair_count()
-                    .is_some_and(|pairs| pairs > cfg.edge_cap as u128)
-                {
-                    // The build would stop at the `edge_cap + 1`-th pair:
-                    // record the failure it would return, unbuilt.
-                    Err(skeleton_overflow(cfg.edge_cap))
-                } else {
-                    build_skeleton(self.spg(), self.platform(), &shared, cfg.edge_cap, ctx)?
-                        .map(Arc::new)
-                };
-                *slot = Some((cfg.edge_cap, res.clone()));
-                if let Ok(sk) = res {
-                    return Ok(Some(sk));
-                }
-            }
-        }
-        // The complete set is over budget: fall back to a bounded build.
-        self.bounded_skeleton(cfg, &shared, ctx)
-    }
-
-    /// The work-ceiling bounded fallback of [`Instance::transition_skeleton`].
-    /// Candidate ceilings run loosest first — the sweep-grid hint (one
-    /// build serves the whole grid), then this session's own period — and
-    /// each is skipped when a recorded failure already proves it overflows
-    /// at this cap.
-    fn bounded_skeleton(
-        &self,
-        cfg: &Dpa1dConfig,
-        shared: &Arc<SharedLattice>,
-        ctx: &SolveCtx,
-    ) -> Result<Option<Arc<TransitionSkeleton>>, Failure> {
         let hint = *self.derived.sweep_ceiling.lock().unwrap();
-        let mut slot = self.derived.bounded.lock().unwrap();
-        if let Some(sk) = &slot.built {
-            if sk.serves(self.period) {
-                return Ok(Some(Arc::clone(sk)));
-            }
+        let mut slot = self.derived.skeleton.lock().unwrap();
+        if let Some(sk) = slot.serving(self.period) {
+            return Ok(Some(sk));
         }
-        let loosest = hint.max(self.period);
-        let mut candidates = vec![loosest];
-        if self.period < loosest {
-            candidates.push(self.period);
-        }
-        for ceiling in candidates {
-            if let Some((fcap, fceil)) = slot.failed {
-                if cfg.edge_cap <= fcap && ceiling >= fceil {
-                    continue; // proven overflow at this cap and ceiling
-                }
+        let cap = cfg.edge_cap;
+        for ceiling in [f64::INFINITY, hint.max(self.period), self.period] {
+            // Also skips a candidate equal to one that just overflowed.
+            if slot.proves_overflow(cap, ceiling) {
+                continue;
             }
-            let built = build_skeleton_bounded(
-                self.spg(),
-                self.platform(),
-                shared,
-                cfg.edge_cap,
-                ceiling,
-                ctx,
-            )?;
-            match built {
-                Ok(sk) => {
+            let counted_over =
+                ceiling.is_infinite() && self.pair_count().is_some_and(|pairs| pairs > cap as u128);
+            if !counted_over {
+                let built = TransitionSkeleton::build(
+                    self.spg(),
+                    self.platform(),
+                    &shared,
+                    cap,
+                    ceiling,
+                    ctx,
+                )?;
+                if let Ok(sk) = built {
                     let sk = Arc::new(sk);
-                    // Cache the loosest built artifact (it strictly
-                    // subsumes tighter ones); always serve the fresh one.
-                    if slot
-                        .built
-                        .as_ref()
-                        .is_none_or(|b| sk.period_ceiling() > b.period_ceiling())
-                    {
-                        slot.built = Some(Arc::clone(&sk));
-                    }
+                    slot.keep(&sk);
                     return Ok(Some(sk));
                 }
-                Err(_) => {
-                    slot.failed = Some(match slot.failed {
-                        // Keep the tightest-ceiling record (it covers the
-                        // largest request region); merge caps on a tie.
-                        Some((fc, fceil)) if fceil < ceiling => (fc, fceil),
-                        Some((fc, fceil)) if fceil == ceiling => (fc.max(cfg.edge_cap), fceil),
-                        _ => (cfg.edge_cap, ceiling),
-                    });
-                }
             }
+            slot.record_overflow(cap, ceiling);
         }
         Ok(None)
     }
@@ -502,11 +460,12 @@ impl Instance {
     ///   streams the period's transitions straight into the DP — a
     ///   skeleton it would use once costs more to build than to stream.
     /// * **Declared**: the first `DPA1D` solve materialises the skeleton
-    ///   as [`Instance::transition_skeleton`] does — complete when it fits
-    ///   the edge cap, else bounded at the loosest declared period, so one
-    ///   build serves every tighter point exactly (see
-    ///   [`TransitionSkeleton::serves`]) — and caches it for the later
-    ///   solves, and for the `serve` daemon to harvest.
+    ///   as [`Instance::transition_skeleton`] does — at ceiling ∞ (complete)
+    ///   when it fits the edge cap, else at the loosest declared period, so
+    ///   one build serves every tighter point exactly (see
+    ///   [`TransitionSkeleton::serves`]) — and caches it in the session's
+    ///   one skeleton slot for the later solves, and for the `serve`
+    ///   daemon to harvest under its ceiling.
     ///
     /// Both producers return the same energies and telemetry to the bit;
     /// the declaration decides only what is built and stored. Period
@@ -534,14 +493,10 @@ impl Instance {
             > 0.0
     }
 
-    /// The cached skeleton serving this session's period — the complete
-    /// one, else the bounded one when its ceiling covers the period —
-    /// without building anything.
+    /// The cached skeleton, if it serves this session's period, without
+    /// building anything.
     pub(crate) fn serving_skeleton(&self) -> Option<Arc<TransitionSkeleton>> {
-        self.cached_skeleton().or_else(|| {
-            self.cached_bounded_skeleton()
-                .filter(|sk| sk.serves(self.period))
-        })
+        self.derived.skeleton.lock().unwrap().serving(self.period)
     }
 
     /// The precomputed route table for one routing policy on this
@@ -581,30 +536,30 @@ impl Instance {
             .and_then(|(_, res)| res.as_ref().ok().cloned())
     }
 
-    /// Peeks at the cached *complete* transition skeleton without building
-    /// it (bounded artifacts have their own peek,
-    /// [`Instance::cached_bounded_skeleton`]).
+    /// Peeks at the cached transition skeleton without building it: the
+    /// loosest one built or seeded on this session, whatever its ceiling.
+    /// The `serve` artifact cache harvests it under that ceiling.
+    pub(crate) fn cached_any_skeleton(&self) -> Option<Arc<TransitionSkeleton>> {
+        self.derived.skeleton.lock().unwrap().built.clone()
+    }
+
+    /// Peeks at the cached skeleton without building it, if it is
+    /// complete.
     pub fn cached_skeleton(&self) -> Option<Arc<TransitionSkeleton>> {
-        let slot = self.derived.skeleton.lock().unwrap();
-        slot.as_ref()
-            .and_then(|(_, res)| res.as_ref().ok().cloned())
+        self.cached_any_skeleton().filter(|sk| sk.is_complete())
     }
 
-    /// Peeks at the cached work-ceiling bounded skeleton (the loosest one
-    /// built on this session) without building it.
+    /// Peeks at the cached skeleton without building it, if it is a
+    /// work-ceiling bounded build.
     pub fn cached_bounded_skeleton(&self) -> Option<Arc<TransitionSkeleton>> {
-        self.derived.bounded.lock().unwrap().built.clone()
+        self.cached_any_skeleton().filter(|sk| !sk.is_complete())
     }
 
-    /// The skeleton build failures recorded on this session: the complete
-    /// slot's, and the bounded slot's `(edge_cap, ceiling)` record.
+    /// The `(edge_cap, ceiling)` skeleton build overflows recorded on this
+    /// session.
     #[cfg(test)]
-    pub(crate) fn skeleton_failures(&self) -> (Option<Failure>, Option<(usize, f64)>) {
-        let complete = self.derived.skeleton.lock().unwrap();
-        let complete = complete
-            .as_ref()
-            .and_then(|(_, r)| r.as_ref().err().cloned());
-        (complete, self.derived.bounded.lock().unwrap().failed)
+    pub(crate) fn skeleton_overflows(&self) -> Vec<(usize, f64)> {
+        self.derived.skeleton.lock().unwrap().overflows.clone()
     }
 
     /// Peeks at the cached route table for one policy without building it.
@@ -625,28 +580,13 @@ impl Instance {
         }
     }
 
-    /// Seeds the skeleton cache (see [`Instance::seed_lattice`]). Routes
-    /// by build kind: a complete artifact fills the complete slot (first
-    /// success wins, but it may replace a cached build *failure* — the
-    /// donor evidently built it under a larger cap); a bounded artifact
-    /// fills the bounded slot when it is looser than what is already
-    /// there. A cached success serves any edge cap, so no cap is recorded.
+    /// Seeds the skeleton cache (see [`Instance::seed_lattice`]): the
+    /// artifact replaces the cached one when its ceiling is strictly
+    /// looser (a complete one beats any bounded one), and is dropped
+    /// otherwise. A cached skeleton serves any edge cap, so no cap is
+    /// recorded.
     pub fn seed_skeleton(&self, skeleton: Arc<TransitionSkeleton>) {
-        if skeleton.is_complete() {
-            let mut slot = self.derived.skeleton.lock().unwrap();
-            if !matches!(slot.as_ref(), Some((_, Ok(_)))) {
-                *slot = Some((0, Ok(skeleton)));
-            }
-        } else {
-            let mut slot = self.derived.bounded.lock().unwrap();
-            if slot
-                .built
-                .as_ref()
-                .is_none_or(|b| skeleton.period_ceiling() > b.period_ceiling())
-            {
-                slot.built = Some(skeleton);
-            }
-        }
+        self.derived.skeleton.lock().unwrap().keep(&skeleton);
     }
 
     /// Seeds the route-table cache for one policy (see
@@ -741,7 +681,7 @@ impl Instance {
     /// delta-patching the cached derived state instead of discarding it
     /// (see `docs/fault-model.md` for the full invalidation matrix):
     ///
-    /// * the ideal lattice, transition skeletons, snake/topological
+    /// * the ideal lattice, transition-skeleton slot, snake/topological
     ///   orders, sweep-ceiling hint, and per-stage speed table are all
     ///   fault-invariant — shared or copied as-is;
     /// * on a **core** fault every built route table is reused verbatim
@@ -760,7 +700,6 @@ impl Instance {
             ideal_count: self.derived.ideal_count.clone(),
             pair_count: self.derived.pair_count.clone(),
             skeleton: Mutex::new(self.derived.skeleton.lock().unwrap().clone()),
-            bounded: Mutex::new(self.derived.bounded.lock().unwrap().clone()),
             sweep_ceiling: Mutex::new(*self.derived.sweep_ceiling.lock().unwrap()),
             snake: self.derived.snake.clone(),
             topo: self.derived.topo.clone(),
@@ -793,9 +732,9 @@ impl Instance {
     ///   [`SharedLattice`] (cut volumes are weight-independent), a volume
     ///   edit clones the structure and recomputes the cut volumes — in
     ///   cold enumeration order, so they are bit-identical to a rebuild;
-    /// * transition skeletons are invalidated (their per-transition work
-    ///   sums and admission thresholds are value-derived) and rebuilt
-    ///   lazily from the reused lattice;
+    /// * the transition-skeleton slot is emptied (per-transition work sums
+    ///   and admission thresholds are value-derived), and the skeleton is
+    ///   rebuilt lazily from the reused lattice;
     /// * route tables, snake/topological orders, and the sweep-ceiling
     ///   hint are workload-independent or structure-only — copied;
     /// * the per-stage speed table survives volume edits and is dropped on
@@ -826,8 +765,7 @@ impl Instance {
             pair_count: self.derived.pair_count.clone(),
             // Skeleton blocks embed value-derived work sums and admission
             // thresholds: rebuilt lazily from the reused lattice.
-            skeleton: Mutex::new(None),
-            bounded: Mutex::new(BoundedSkeleton::default()),
+            skeleton: Mutex::default(),
             sweep_ceiling: Mutex::new(*self.derived.sweep_ceiling.lock().unwrap()),
             snake: self.derived.snake.clone(),
             topo: self.derived.topo.clone(),
@@ -856,7 +794,7 @@ impl Instance {
 /// data set when a fraction `u` of its peak cycle capacity does useful
 /// work. Deterministic in the inputs, so resumable campaign jobs can
 /// recompute it from the job key alone.
-fn utilisation_period(spg: &Spg, pf: &Platform, utilisation: f64) -> f64 {
+pub(crate) fn utilisation_period(spg: &Spg, pf: &Platform, utilisation: f64) -> f64 {
     assert!(
         utilisation > 0.0 && utilisation.is_finite(),
         "utilisation must be positive and finite"
@@ -937,6 +875,11 @@ mod tests {
         crate::dpa1d::COMPLETE_BUILDS.with(|n| n.get())
     }
 
+    /// Bounded skeleton builds this thread has started so far.
+    fn bounded_builds() -> u32 {
+        crate::dpa1d::BOUNDED_BUILDS.with(|n| n.get())
+    }
+
     #[test]
     fn seeded_bounded_skeleton_serves_without_a_doomed_complete_build() {
         // 30-chain: 465 nested ideal pairs, over an edge cap of 100.
@@ -945,24 +888,61 @@ mod tests {
             edge_cap: 100,
             ..Default::default()
         };
-        let donor = Instance::new(g.clone(), Platform::paper(2, 2), 0.003);
+        let donor = Instance::new(g.clone(), Platform::paper(2, 2), 0.002);
         let sk = donor.transition_skeleton(&cfg).unwrap().unwrap();
         assert!(!sk.is_complete());
         // The daemon's warm path: a fresh session seeded with the bounded
-        // artifact and nothing in the complete slot.
-        let warm = Instance::new(g, Platform::paper(2, 2), 0.003);
+        // artifact and nothing else in its skeleton slot.
+        let warm = Instance::new(g, Platform::paper(2, 2), 0.002);
         warm.seed_lattice(donor.cached_lattice().unwrap());
         warm.seed_skeleton(Arc::clone(&sk));
         let before = complete_builds();
         let served = warm.transition_skeleton(&cfg).unwrap().unwrap();
         assert!(Arc::ptr_eq(&served, &sk), "the seeded artifact serves");
+        assert_eq!(complete_builds(), before, "the slot serves first");
+        assert_eq!(warm.derived.pair_count.get(), None, "nothing was counted");
+        // A period above the seed's ceiling: the count refuses the complete
+        // build, recorded like a build overflow at this cap, and a bounded
+        // build at the new period (87 transitions) fits.
+        let looser = warm.with_period(0.003).transition_skeleton(&cfg).unwrap();
+        assert!(looser.is_some_and(|b| b.serves(0.003)));
         assert_eq!(complete_builds(), before, "the count refuses the build");
         assert_eq!(warm.derived.pair_count.get(), Some(&Some(465)));
-        // The refusal is recorded like a build overflow at this cap.
-        assert!(matches!(
-            warm.derived.skeleton.lock().unwrap().as_ref(),
-            Some((100, Err(Failure::TooExpensive(b)))) if b.count == 101
-        ));
+        assert_eq!(warm.skeleton_overflows(), [(100, f64::INFINITY)]);
+    }
+
+    #[test]
+    fn a_complete_seed_replaces_a_bounded_skeleton_and_not_the_reverse() {
+        let g = chain(&[1e6; 30], &[1e3; 29]);
+        let capped = crate::dpa1d::Dpa1dConfig {
+            edge_cap: 100,
+            ..Default::default()
+        };
+        let inst = Instance::new(g.clone(), Platform::paper(2, 2), 0.003);
+        let bounded = inst.transition_skeleton(&capped).unwrap().unwrap();
+        assert!(!bounded.is_complete());
+        let complete = Instance::new(g, Platform::paper(2, 2), 0.003)
+            .transition_skeleton(&crate::dpa1d::Dpa1dConfig::default())
+            .unwrap()
+            .unwrap();
+        assert!(complete.is_complete());
+        // The complete seed is looser, so it replaces the bounded build...
+        inst.seed_skeleton(Arc::clone(&complete));
+        assert!(Arc::ptr_eq(&inst.cached_skeleton().unwrap(), &complete));
+        assert!(inst.cached_bounded_skeleton().is_none());
+        // ...and serves a period above the old ceiling with no build.
+        let before = (complete_builds(), bounded_builds());
+        let served = inst
+            .with_period(0.03)
+            .transition_skeleton(&capped)
+            .unwrap()
+            .unwrap();
+        assert!(Arc::ptr_eq(&served, &complete));
+        assert_eq!((complete_builds(), bounded_builds()), before);
+        // A bounded seed over a complete skeleton is a no-op.
+        inst.seed_skeleton(bounded);
+        assert!(Arc::ptr_eq(&inst.cached_skeleton().unwrap(), &complete));
+        assert!(inst.cached_bounded_skeleton().is_none());
     }
 
     #[test]
@@ -981,10 +961,10 @@ mod tests {
         assert_eq!(sk.n_transitions() as u128, pairs);
     }
 
-    #[test]
-    fn non_sp_workload_keeps_the_capped_build() {
+    /// A non-series-parallel workload: the "N" (a->c, a->d, b->d) stops
+    /// the reduction, so it has no exact counts.
+    fn non_sp_workload() -> Spg {
         use spg::{Label, SpgEdge};
-        // The "N" (a->c, a->d, b->d) stops the reduction: no count.
         let edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (3, 5), (4, 5)]
             .map(|(a, b)| SpgEdge {
                 src: StageId(a),
@@ -993,12 +973,16 @@ mod tests {
             })
             .to_vec();
         let labels = (0..6).map(|i| Label { x: i + 1, y: 1 }).collect();
-        let g = Spg::from_parts(vec![1e6; 6], labels, edges);
+        Spg::from_parts(vec![1e6; 6], labels, edges)
+    }
+
+    #[test]
+    fn non_sp_workload_keeps_the_capped_build() {
         let cfg = crate::dpa1d::Dpa1dConfig {
             edge_cap: 3,
             ..Default::default()
         };
-        let inst = Instance::new(g, Platform::paper(2, 2), 1e-3);
+        let inst = Instance::new(non_sp_workload(), Platform::paper(2, 2), 1e-3);
         let before = complete_builds();
         let _ = inst.transition_skeleton(&cfg).unwrap();
         assert_eq!(complete_builds(), before + 1, "no count: the build runs");
@@ -1006,6 +990,34 @@ mod tests {
         // Its cap-keyed failure answers the same cap without rebuilding.
         let _ = inst.transition_skeleton(&cfg).unwrap();
         assert_eq!(complete_builds(), before + 1);
+    }
+
+    #[test]
+    fn overflows_at_different_caps_and_ceilings_are_both_honoured() {
+        let cap = |edge_cap| crate::dpa1d::Dpa1dConfig {
+            edge_cap,
+            ..Default::default()
+        };
+        // Loose period, cap 5: the complete build and the bounded build at
+        // the period (which admits every cluster) both overflow.
+        let loose = Instance::new(non_sp_workload(), Platform::paper(2, 2), 1.0);
+        assert!(loose.transition_skeleton(&cap(5)).unwrap().is_none());
+        // A tight period (single-stage clusters), cap 2: overflows too, at a
+        // smaller cap and a tighter ceiling than the first record.
+        let tight = loose.with_period(1e-3);
+        assert!(tight.transition_skeleton(&cap(2)).unwrap().is_none());
+        assert_eq!(loose.skeleton_overflows(), [(5, 1.0), (2, 1e-3)]);
+        // Each record answers its own region without a build.
+        let before = (complete_builds(), bounded_builds());
+        assert!(loose.transition_skeleton(&cap(5)).unwrap().is_none());
+        assert!(loose.transition_skeleton(&cap(4)).unwrap().is_none());
+        assert!(tight.transition_skeleton(&cap(2)).unwrap().is_none());
+        assert!(tight
+            .with_period(0.5)
+            .transition_skeleton(&cap(1))
+            .unwrap()
+            .is_none());
+        assert_eq!((complete_builds(), bounded_builds()), before);
     }
 
     #[test]
@@ -1100,7 +1112,7 @@ mod tests {
         assert!(!sk.is_complete() && sk.serves(0.003));
         assert!(
             inst.cached_skeleton().is_none(),
-            "complete slot holds a failure"
+            "no complete skeleton is cached"
         );
         assert!(Arc::ptr_eq(&inst.cached_bounded_skeleton().unwrap(), &sk));
         // A tighter re-target is served from the same cached artifact.
@@ -1117,7 +1129,7 @@ mod tests {
         // A loose period's bounded build overflows the cap (its ceiling
         // admits the whole complete set); a tighter request afterwards
         // must retry at its own ceiling and succeed rather than inherit
-        // the failure — the regression this PR fixes.
+        // the failure.
         let g = chain(&[1e6; 30], &[1e3; 29]);
         let cfg = crate::dpa1d::Dpa1dConfig {
             edge_cap: 100,

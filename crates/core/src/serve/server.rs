@@ -60,7 +60,9 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::instance::Instance;
+use cmp_platform::Platform;
+
+use crate::instance::{utilisation_period, Instance};
 use crate::json::{obj, Json};
 use crate::portfolio::{Portfolio, PortfolioReport};
 use crate::solver::SolverRegistry;
@@ -153,6 +155,14 @@ fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, String> {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "non-string panic payload".into())
     })
+}
+
+/// Whether a request whose cache probe found `[lattice, skeleton, route,
+/// healthy route]` (see [`ServiceCore::probe`]) is served warm: every
+/// artifact was cached, a link-faulted route table counting when its
+/// healthy sibling can be patched.
+fn warm(hits: &[bool; 4]) -> bool {
+    hits[0] && hits[1] && (hits[2] || hits[3])
 }
 
 /// How many jobs the scheduler thread drains per batch. Bounds the width
@@ -258,9 +268,7 @@ impl Drop for Service {
 struct PreparedSolve {
     inst: Instance,
     keys: [ArtifactKey; 3],
-    hits: [bool; 3],
-    route_patched: bool,
-    bounded_hit: bool,
+    hits: [bool; 4],
     portfolio: Portfolio,
 }
 
@@ -497,15 +505,16 @@ impl ServiceCore {
         }
     }
 
-    /// The three cache keys a solve request probes, with fault-aware
-    /// keying (see [`ServiceCore::seeded_instance`]).
-    fn request_keys(workload: &spg::Spg, req: &SolveReq) -> [ArtifactKey; 3] {
+    /// The three cache keys of a request's artifacts — lattice, complete
+    /// skeleton, route table — with fault-aware keying (see
+    /// [`ServiceCore::seeded_instance`]).
+    fn request_keys(workload: &spg::Spg, pf: &Platform) -> [ArtifactKey; 3] {
         let wfp = workload_fingerprint(workload);
-        let pfp = platform_fingerprint(&req.platform);
-        let (skeleton_pfp, route_pfp) = if req.platform.is_faulted() {
+        let pfp = platform_fingerprint(pf);
+        let (skeleton_pfp, route_pfp) = if pf.is_faulted() {
             (
-                fault_free_platform_fingerprint(&req.platform),
-                route_platform_fingerprint(&req.platform),
+                fault_free_platform_fingerprint(pf),
+                route_platform_fingerprint(pf),
             )
         } else {
             (pfp, pfp)
@@ -519,25 +528,88 @@ impl ServiceCore {
             },
             ArtifactKey::Route {
                 platform: route_pfp,
-                policy: req.platform.policy.index() as u8,
+                policy: pf.policy.index() as u8,
             },
         ]
     }
 
+    /// The skeleton key of `keys`' workload and platform at another work
+    /// ceiling ([`crate::TransitionSkeleton::period_ceiling`]).
+    fn skeleton_key(keys: &[ArtifactKey; 3], ceiling: f64) -> ArtifactKey {
+        let ArtifactKey::Skeleton {
+            workload, platform, ..
+        } = keys[1]
+        else {
+            unreachable!("keys[1] is the skeleton key");
+        };
+        ArtifactKey::Skeleton {
+            workload,
+            platform,
+            ceiling: ceiling.to_bits(),
+        }
+    }
+
+    /// Looks a request's artifacts up through `find`, in a fixed order:
+    /// lattice, complete skeleton, route table; the healthy sibling of a
+    /// missed link-faulted route table (which the request patches); and,
+    /// when no complete skeleton is cached and the caller will solve up to
+    /// `ceiling`, the skeleton bounded at that ceiling. Returns what was
+    /// found for `[lattice, skeleton, route, healthy route]`. A solve
+    /// passes [`ArtifactCache::get`] and admission passes
+    /// [`ArtifactCache::contains`], so both apply one residency rule (see
+    /// [`warm`]).
+    fn probe<A>(
+        keys: &[ArtifactKey; 3],
+        pf: &Platform,
+        ceiling: Option<f64>,
+        mut find: impl FnMut(&ArtifactKey) -> Option<A>,
+    ) -> [Option<A>; 4] {
+        let lattice = find(&keys[0]);
+        let mut skeleton = find(&keys[1]);
+        let route = find(&keys[2]);
+        let mut healthy_route = None;
+        if route.is_none() && pf.has_link_faults() {
+            healthy_route = find(&ArtifactKey::Route {
+                platform: fault_free_platform_fingerprint(pf),
+                policy: pf.policy.index() as u8,
+            });
+        }
+        if let (None, Some(ceiling)) = (&skeleton, ceiling) {
+            skeleton = find(&Self::skeleton_key(keys, ceiling));
+        }
+        [lattice, skeleton, route, healthy_route]
+    }
+
+    /// The period a solve request asks for, a utilisation resolved against
+    /// its workload and platform.
+    fn request_period(workload: &spg::Spg, req: &SolveReq) -> f64 {
+        match req.period {
+            PeriodReq::Period(t) => t,
+            PeriodReq::Utilisation(u) => utilisation_period(workload, &req.platform, u),
+        }
+    }
+
     /// Admission-control service-time estimate in nanoseconds: the warm
-    /// median when every cache key for this request is resident, the cold
-    /// median otherwise; 0 (admit) when the matching histogram has no
+    /// median when the request would be served warm (see [`warm`]), the
+    /// cold median otherwise; 0 (admit) when the matching histogram has no
     /// history yet. The probe uses [`ArtifactCache::contains`], which
     /// touches neither the hit/miss counters nor LRU recency — admission
     /// must not perturb the deterministic counter sequences the bench
     /// pins.
     fn estimate_solve_ns(&self, workload: &spg::Spg, req: &SolveReq) -> u64 {
-        let keys = Self::request_keys(workload, req);
-        let resident = {
+        let keys = Self::request_keys(workload, &req.platform);
+        let ceiling = Self::request_period(workload, req);
+        let found = {
             let cache = lock(&self.cache);
-            keys.iter().all(|k| cache.contains(k))
+            Self::probe(&keys, &req.platform, Some(ceiling), |k| {
+                cache.contains(k).then_some(())
+            })
         };
-        let hist = if resident { &self.warm } else { &self.cold };
+        let hist = if warm(&found.map(|f| f.is_some())) {
+            &self.warm
+        } else {
+            &self.cold
+        };
         lock(hist).percentile(0.5)
     }
 
@@ -573,10 +645,14 @@ impl ServiceCore {
         fp.finish()
     }
 
-    /// Builds the instance for a request and warm-seeds it from the
-    /// cache. Returns the instance, the three cache keys, which of them
-    /// hit, and whether a missed route table was *derived* by patching a
-    /// cached healthy sibling.
+    /// Builds the instance for a workload on a platform at a period and
+    /// warm-seeds it from the cache. A caller that will solve the session
+    /// up to `ceiling` declares that reuse
+    /// ([`Instance::note_period_ceiling`]: the cache harvests what the
+    /// solve builds), and a skeleton bounded at `ceiling` can stand in for
+    /// a missing complete one. Returns the instance, its three cache keys,
+    /// and which of `[lattice, skeleton, route, healthy route]` the cache
+    /// held (see [`ServiceCore::probe`]).
     ///
     /// Fault-aware keying (see `docs/fault-model.md`): the skeleton key
     /// uses the fault-stripped platform fingerprint (the transition
@@ -587,129 +663,64 @@ impl ServiceCore {
     /// warm across faults instead of rebuilding from scratch.
     fn seeded_instance(
         &self,
-        req_workload: spg::Spg,
-        req: &SolveReq,
-    ) -> (Instance, [ArtifactKey; 3], [bool; 3], bool) {
-        let keys = Self::request_keys(&req_workload, req);
-        let policy = req.platform.policy;
-        let inst = match req.period {
-            PeriodReq::Period(t) => Instance::new(req_workload, req.platform.clone(), t),
-            PeriodReq::Utilisation(u) => {
-                Instance::for_utilisation(req_workload, req.platform.clone(), u)
-            }
+        workload: spg::Spg,
+        pf: &Platform,
+        period: f64,
+        ceiling: Option<f64>,
+    ) -> (Instance, [ArtifactKey; 3], [bool; 4]) {
+        let keys = Self::request_keys(&workload, pf);
+        let inst = Instance::new(workload, pf.clone(), period);
+        if let Some(ceiling) = ceiling {
+            inst.note_period_ceiling(ceiling);
+        }
+        let found = {
+            let mut cache = lock(&self.cache);
+            Self::probe(&keys, pf, ceiling, |k| cache.get(k))
         };
-        let mut hits = [false; 3];
-        let mut cache = lock(&self.cache);
-        for (i, key) in keys.iter().enumerate() {
-            if let Some(artifact) = cache.get(key) {
-                hits[i] = true;
-                match artifact {
-                    Artifact::Lattice(l) => inst.seed_lattice(l),
-                    Artifact::Skeleton(s) => inst.seed_skeleton(s),
-                    Artifact::Route(r) => inst.seed_route_table(policy, r),
-                }
+        let hits = found.each_ref().map(Option::is_some);
+        let [lattice, skeleton, route, healthy_route] = found;
+        for artifact in [lattice, skeleton, route].into_iter().flatten() {
+            match artifact {
+                Artifact::Lattice(l) => inst.seed_lattice(l),
+                Artifact::Skeleton(s) => inst.seed_skeleton(s),
+                Artifact::Route(r) => inst.seed_route_table(pf.policy, r),
             }
         }
-        let mut route_patched = false;
-        if !hits[2] && req.platform.has_link_faults() {
-            let healthy_key = ArtifactKey::Route {
-                platform: fault_free_platform_fingerprint(&req.platform),
-                policy: policy.index() as u8,
-            };
-            if let Some(Artifact::Route(t)) = cache.get(&healthy_key) {
-                inst.seed_route_table(policy, Arc::new(t.patched(&req.platform)));
-                route_patched = true;
-            }
+        if let Some(Artifact::Route(t)) = healthy_route {
+            inst.seed_route_table(pf.policy, Arc::new(t.patched(pf)));
         }
-        (inst, keys, hits, route_patched)
+        (inst, keys, hits)
     }
 
-    /// Probes the cache for a **bounded** skeleton whose work ceiling is
-    /// `ceiling` (the period the request would build one under — see
-    /// [`crate::TransitionSkeleton::period_ceiling`]) and seeds it into
-    /// `inst` on a hit. Only called when the complete-skeleton key
-    /// missed; returns whether the bounded probe hit.
-    fn seed_bounded(&self, inst: &Instance, keys: &[ArtifactKey; 3], ceiling: f64) -> bool {
-        let ArtifactKey::Skeleton {
-            workload, platform, ..
-        } = keys[1]
-        else {
-            unreachable!("keys[1] is the skeleton key");
-        };
-        let key = ArtifactKey::Skeleton {
-            workload,
-            platform,
-            ceiling: ceiling.to_bits(),
-        };
-        let mut cache = lock(&self.cache);
-        match cache.get(&key) {
-            Some(Artifact::Skeleton(s)) => {
-                inst.seed_skeleton(s);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Stores whichever artifacts a solve materialised that the cache did
-    /// not already hold. A bounded skeleton is keyed by the ceiling it was
-    /// actually built under, which may be looser than the probe ceiling
-    /// (the sweep hint wins). Returns the artifacts that were **newly
-    /// inserted** so the caller can spill them write-behind, outside the
-    /// cache lock — even an entry the LRU immediately evicts is worth
-    /// spilling, because the disk tier is what makes a restart warm.
+    /// Stores whichever artifacts a solve materialised that were not
+    /// seeded from the cache: the lattice, the route table, and the
+    /// session's skeleton, keyed by the ceiling it was built under (which
+    /// may be looser than the probe ceiling: the complete set, or a sweep
+    /// hint). Returns the artifacts that were **newly inserted** so the
+    /// caller can spill them write-behind, outside the cache lock — even
+    /// an entry the LRU immediately evicts is worth spilling, because the
+    /// disk tier is what makes a restart warm.
     fn harvest(
         &self,
         inst: &Instance,
         keys: &[ArtifactKey; 3],
-        hits: &[bool; 3],
+        hits: &[bool; 4],
     ) -> Vec<(ArtifactKey, Artifact)> {
+        let mut built = Vec::new();
+        if let (false, Some(l)) = (hits[0], inst.cached_lattice()) {
+            built.push((keys[0], Artifact::Lattice(l)));
+        }
+        if let (false, Some(s)) = (hits[1], inst.cached_any_skeleton()) {
+            let key = Self::skeleton_key(keys, s.period_ceiling());
+            built.push((key, Artifact::Skeleton(s)));
+        }
         let policy = inst.platform().policy;
-        let mut fresh = Vec::new();
+        if let (false, Some(r)) = (hits[2], inst.cached_route_table(policy)) {
+            built.push((keys[2], Artifact::Route(r)));
+        }
         let mut cache = lock(&self.cache);
-        if !hits[0] {
-            if let Some(l) = inst.cached_lattice() {
-                let a = Artifact::Lattice(l);
-                if cache.insert(keys[0], a.clone()) {
-                    fresh.push((keys[0], a));
-                }
-            }
-        }
-        if !hits[1] {
-            if let Some(s) = inst.cached_skeleton() {
-                let a = Artifact::Skeleton(s);
-                if cache.insert(keys[1], a.clone()) {
-                    fresh.push((keys[1], a));
-                }
-            }
-        }
-        if let Some(b) = inst.cached_bounded_skeleton() {
-            let ArtifactKey::Skeleton {
-                workload, platform, ..
-            } = keys[1]
-            else {
-                unreachable!("keys[1] is the skeleton key");
-            };
-            let key = ArtifactKey::Skeleton {
-                workload,
-                platform,
-                ceiling: b.period_ceiling().to_bits(),
-            };
-            let a = Artifact::Skeleton(b);
-            if cache.insert(key, a.clone()) {
-                fresh.push((key, a));
-            }
-        }
-        if !hits[2] {
-            if let Some(r) = inst.cached_route_table(policy) {
-                let a = Artifact::Route(r);
-                if cache.insert(keys[2], a.clone()) {
-                    fresh.push((keys[2], a));
-                }
-            }
-        }
-        drop(cache);
-        fresh
+        built.retain(|(key, a)| cache.insert(*key, a.clone()));
+        built
     }
 
     /// Write-behind spill of freshly inserted artifacts (no-op without a
@@ -917,15 +928,12 @@ impl ServiceCore {
         req: &SolveReq,
         arrival: Instant,
     ) -> PreparedSolve {
-        let (inst, keys, hits, route_patched) = self.seeded_instance(workload, req);
-        // The cache harvests what the solve builds, so every solve
-        // declares reuse: `DPA1D` then materialises its skeleton (for the
-        // next request with these fingerprints) instead of streaming.
-        inst.note_period_ceiling(inst.period());
-        // A bounded skeleton built at exactly this period can stand in
-        // when no complete skeleton is cached (the complete build may
-        // overflow the edge cap for this workload entirely).
-        let bounded_hit = !hits[1] && self.seed_bounded(&inst, &keys, inst.period());
+        // Every solve declares reuse up to its own period: `DPA1D` then
+        // materialises its skeleton (for the next request with these
+        // fingerprints) instead of streaming.
+        let period = Self::request_period(&workload, req);
+        let (inst, keys, hits) =
+            self.seeded_instance(workload, &req.platform, period, Some(period));
         let mut portfolio = Portfolio::new(solvers)
             .seeded(req.seed.unwrap_or(self.cfg.default_seed))
             .anytime(req.anytime);
@@ -939,8 +947,6 @@ impl ServiceCore {
             inst,
             keys,
             hits,
-            route_patched,
-            bounded_hit,
             portfolio,
         }
     }
@@ -956,26 +962,20 @@ impl ServiceCore {
     ) -> Json {
         let fresh = self.harvest(&p.inst, &p.keys, &p.hits);
         self.spill_fresh(&fresh);
-        let skeleton_hit = p.hits[1] || p.bounded_hit;
-        let route_hit = p.hits[2] || p.route_patched;
-        let warm = p.hits[0] && skeleton_hit && route_hit;
+        let warm = warm(&p.hits);
         let elapsed_ns = arrival.elapsed().as_nanos() as u64;
         self.record_latency(warm, elapsed_ns);
         let inst = &p.inst;
         let hits = &p.hits;
-        let route_patched = p.route_patched;
 
         let cache_tags = obj([
             ("lattice", Json::from(if hits[0] { "hit" } else { "miss" })),
-            (
-                "skeleton",
-                Json::from(if skeleton_hit { "hit" } else { "miss" }),
-            ),
+            ("skeleton", Json::from(if hits[1] { "hit" } else { "miss" })),
             (
                 "route",
                 Json::from(if hits[2] {
                     "hit"
-                } else if route_patched {
+                } else if hits[3] {
                     "patched"
                 } else {
                     "miss"
@@ -1047,42 +1047,27 @@ impl ServiceCore {
         };
         // A sweep is a solve per grid value sharing one seeded instance
         // session (so the lattice/skeleton build — or cache hit — pays
-        // once), with the deadline covering the *whole* sweep.
-        let solve_shape = SolveReq {
-            workload: req.workload.clone(),
-            platform: req.platform.clone(),
-            period: PeriodReq::Period(1.0),
-            solvers: req.solvers.clone(),
-            seed: req.seed,
-            deadline_ms: req.deadline_ms,
-            anytime: req.anytime,
-        };
-        let (base, keys, hits, route_patched) = self.seeded_instance(workload, &solve_shape);
-        // Resolve the whole grid up front so the loosest period can (a)
-        // prime the bounded-skeleton ceiling hint — one bounded build then
-        // serves every tighter point — and (b) drive the warm-cache probe
-        // for a bounded artifact from an identical earlier sweep.
+        // once), with the deadline covering the *whole* sweep. The whole
+        // grid is resolved up front so its loosest period is the session's
+        // ceiling: one bounded build then serves every tighter point, and
+        // an identical earlier sweep's bounded artifact is found by it.
         let periods: Vec<f64> = req
             .values
             .iter()
             .map(|&value| {
                 if req.over_utilisation {
-                    base.utilisation_period(value)
+                    utilisation_period(&workload, &req.platform, value)
                 } else {
                     value
                 }
             })
             .collect();
-        let mut bounded_hit = false;
-        if let Some(loosest) = periods
+        let loosest = periods
             .iter()
             .copied()
             .max_by(f64::total_cmp)
-            .filter(|t| t.is_finite() && *t > 0.0)
-        {
-            base.note_period_ceiling(loosest);
-            bounded_hit = !hits[1] && self.seed_bounded(&base, &keys, loosest);
-        }
+            .filter(|t| t.is_finite() && *t > 0.0);
+        let (base, keys, hits) = self.seeded_instance(workload, &req.platform, 1.0, loosest);
         let deadline_at = req
             .deadline_ms
             .or(self.cfg.default_deadline_ms)
@@ -1140,7 +1125,7 @@ impl ServiceCore {
         }
         let fresh = self.harvest(&base, &keys, &hits);
         self.spill_fresh(&fresh);
-        let warm = hits[0] && (hits[1] || bounded_hit) && (hits[2] || route_patched);
+        let warm = warm(&hits);
         let elapsed_ns = started.elapsed().as_nanos() as u64;
         self.record_latency(warm, elapsed_ns);
         // A sweep that lost points to the deadline still reports the grid
@@ -1530,6 +1515,91 @@ mod tests {
             cold.get("energy").and_then(Json::as_f64),
             "patched-route solve must be bit-identical to cold faulted solve"
         );
+    }
+
+    /// A StreamIt FFT solve on a 2×2 grid; `faults` is spliced into the
+    /// platform object.
+    fn fft_frame(faults: &str) -> Json {
+        Json::parse(&format!(
+            r#"{{"op":"solve","workload":{{"streamit":"FFT"}},
+                 "platform":{{"p":2,"q":2{faults}}},"utilisation":0.5,
+                 "solvers":"greedy,dpa1d"}}"#
+        ))
+        .unwrap()
+    }
+
+    fn solve_req(frame: &Json) -> (spg::Spg, SolveReq) {
+        let Ok(Request::Solve(req)) = parse_request(frame) else {
+            panic!("fixture must parse as a solve");
+        };
+        (req.workload.instantiate().unwrap(), req)
+    }
+
+    /// Admission prices a request by the residency rule the solve applies:
+    /// a link-faulted re-request, served warm off a patched route table,
+    /// is estimated from the warm histogram — without touching the cache
+    /// counters.
+    #[test]
+    fn a_link_faulted_rerequest_is_priced_warm() {
+        let svc = Service::new(ServeConfig::default());
+        let _ = result_of(&svc.handle(&fft_frame("")));
+        let again = result_of(&svc.handle(&fft_frame(""))).clone();
+        assert_eq!(again.get("warm").and_then(Json::as_bool), Some(true));
+        // Medians six orders of magnitude apart name the histogram read.
+        for _ in 0..4 {
+            svc.record_latency(true, 1_000);
+            svc.record_latency(false, 1_000_000_000);
+        }
+        let (warm_ns, cold_ns) = (
+            lock(&svc.warm).percentile(0.5),
+            lock(&svc.cold).percentile(0.5),
+        );
+        assert!(warm_ns < cold_ns);
+        let faulted = fft_frame(r#","faults":{"links":[[0,0,0,1]]}"#);
+        let (workload, req) = solve_req(&faulted);
+        let before = svc.cache_stats();
+        assert_eq!(svc.estimate_solve_ns(&workload, &req), warm_ns);
+        assert_eq!(svc.cache_stats(), before, "admission must not count");
+        let link = result_of(&svc.handle(&faulted)).clone();
+        assert_eq!(link.get("warm").and_then(Json::as_bool), Some(true));
+        let tags = link.get("cache").unwrap();
+        assert_eq!(tags.get("route").and_then(Json::as_str), Some("patched"));
+    }
+
+    /// The warm path through a bounded skeleton: a workload whose complete
+    /// transition set is over the default edge cap, but whose bounded
+    /// build at the request period fits, is harvested under that period's
+    /// ceiling and found by the next identical request.
+    #[test]
+    fn a_bounded_skeleton_serves_the_second_solve_warm() {
+        let frame = Json::parse(
+            r#"{"op":"solve","workload":{"family":"deep-chain","n":1420,"seed":1},
+                "platform":{"p":4,"q":4},"utilisation":0.8,"solvers":"greedy,dpa1d"}"#,
+        )
+        .unwrap();
+        let (workload, req) = solve_req(&frame);
+        let pairs = spg::ideal::count_ideal_pairs(&workload).unwrap();
+        assert!(pairs > crate::Dpa1dConfig::default().edge_cap as u128);
+        let svc = Service::new(ServeConfig::default());
+        let cold = result_of(&svc.handle(&frame)).clone();
+        let skeleton_tag = |r: &Json| {
+            r.get("cache")
+                .and_then(|c| c.get("skeleton"))
+                .and_then(Json::as_str)
+                .map(str::to_string)
+        };
+        assert_eq!(skeleton_tag(&cold).as_deref(), Some("miss"));
+        let keys = ServiceCore::request_keys(&workload, &req.platform);
+        let period = ServiceCore::request_period(&workload, &req);
+        let bounded = ServiceCore::skeleton_key(&keys, period);
+        assert!(lock(&svc.cache).contains(&bounded), "harvested bounded");
+        assert!(!lock(&svc.cache).contains(&keys[1]), "no complete skeleton");
+
+        let warm = result_of(&svc.handle(&frame)).clone();
+        assert_eq!(skeleton_tag(&warm).as_deref(), Some("hit"));
+        assert_eq!(warm.get("warm").and_then(Json::as_bool), Some(true));
+        let energy_bits = |r: &Json| r.get("energy").and_then(Json::as_f64).map(f64::to_bits);
+        assert_eq!(energy_bits(&warm), energy_bits(&cold));
     }
 
     #[test]
