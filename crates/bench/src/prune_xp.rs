@@ -105,7 +105,8 @@ impl PruneSweep {
 
 /// One workload's decade sweep: median wall over the samples, plus the
 /// last sample's per-point energies and prune telemetry (deterministic
-/// across samples).
+/// across samples). The benchmark calls it on a 1-worker pool: the walls
+/// measure the single-threaded pipeline.
 #[allow(clippy::type_complexity)]
 fn decade_sweep(
     g: &Spg,
@@ -124,7 +125,6 @@ fn decade_sweep(
         let started = Instant::now();
         let report = PeriodSweep::over_periods(solvers.clone(), grid.to_vec())
             .seeded(seed)
-            .parallel(false)
             .run(&base);
         walls.push(started.elapsed().as_secs_f64() * 1e3);
         energies = report.points.iter().map(|p| p.best_energy()).collect();
@@ -145,12 +145,14 @@ pub fn prune_bench(seed: u64) -> Vec<PruneSweep> {
         .map(|spec| (spec.name.to_string(), streamit_workflow(spec, seed)))
         .collect();
     targets.push(huge_workload(seed));
+    let sequential = rayon::ThreadPool::new(1);
     targets
         .into_iter()
         .map(|(name, g)| {
             let hi = sweep_anchor_period(&g);
             let grid = PeriodSweep::geometric(hi, hi / 10.0, PRUNE_BENCH_POINTS);
-            let (wall_ms, energies, stats) = decade_sweep(&g, &pf, &grid, seed);
+            let (wall_ms, energies, stats) =
+                sequential.install(|| decade_sweep(&g, &pf, &grid, seed));
             PruneSweep {
                 workload: name,
                 stages: g.n(),

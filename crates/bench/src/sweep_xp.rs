@@ -79,24 +79,24 @@ fn dpa1d_solvers() -> Vec<Arc<dyn Solver>> {
     vec![Arc::new(Dpa1d::default())]
 }
 
-/// Runs one decade sweep through the shared-instance engine (sequential:
-/// the benchmark compares single-threaded pipeline cost, not fan-out).
+/// Runs one decade sweep through the shared-instance engine. The
+/// benchmark calls it on a 1-worker pool: it compares single-threaded
+/// pipeline cost, not fan-out.
 fn amortized_sweep(base: &Instance, grid: Vec<f64>, seed: u64) -> SweepReport {
     PeriodSweep::over_periods(dpa1d_solvers(), grid)
         .seeded(seed)
-        .parallel(false)
         .run(base)
 }
 
 /// The naive baseline: a fresh [`Instance`] per point, so every point pays
-/// enumeration + materialisation again. Same solver, same seeds.
+/// enumeration + materialisation again. Same solver, same seeds, same
+/// 1-worker pool.
 fn naive_sweep(g: &Spg, pf: &Platform, grid: &[f64], seed: u64) -> Vec<Option<f64>> {
     grid.iter()
         .map(|&t| {
             let inst = Instance::new(g.clone(), pf.clone(), t);
             PeriodSweep::over_periods(dpa1d_solvers(), vec![t])
                 .seeded(seed)
-                .parallel(false)
                 .run(&inst)
                 .points
                 .remove(0)
@@ -110,6 +110,7 @@ fn naive_sweep(g: &Spg, pf: &Platform, grid: &[f64], seed: u64) -> Vec<Option<f6
 /// correctness contract of the skeleton split, not a tolerance.
 pub fn streamit_sweep_bench(seed: u64) -> Vec<WorkflowSweep> {
     let pf = Platform::paper(4, 4);
+    let sequential = rayon::ThreadPool::new(1);
     STREAMIT_SPECS
         .iter()
         .map(|spec| {
@@ -125,7 +126,7 @@ pub fn streamit_sweep_bench(seed: u64) -> Vec<WorkflowSweep> {
                 // enumeration + skeleton build once, like a real sweep.
                 let base = Instance::new(g.clone(), pf.clone(), grid[0]);
                 let started = Instant::now();
-                let report = amortized_sweep(&base, grid.clone(), seed);
+                let report = sequential.install(|| amortized_sweep(&base, grid.clone(), seed));
                 amortized_walls.push(started.elapsed().as_secs_f64() * 1e3);
                 energies = report.points.iter().map(|p| p.best_energy()).collect();
                 periods = report.points.iter().map(|p| p.period).collect();
@@ -134,7 +135,7 @@ pub fn streamit_sweep_bench(seed: u64) -> Vec<WorkflowSweep> {
             let mut naive_energies: Vec<Option<f64>> = Vec::new();
             for _ in 0..SWEEP_BENCH_SAMPLES {
                 let started = Instant::now();
-                naive_energies = naive_sweep(&g, &pf, &grid, seed);
+                naive_energies = sequential.install(|| naive_sweep(&g, &pf, &grid, seed));
                 naive_walls.push(started.elapsed().as_secs_f64() * 1e3);
             }
             assert_eq!(

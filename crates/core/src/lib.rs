@@ -63,7 +63,7 @@ pub use common::{BudgetExceeded, BudgetPhase, Failure, PruneStats, Solution};
 pub use dpa1d::{Dpa1dConfig, TransitionSkeleton};
 pub use exact::{ExactConfig, PartitionRule};
 pub use instance::{Instance, SharedLattice};
-pub use portfolio::{Portfolio, PortfolioReport, Race, SolverRun};
+pub use portfolio::{Portfolio, PortfolioReport, SolverRun};
 pub use refine::{refine, refine_with, RefineConfig};
 pub use serve::{ServeConfig, Server, Service};
 pub use solver::{SolveCtx, Solver, SolverRegistry};

@@ -1,5 +1,5 @@
 //! The solver portfolio: run a set of [`Solver`]s against one
-//! [`Instance`], optionally in parallel, and report per-solver energies,
+//! [`Instance`] over the rayon pool, and report per-solver energies,
 //! failures, and wall times.
 //!
 //! This is the paper's experimental protocol (all five heuristics per
@@ -10,8 +10,9 @@
 //!
 //! Determinism: each solver receives a seed mixed from the portfolio seed
 //! and the solver's *name*, so a report depends only on `(instance, solver
-//! set, seed)` — never on thread count or scheduling (the parallel fan-out
-//! preserves solver order).
+//! set, seed)` — never on pool width or scheduling (the fan-out preserves
+//! solver order). A single-threaded run is a 1-worker
+//! `rayon::ThreadPool::install` around the call, not a portfolio option.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,20 +22,6 @@ use rayon::prelude::*;
 use crate::common::{Failure, Solution};
 use crate::instance::Instance;
 use crate::solver::{SolveCtx, Solver};
-
-/// What the portfolio is racing for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Race {
-    /// Run every solver; the winner is the lowest energy (the paper's
-    /// protocol).
-    #[default]
-    BestEnergy,
-    /// The winner is the first solver *in portfolio order* to find any
-    /// valid mapping. Sequential runs stop at the first success (the §6.1.3
-    /// probe's short-circuit); parallel runs still execute the whole set
-    /// but pick the same winner, so the outcome is mode-independent.
-    FirstFeasible,
-}
 
 /// One solver's outcome within a portfolio run.
 #[derive(Debug, Clone)]
@@ -59,11 +46,10 @@ impl SolverRun {
 /// The outcome of [`Portfolio::run`].
 #[derive(Debug, Clone)]
 pub struct PortfolioReport {
-    /// Per-solver outcomes, in portfolio order. Under
-    /// [`Race::FirstFeasible`] in sequential mode, solvers after the first
-    /// success are not attempted and have no entry.
+    /// Per-solver outcomes, in portfolio order (plus the anytime rescue
+    /// run, last, when one was made).
     pub runs: Vec<SolverRun>,
-    /// Index into `runs` of the winner (by the race rule), if any solver
+    /// Index into `runs` of the lowest-energy run, if any solver
     /// succeeded.
     pub best: Option<usize>,
     /// Wall time of the whole portfolio run.
@@ -108,10 +94,8 @@ fn solver_seed(base: u64, name: &str) -> u64 {
 /// ```
 pub struct Portfolio {
     solvers: Vec<Arc<dyn Solver>>,
-    parallel: bool,
-    race: Race,
     seed: u64,
-    budget: Option<Duration>,
+    deadline: Option<Instant>,
     anytime: bool,
 }
 
@@ -120,10 +104,8 @@ impl Portfolio {
     pub fn new(solvers: Vec<Arc<dyn Solver>>) -> Self {
         Portfolio {
             solvers,
-            parallel: true,
-            race: Race::BestEnergy,
             seed: 0,
-            budget: None,
+            deadline: None,
             anytime: false,
         }
     }
@@ -139,34 +121,17 @@ impl Portfolio {
         self
     }
 
-    /// Enables or disables the rayon fan-out (on by default). Under
-    /// [`Race::BestEnergy`] the report is identical either way (only wall
-    /// times vary); under [`Race::FirstFeasible`] the *winner* is
-    /// mode-independent, but sequential mode stops at the first success,
-    /// so `runs` only contains the solvers attempted up to and including
-    /// the winner.
-    pub fn parallel(mut self, yes: bool) -> Self {
-        self.parallel = yes;
-        self
-    }
-
-    /// Sets the race rule.
-    pub fn race(mut self, race: Race) -> Self {
-        self.race = race;
-        self
-    }
-
-    /// Caps the wall-clock budget: solvers whose turn starts after the
-    /// deadline fail with [`Failure::TooExpensive`] instead of searching
-    /// (coarse-grained — see [`SolveCtx`]).
-    pub fn with_budget(mut self, budget: Duration) -> Self {
-        self.budget = Some(budget);
+    /// Sets a wall-clock deadline: solvers whose turn starts after it fail
+    /// with [`Failure::TooExpensive`] instead of searching, and the
+    /// searches that poll it stop there (see [`SolveCtx`]).
+    pub fn with_deadline(mut self, deadline: Instant) -> Self {
+        self.deadline = Some(deadline);
         self
     }
 
     /// Enables anytime mode: when every solver fails and at least one hit
-    /// a budget ([`Failure::TooExpensive`]), the portfolio appends one
-    /// un-budgeted `Greedy` rescue run (named `"Anytime(Greedy)"`) and
+    /// a deadline ([`Failure::TooExpensive`]), the portfolio appends one
+    /// deadline-free `Greedy` rescue run (named `"Anytime(Greedy)"`) and
     /// certifies its energy with a [`crate::PruneStats::bound_gap`]
     /// against [`Instance::energy_lower_bound`] — the caller gets a
     /// mapping plus a bracket on the optimum instead of a bare failure.
@@ -185,73 +150,25 @@ impl Portfolio {
         self.solvers.iter().map(|s| s.name().to_string()).collect()
     }
 
-    /// Runs the portfolio on one instance.
+    /// Runs the portfolio on one instance: a [`Portfolio::run_batch`] of
+    /// one job.
     pub fn run(&self, inst: &Instance) -> PortfolioReport {
-        let started = Instant::now();
-        let deadline = self.budget.and_then(|b| started.checked_add(b));
-        let run_one = |s: &Arc<dyn Solver>| -> SolverRun {
-            let seed = solver_seed(self.seed, s.name());
-            let ctx = SolveCtx {
-                seed,
-                deadline,
-                anytime: self.anytime,
-            };
-            let t0 = Instant::now();
-            let result = s.solve(inst, &ctx);
-            SolverRun {
-                name: s.name().to_string(),
-                seed,
-                result,
-                wall: t0.elapsed(),
-            }
-        };
-
-        let runs: Vec<SolverRun> = if self.race == Race::FirstFeasible && !self.parallel {
-            // Short-circuit: stop at the first success.
-            let mut runs = Vec::new();
-            for s in &self.solvers {
-                let r = run_one(s);
-                let done = r.result.is_ok();
-                runs.push(r);
-                if done {
-                    break;
-                }
-            }
-            runs
-        } else if self.parallel && self.solvers.len() > 1 && rayon::current_num_threads() > 1 {
-            // With one worker the fan-out would only add dispatch overhead
-            // and buffer shuffling; the plain loop is strictly better.
-            self.solvers.par_iter().map(run_one).collect()
-        } else {
-            self.solvers.iter().map(run_one).collect()
-        };
-
-        self.finish_runs(inst, runs, started)
+        Portfolio::run_batch(&[(self, inst)])
+            .pop()
+            .expect("one report per job")
     }
 
     /// Runs several `(portfolio, instance)` jobs as **one** fan-out wave:
     /// every `(job, solver)` pair becomes one task in a single
     /// `par_iter`, so a batch of k requests saturates the worker pool
     /// instead of launching k competing fan-outs (the serve scheduler's
-    /// whole point — see [`crate::serve::scheduler`]).
-    ///
-    /// Each job's report is **identical to what its own
-    /// [`Portfolio::run`] would produce** (same per-solver seeds, same
-    /// anytime-rescue and winner rules — the tail is literally shared
-    /// code), with two deliberate deviations that cannot move energies:
-    /// wall times reflect the batch, and every job's deadline anchors at
-    /// the batch start rather than its own `run` call (callers that care
-    /// pre-anchor the budget at request arrival).
-    ///
-    /// [`Race::FirstFeasible`]'s sequential short-circuit does not apply
-    /// — all solvers run, as in any parallel mode, and the winner is
-    /// unchanged.
+    /// whole point — see [`crate::serve::scheduler`]). The pool fans out
+    /// only when it has more than one worker and the wave more than one
+    /// task; either way each job's report is the same, bit for bit (same
+    /// per-solver seeds, same anytime-rescue and winner rules). Only wall
+    /// times reflect the batch.
     pub fn run_batch(jobs: &[(&Portfolio, &Instance)]) -> Vec<PortfolioReport> {
         let started = Instant::now();
-        let deadlines: Vec<Option<Instant>> = jobs
-            .iter()
-            .map(|(p, _)| p.budget.and_then(|b| started.checked_add(b)))
-            .collect();
         // Flatten to (job, solver) pairs; par_iter preserves input order,
         // so regrouping by job index restores portfolio order exactly.
         let tasks: Vec<(usize, usize)> = jobs
@@ -259,35 +176,28 @@ impl Portfolio {
             .enumerate()
             .flat_map(|(j, (p, _))| (0..p.solvers.len()).map(move |s| (j, s)))
             .collect();
-        let run_one = |&(j, s): &(usize, usize)| -> (usize, SolverRun) {
-            let (p, inst) = jobs[j];
-            let solver = &p.solvers[s];
-            let seed = solver_seed(p.seed, solver.name());
-            let ctx = SolveCtx {
-                seed,
-                deadline: deadlines[j],
-                anytime: p.anytime,
-            };
-            let t0 = Instant::now();
-            let result = solver.solve(inst, &ctx);
-            (
-                j,
-                SolverRun {
+        let flat: Vec<(usize, SolverRun)> = tasks
+            .into_par_iter()
+            .map(|(j, s)| {
+                let (p, inst) = jobs[j];
+                let solver = &p.solvers[s];
+                let seed = solver_seed(p.seed, solver.name());
+                let ctx = SolveCtx {
+                    seed,
+                    deadline: p.deadline,
+                    anytime: p.anytime,
+                };
+                let t0 = Instant::now();
+                let result = solver.solve(inst, &ctx);
+                let run = SolverRun {
                     name: solver.name().to_string(),
                     seed,
                     result,
                     wall: t0.elapsed(),
-                },
-            )
-        };
-        let parallel = jobs.iter().any(|(p, _)| p.parallel)
-            && tasks.len() > 1
-            && rayon::current_num_threads() > 1;
-        let flat: Vec<(usize, SolverRun)> = if parallel {
-            tasks.par_iter().map(run_one).collect()
-        } else {
-            tasks.iter().map(run_one).collect()
-        };
+                };
+                (j, run)
+            })
+            .collect();
         let mut per_job: Vec<Vec<SolverRun>> = jobs.iter().map(|_| Vec::new()).collect();
         for (j, run) in flat {
             per_job[j].push(run);
@@ -298,10 +208,8 @@ impl Portfolio {
             .collect()
     }
 
-    /// The shared tail of [`Portfolio::run`] and [`Portfolio::run_batch`]:
-    /// anytime rescue, winner selection, report assembly. Keeping this in
-    /// one place is what makes batched reports bit-identical to unbatched
-    /// ones.
+    /// The per-job tail of [`Portfolio::run_batch`]: anytime rescue,
+    /// winner selection, report assembly.
     fn finish_runs(
         &self,
         inst: &Instance,
@@ -315,16 +223,12 @@ impl Portfolio {
         if self.anytime && starved {
             runs.push(self.anytime_rescue(inst));
         }
-
-        let best = match self.race {
-            Race::BestEnergy => runs
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| r.energy().map(|e| (i, e)))
-                .min_by(|(_, a), (_, b)| a.total_cmp(b))
-                .map(|(i, _)| i),
-            Race::FirstFeasible => runs.iter().position(|r| r.result.is_ok()),
-        };
+        let best = runs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| r.energy().map(|e| (i, e)))
+            .min_by(|(_, a), (_, b)| a.total_cmp(b))
+            .map(|(i, _)| i);
         PortfolioReport {
             runs,
             best,
@@ -332,7 +236,7 @@ impl Portfolio {
         }
     }
 
-    /// The anytime rescue run: un-budgeted `Greedy`, with the gap to the
+    /// The anytime rescue run: deadline-free `Greedy`, with the gap to the
     /// instance's certified energy lower bound stamped as `bound_gap`
     /// (`E_rescue − bound_gap ≤ E_opt ≤ E_rescue`).
     fn anytime_rescue(&self, inst: &Instance) -> SolverRun {
@@ -391,11 +295,15 @@ mod tests {
             .collect()
     }
 
+    /// Runs `f` on a 1-worker and on a 2-worker pool.
+    fn on_both_widths<R>(f: impl Fn() -> R) -> [R; 2] {
+        [1, 2].map(|w| rayon::ThreadPool::new(w).install(&f))
+    }
+
     #[test]
     fn parallel_and_sequential_agree() {
         let i = inst();
-        let par = Portfolio::heuristics().seeded(7).run(&i);
-        let seq = Portfolio::heuristics().seeded(7).parallel(false).run(&i);
+        let [seq, par] = on_both_widths(|| Portfolio::heuristics().seeded(7).run(&i));
         assert_eq!(signature(&par), signature(&seq));
         assert_eq!(par.best, seq.best);
         assert!(par.best_energy().unwrap() > 0.0);
@@ -414,29 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn first_feasible_stops_early_sequentially() {
-        let report = Portfolio::heuristics()
-            .seeded(3)
-            .parallel(false)
-            .race(Race::FirstFeasible)
-            .run(&inst());
-        // The first heuristic (Random) succeeds on this loose instance, so
-        // exactly one solver ran.
-        assert_eq!(report.runs.len(), 1);
-        assert_eq!(report.best, Some(0));
-        // Parallel mode runs everything but picks the same winner.
-        let par = Portfolio::heuristics()
-            .seeded(3)
-            .race(Race::FirstFeasible)
-            .run(&inst());
-        assert_eq!(par.runs.len(), 5);
-        assert_eq!(
-            par.best_run().unwrap().name,
-            report.best_run().unwrap().name
-        );
-    }
-
-    #[test]
     fn seeds_are_per_solver_and_reproducible() {
         let a = Portfolio::heuristics().seeded(42).run(&inst());
         let b = Portfolio::heuristics().seeded(42).run(&inst());
@@ -449,7 +334,7 @@ mod tests {
     #[test]
     fn zero_budget_fails_everything() {
         let report = Portfolio::heuristics()
-            .with_budget(Duration::ZERO)
+            .with_deadline(Instant::now())
             .run(&inst());
         assert!(report.best.is_none());
         assert!(report
@@ -462,7 +347,7 @@ mod tests {
     fn anytime_rescues_a_starved_portfolio() {
         let i = inst();
         let report = Portfolio::heuristics()
-            .with_budget(Duration::ZERO)
+            .with_deadline(Instant::now())
             .anytime(true)
             .run(&i);
         let best = report.best_run().expect("anytime mode yields a mapping");
@@ -476,7 +361,7 @@ mod tests {
         assert!((lb - i.energy_lower_bound()).abs() <= 1e-9 * i.energy_lower_bound());
         // Determinism: the rescue draws its seed like any portfolio member.
         let again = Portfolio::heuristics()
-            .with_budget(Duration::ZERO)
+            .with_deadline(Instant::now())
             .anytime(true)
             .run(&i);
         assert_eq!(signature(&report), signature(&again));
@@ -491,7 +376,7 @@ mod tests {
             .solve(&i, &SolveCtx::new(0))
             .expect("exact solves the small instance");
         let report = Portfolio::heuristics()
-            .with_budget(Duration::ZERO)
+            .with_deadline(Instant::now())
             .anytime(true)
             .run(&i);
         let sol = report.best_run().unwrap().result.as_ref().unwrap();
@@ -506,23 +391,24 @@ mod tests {
         let b = Instance::new(chain(&[3e8; 6], &[2e4; 5]), Platform::paper(2, 2), 0.5);
         let pa = Portfolio::heuristics().seeded(7);
         let pb = Portfolio::heuristics().seeded(11).anytime(true);
-        let batch = Portfolio::run_batch(&[(&pa, &a), (&pb, &b), (&pa, &a)]);
-        assert_eq!(batch.len(), 3);
-        let solo_a = pa.run(&a);
-        let solo_b = pb.run(&b);
-        assert_eq!(signature(&batch[0]), signature(&solo_a));
-        assert_eq!(signature(&batch[1]), signature(&solo_b));
-        assert_eq!(signature(&batch[2]), signature(&solo_a));
-        assert_eq!(batch[0].best, solo_a.best);
-        assert_eq!(batch[1].best, solo_b.best);
-        assert_eq!(
-            batch[0].best_energy(),
-            solo_a.best_energy(),
-            "batched energies must be bit-identical to unbatched"
-        );
+        let [solo_a, solo_b] = rayon::ThreadPool::new(1).install(|| [pa.run(&a), pb.run(&b)]);
+        // The batch on either pool width equals the sequential solo runs.
+        for batch in on_both_widths(|| Portfolio::run_batch(&[(&pa, &a), (&pb, &b), (&pa, &a)])) {
+            assert_eq!(batch.len(), 3);
+            assert_eq!(signature(&batch[0]), signature(&solo_a));
+            assert_eq!(signature(&batch[1]), signature(&solo_b));
+            assert_eq!(signature(&batch[2]), signature(&solo_a));
+            assert_eq!(batch[0].best, solo_a.best);
+            assert_eq!(batch[1].best, solo_b.best);
+            assert_eq!(
+                batch[0].best_energy(),
+                solo_a.best_energy(),
+                "batched energies must be bit-identical to unbatched"
+            );
+        }
         // A starved anytime job inside a batch still gets its rescue.
         let starved = Portfolio::heuristics()
-            .with_budget(Duration::ZERO)
+            .with_deadline(Instant::now())
             .anytime(true);
         let rescued = Portfolio::run_batch(&[(&starved, &a)]);
         assert_eq!(

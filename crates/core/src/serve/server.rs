@@ -16,9 +16,11 @@
 //! eight concurrent clients saturate the workers instead of launching
 //! eight competing fan-outs. Admission control sheds at enqueue time
 //! (structured `overloaded` frame with `retry_after_ms`) when the
-//! predicted queue wait would blow the request's deadline. `sweep`
-//! requests keep the direct path — they are already one long batch
-//! internally — as does every solve when `batching` is disabled.
+//! predicted queue wait would blow the request's deadline. With
+//! `batching` disabled, and for a solve that arrives after the shutdown
+//! drain, the connection thread runs the same executor (prepare → wave →
+//! finish) on a batch of one. `sweep` requests run on their connection
+//! thread — a sweep is already one long session internally.
 //!
 //! ## Cache persistence
 //!
@@ -261,10 +263,18 @@ impl Drop for Service {
     }
 }
 
+/// One distinct solve for [`ServiceCore::execute`]: the decoded request,
+/// its instantiated workload and resolved solver set, and its arrival
+/// time (the latency and deadline anchor).
+type SolveInput = (
+    SolveReq,
+    spg::Spg,
+    Vec<Arc<dyn crate::solver::Solver>>,
+    Instant,
+);
+
 /// A solve ready to run: the cache-seeded instance plus the configured
-/// portfolio, with the hit bookkeeping the response frame reports. The
-/// split lets the batched and direct paths share all preparation and
-/// response code (which is what keeps their energies bit-identical).
+/// portfolio, with the hit bookkeeping the response frame reports.
 struct PreparedSolve {
     inst: Instance,
     keys: [ArtifactKey; 3],
@@ -753,11 +763,10 @@ impl ServiceCore {
     /// validated, fingerprinted, estimated, and enqueued; the connection
     /// thread then blocks on the response channel while the scheduler
     /// thread does the work. Shed requests get the structured
-    /// `overloaded` frame without ever touching the queue.
+    /// `overloaded` frame without ever touching the queue. With batching
+    /// off (and for a job that arrives after the shutdown drain) the
+    /// connection thread runs the same executor on a batch of one.
     fn dispatch_solve(&self, req: SolveReq) -> Json {
-        if !self.cfg.batching {
-            return self.solve(&req);
-        }
         let arrival = Instant::now();
         let workload = match req.workload.instantiate() {
             Ok(g) => g,
@@ -767,6 +776,9 @@ impl ServiceCore {
             Ok(s) => s,
             Err(msg) => return error_response("bad_request", &msg),
         };
+        if !self.cfg.batching {
+            return self.execute_one((req, workload, solvers, arrival));
+        }
         let est_ns = self.estimate_solve_ns(&workload, &req);
         let dedup = self.request_fingerprint(&workload, &req, &solvers);
         let deadline_ns = req
@@ -792,19 +804,26 @@ impl ServiceCore {
                 predicted_wait_ns,
                 queue_depth,
             } => overloaded_response(predicted_wait_ns, queue_depth),
-            // Inline, on this connection thread: `handle` catches a panic.
-            Admission::Draining(job) => self.solve_job(*job),
+            // Inline, on this connection thread.
+            Admission::Draining(job) => {
+                let SolveJob {
+                    req,
+                    workload,
+                    solvers,
+                    arrival,
+                    ..
+                } = *job;
+                self.execute_one((req, workload, solvers, arrival))
+            }
         }
     }
 
     /// Executes one drained batch: group identical requests
-    /// (single-flight), prepare each distinct one, run them all as one
-    /// [`Portfolio::run_batch`] wave, then fan each response to its
-    /// waiters. Coalesced waiters receive a byte-identical clone of the
-    /// leader's frame (including `wall_ms` — they shared the solve, so
-    /// they share its latency sample too). A job whose preparation, solve
-    /// or response panics is answered `internal`; the rest of the batch,
-    /// and the scheduler thread, carry on.
+    /// (single-flight), run the distinct ones through
+    /// [`ServiceCore::execute`], then fan each response to its waiters.
+    /// Coalesced waiters receive a byte-identical clone of the leader's
+    /// frame (including `wall_ms` — they shared the solve, so they share
+    /// its latency sample too).
     fn run_batch_jobs(&self, jobs: Vec<SolveJob>) {
         let total = jobs.len() as u64;
         let mut groups: Vec<(SolveJob, Vec<mpsc::Sender<Json>>)> = Vec::new();
@@ -815,45 +834,14 @@ impl ServiceCore {
             }
         }
         let deduped = total - groups.len() as u64;
-        // Leaders prepare in parallel: cold preparation (lattice and
-        // skeleton construction) dominates a cold solve, and the
-        // per-request dispatch path gets it concurrently for free on its
-        // connection threads — a serial loop here would hand that
-        // advantage back. Cache inserts only happen at finish time, so
-        // concurrent prepares see exactly the same cache state a
-        // sequential loop would.
-        let prepared: Vec<_> = {
-            use rayon::prelude::*;
-            groups
-                .into_par_iter()
-                .map(|(job, extras)| {
-                    let SolveJob {
-                        req,
-                        workload,
-                        solvers,
-                        arrival,
-                        tx,
-                        ..
-                    } = job;
-                    let p = isolate(|| self.prepare_solve(workload, solvers, &req, arrival));
-                    (p, req, arrival, tx, extras)
-                })
-                .collect()
-        };
-        let ready: Vec<&PreparedSolve> = prepared
-            .iter()
-            .filter_map(|(p, ..)| p.as_ref().ok())
-            .collect();
-        let mut reports = Self::run_wave(&ready).into_iter();
-        for (p, req, arrival, tx, extras) in &prepared {
-            let response = match p {
-                Ok(p) => reports
-                    .next()
-                    .expect("one report per prepared solve")
-                    .and_then(|report| isolate(|| self.finish_solve(p, &report, req, *arrival))),
-                Err(msg) => Err(msg.clone()),
-            }
-            .unwrap_or_else(|msg| self.internal_error(&msg));
+        let (inputs, waiters): (Vec<SolveInput>, Vec<_>) = groups
+            .into_iter()
+            .map(|(job, extras)| {
+                let input = (job.req, job.workload, job.solvers, job.arrival);
+                (input, (job.tx, extras))
+            })
+            .unzip();
+        for (response, (tx, extras)) in self.execute(inputs).into_iter().zip(waiters) {
             for extra in extras {
                 let _ = extra.send(response.clone());
             }
@@ -862,19 +850,64 @@ impl ServiceCore {
         self.queue.batch_done(total, deduped);
     }
 
+    /// [`ServiceCore::execute`] on one solve: the direct (`batching:
+    /// false`) and post-shutdown paths.
+    fn execute_one(&self, input: SolveInput) -> Json {
+        self.execute(vec![input])
+            .pop()
+            .expect("one response per solve")
+    }
+
+    /// The one solve executor: prepare every solve, run them all as one
+    /// [`Portfolio::run_batch`] wave, and build each response frame, in
+    /// input order. A solve whose preparation, portfolio or response
+    /// panics is answered `internal`; the others carry on.
+    fn execute(&self, inputs: Vec<SolveInput>) -> Vec<Json> {
+        // Solves prepare in parallel: cold preparation (lattice and
+        // route-table construction) can dominate a cold solve, and a
+        // serial loop would queue each batch-mate's behind the others'.
+        // Cache inserts only happen at finish time, so concurrent prepares
+        // see exactly the cache state a sequential loop would. A batch of
+        // one prepares inline on the calling thread.
+        let prepared: Vec<_> = {
+            use rayon::prelude::*;
+            inputs
+                .into_par_iter()
+                .map(|(req, workload, solvers, arrival)| {
+                    let p = isolate(|| self.prepare_solve(workload, solvers, &req, arrival));
+                    (p, req, arrival)
+                })
+                .collect()
+        };
+        let ready: Vec<&PreparedSolve> = prepared
+            .iter()
+            .filter_map(|(p, ..)| p.as_ref().ok())
+            .collect();
+        let mut reports = Self::run_wave(&ready).into_iter();
+        prepared
+            .iter()
+            .map(|(p, req, arrival)| {
+                match p {
+                    Ok(p) => reports
+                        .next()
+                        .expect("one report per prepared solve")
+                        .and_then(|report| {
+                            isolate(|| self.finish_solve(p, &report, req, *arrival))
+                        }),
+                    Err(msg) => Err(msg.clone()),
+                }
+                .unwrap_or_else(|msg| self.internal_error(&msg))
+            })
+            .collect()
+    }
+
     /// Runs prepared solves as one portfolio wave. A panic anywhere in the
     /// wave re-runs each solve alone, so only the panicking ones fail:
     /// solves are deterministic, so the others' answers do not change.
     fn run_wave(ready: &[&PreparedSolve]) -> Vec<Result<PortfolioReport, String>> {
         let pairs: Vec<(&Portfolio, &Instance)> =
             ready.iter().map(|p| (&p.portfolio, &p.inst)).collect();
-        let wave = isolate(|| match pairs.as_slice() {
-            // A batch of one is exactly a plain run; skip the flattening
-            // (identical report either way).
-            [(portfolio, inst)] => vec![portfolio.run(inst)],
-            _ => Portfolio::run_batch(&pairs),
-        });
-        match wave {
+        match isolate(|| Portfolio::run_batch(&pairs)) {
             Ok(reports) => reports.into_iter().map(Ok).collect(),
             Err(msg) if pairs.len() == 1 => vec![Err(msg)],
             Err(_) => pairs
@@ -884,43 +917,10 @@ impl ServiceCore {
         }
     }
 
-    /// Runs one job inline (the post-shutdown drain path).
-    fn solve_job(&self, job: SolveJob) -> Json {
-        let SolveJob {
-            req,
-            workload,
-            solvers,
-            arrival,
-            ..
-        } = job;
-        let p = self.prepare_solve(workload, solvers, &req, arrival);
-        let report = p.portfolio.run(&p.inst);
-        self.finish_solve(&p, &report, &req, arrival)
-    }
-
-    /// The direct, unbatched solve path (`batching: false`), kept
-    /// behaviourally identical to the batched one: both share
-    /// [`ServiceCore::prepare_solve`] and [`ServiceCore::finish_solve`],
-    /// so energies agree bit-for-bit.
-    fn solve(&self, req: &SolveReq) -> Json {
-        let arrival = Instant::now();
-        let workload = match req.workload.instantiate() {
-            Ok(g) => g,
-            Err(msg) => return error_response("bad_request", &msg),
-        };
-        let solvers = match self.solvers_for(req.solvers.as_deref()) {
-            Ok(s) => s,
-            Err(msg) => return error_response("bad_request", &msg),
-        };
-        let p = self.prepare_solve(workload, solvers, req, arrival);
-        let report = p.portfolio.run(&p.inst);
-        self.finish_solve(&p, &report, req, arrival)
-    }
-
     /// Everything a solve needs before the portfolio runs: the
-    /// cache-seeded instance and a configured portfolio whose wall-clock
-    /// budget is **anchored at request arrival** — a job that waited in
-    /// the queue has its wait charged against its own deadline.
+    /// cache-seeded instance and a configured portfolio whose deadline is
+    /// **anchored at request arrival** — a job that waited in the queue
+    /// has its wait charged against its own deadline.
     fn prepare_solve(
         &self,
         workload: spg::Spg,
@@ -937,11 +937,12 @@ impl ServiceCore {
         let mut portfolio = Portfolio::new(solvers)
             .seeded(req.seed.unwrap_or(self.cfg.default_seed))
             .anytime(req.anytime);
-        if let Some(ms) = req.deadline_ms.or(self.cfg.default_deadline_ms) {
-            if let Some(deadline_at) = arrival.checked_add(Duration::from_millis(ms)) {
-                portfolio =
-                    portfolio.with_budget(deadline_at.saturating_duration_since(Instant::now()));
-            }
+        if let Some(deadline) = req
+            .deadline_ms
+            .or(self.cfg.default_deadline_ms)
+            .and_then(|ms| arrival.checked_add(Duration::from_millis(ms)))
+        {
+            portfolio = portfolio.with_deadline(deadline);
         }
         PreparedSolve {
             inst,
@@ -1081,8 +1082,7 @@ impl ServiceCore {
                 .seeded(seed)
                 .anytime(req.anytime);
             if let Some(at) = deadline_at {
-                let remaining = at.saturating_duration_since(Instant::now());
-                portfolio = portfolio.with_budget(remaining);
+                portfolio = portfolio.with_deadline(at);
             }
             let report = portfolio.run(&inst);
             if exhausted.is_none() {

@@ -7,11 +7,11 @@
 //! sweep point shares the instance's period-independent caches via
 //! [`Instance::with_period`]: the interned ideal lattice, `DPA1D`'s
 //! [`crate::TransitionSkeleton`], and the route tables are built once for
-//! the whole curve instead of once per point. Sweep points fan out over
-//! the rayon pool; within a point the solvers run sequentially, so
-//! per-point outcomes are deterministic in `(instance, solvers, seed)` and
-//! bit-identical to a fresh [`Instance::new`] solve at that period (the
-//! root test-suite pins this).
+//! the whole curve instead of once per point. The whole grid runs as one
+//! [`Portfolio::run_batch`] wave (every `(point, solver)` pair is one task
+//! on the rayon pool), so per-point outcomes are deterministic in
+//! `(instance, solvers, seed)` and bit-identical to a fresh
+//! [`Instance::new`] solve at that period (the root test-suite pins this).
 //!
 //! ```
 //! use ea_core::sweep::PeriodSweep;
@@ -30,8 +30,6 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use rayon::prelude::*;
 
 use crate::instance::Instance;
 use crate::portfolio::{Portfolio, SolverRun};
@@ -57,7 +55,6 @@ pub struct PeriodSweep {
     axis: SweepAxis,
     values: Vec<f64>,
     seed: u64,
-    parallel: bool,
 }
 
 impl PeriodSweep {
@@ -68,7 +65,6 @@ impl PeriodSweep {
             axis: SweepAxis::Period,
             values: periods,
             seed: 0,
-            parallel: true,
         }
     }
 
@@ -80,7 +76,6 @@ impl PeriodSweep {
             axis: SweepAxis::Utilisation,
             values: utilisations,
             seed: 0,
-            parallel: true,
         }
     }
 
@@ -107,13 +102,6 @@ impl PeriodSweep {
     /// sweep point's outcomes equal a fresh portfolio run at that period).
     pub fn seeded(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables or disables the rayon fan-out over sweep points (on by
-    /// default; outcomes are identical either way, only wall times vary).
-    pub fn parallel(mut self, yes: bool) -> Self {
-        self.parallel = yes;
         self
     }
 
@@ -150,26 +138,21 @@ impl PeriodSweep {
         {
             base.note_period_ceiling(loosest);
         }
-        let portfolio = Portfolio::new(self.solvers.clone())
-            .seeded(self.seed)
-            .parallel(false);
-        let solve_point = |&(value, period): &(f64, f64)| -> SweepPoint {
-            let inst = base.with_period(period);
-            let report = portfolio.run(&inst);
-            SweepPoint {
+        let portfolio = Portfolio::new(self.solvers.clone()).seeded(self.seed);
+        let insts: Vec<Instance> = resolved
+            .iter()
+            .map(|&(_, period)| base.with_period(period))
+            .collect();
+        let jobs: Vec<(&Portfolio, &Instance)> = insts.iter().map(|i| (&portfolio, i)).collect();
+        let points: Vec<SweepPoint> = Portfolio::run_batch(&jobs)
+            .into_iter()
+            .zip(resolved)
+            .map(|(report, (value, period))| SweepPoint {
                 value,
                 period,
                 runs: report.runs,
-            }
-        };
-        let points: Vec<SweepPoint> =
-            if self.parallel && resolved.len() > 1 && rayon::current_num_threads() > 1 {
-                // A 1-worker pool runs points inline anyway; skip the fan-out
-                // plumbing entirely so sequential mode is the literal code path.
-                resolved.par_iter().map(solve_point).collect()
-            } else {
-                resolved.iter().map(solve_point).collect()
-            };
+            })
+            .collect();
         SweepReport {
             axis: self.axis,
             solver_names: self.solver_names(),
@@ -288,13 +271,13 @@ mod tests {
     #[test]
     fn parallel_and_sequential_sweeps_agree() {
         let grid = PeriodSweep::geometric(1.0, 0.05, 6);
-        let par = PeriodSweep::over_periods(default_heuristics(), grid.clone())
-            .seeded(7)
-            .run(&base());
-        let seq = PeriodSweep::over_periods(default_heuristics(), grid)
-            .seeded(7)
-            .parallel(false)
-            .run(&base());
+        let [seq, par] = [1, 2].map(|w| {
+            rayon::ThreadPool::new(w).install(|| {
+                PeriodSweep::over_periods(default_heuristics(), grid.clone())
+                    .seeded(7)
+                    .run(&base())
+            })
+        });
         assert_eq!(par.points.len(), seq.points.len());
         for (a, b) in par.points.iter().zip(&seq.points) {
             assert_eq!(a.period, b.period);

@@ -263,8 +263,8 @@ pub mod prelude {
     pub use ea_core::{refine, refine_with};
     pub use ea_core::{
         BudgetExceeded, BudgetPhase, Dpa1dConfig, ExactConfig, Failure, Instance, PartitionRule,
-        PeriodSweep, Portfolio, PortfolioReport, PruneStats, Race, RefineConfig, SharedLattice,
-        Solution, SolveCtx, SolveOutcome, Solver, SolverRegistry, SolverRun, SweepAxis, SweepPoint,
+        PeriodSweep, Portfolio, PortfolioReport, PruneStats, RefineConfig, SharedLattice, Solution,
+        SolveCtx, SolveOutcome, Solver, SolverRegistry, SolverRun, SweepAxis, SweepPoint,
         SweepReport, TransitionSkeleton,
     };
     pub use spg::{

@@ -44,29 +44,36 @@ fn bounded_skeleton_matches_from_scratch_at_every_point() {
     let grid = PeriodSweep::geometric(hi, hi / 10.0, 6);
     let solvers: Vec<Arc<dyn Solver>> = vec![Arc::new(Dpa1d::default())];
 
-    let base = Instance::new(g.clone(), pf.clone(), hi);
-    let report = PeriodSweep::over_periods(solvers.clone(), grid.clone())
-        .seeded(SEED)
-        .parallel(false)
-        .run(&base);
+    // The sweep on a 1-worker and on a 2-worker pool, each from fresh
+    // caches.
+    let swept = [1, 2].map(|w| {
+        rayon::ThreadPool::new(w).install(|| {
+            let base = Instance::new(g.clone(), pf.clone(), hi);
+            PeriodSweep::over_periods(solvers.clone(), grid.clone())
+                .seeded(SEED)
+                .run(&base)
+        })
+    });
 
-    for (point, &t) in report.points.iter().zip(&grid) {
+    for (i, &t) in grid.iter().enumerate() {
         let fresh = Instance::new(g.clone(), pf.clone(), t);
         let scratch = Dpa1d::default().solve(&fresh, &SolveCtx::new(SEED));
-        match (&point.runs[0].result, &scratch) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(
-                    a.energy().to_bits(),
-                    b.energy().to_bits(),
-                    "{name}: swept energy diverged at T={t}"
-                );
-                assert_eq!(
-                    a.prune, b.prune,
-                    "{name}: prune telemetry diverged at T={t}"
-                );
+        for report in &swept {
+            match (&report.points[i].runs[0].result, &scratch) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(
+                        a.energy().to_bits(),
+                        b.energy().to_bits(),
+                        "{name}: swept energy diverged at T={t}"
+                    );
+                    assert_eq!(
+                        a.prune, b.prune,
+                        "{name}: prune telemetry diverged at T={t}"
+                    );
+                }
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => panic!("{name}: outcome mismatch at T={t}: {a:?} vs {b:?}"),
             }
-            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-            (a, b) => panic!("{name}: outcome mismatch at T={t}: {a:?} vs {b:?}"),
         }
     }
 }
@@ -131,14 +138,15 @@ fn huge_workloads_sweep_the_decade_under_the_edge_cap() {
     ];
     let pf = Platform::paper(4, 4);
     let solvers: Vec<Arc<dyn Solver>> = vec![Arc::new(Dpa1d::default())];
-    for (name, g) in targets {
-        let hi = anchor(&g);
+    for ((name, g), w) in targets.iter().flat_map(|t| [(t, 1), (t, 2)]) {
+        let hi = anchor(g);
         let grid = PeriodSweep::geometric(hi, hi / 10.0, 16);
-        let base = Instance::new(g, pf.clone(), hi);
-        let report = PeriodSweep::over_periods(solvers.clone(), grid)
-            .seeded(SEED)
-            .parallel(false)
-            .run(&base);
+        let base = Instance::new(g.clone(), pf.clone(), hi);
+        let report = rayon::ThreadPool::new(w).install(|| {
+            PeriodSweep::over_periods(solvers.clone(), grid)
+                .seeded(SEED)
+                .run(&base)
+        });
         let mut feasible = 0usize;
         for p in &report.points {
             match &p.runs[0].result {

@@ -30,8 +30,8 @@ fn signature(report: &PortfolioReport) -> Vec<(String, u64, Result<f64, String>)
 }
 
 /// Same seed ⇒ identical `PortfolioReport` (energies, failures, seeds, and
-/// winner), whether the portfolio fans out over rayon or runs on one
-/// thread, across the whole StreamIt suite.
+/// winner), whether the portfolio runs on a 1-worker or a 2-worker pool,
+/// across the whole StreamIt suite.
 #[test]
 fn portfolio_is_deterministic_across_thread_modes() {
     let pf = Platform::paper(4, 4);
@@ -39,11 +39,9 @@ fn portfolio_is_deterministic_across_thread_modes() {
         let g = streamit_workflow(spec, 2011);
         let t = period_for(&g);
         let inst = Instance::new(g, pf.clone(), t);
-        let par = Portfolio::heuristics().seeded(2011).run(&inst);
-        let seq = Portfolio::heuristics()
-            .seeded(2011)
-            .parallel(false)
-            .run(&inst);
+        let [seq, par] = [1, 2].map(|w| {
+            rayon::ThreadPool::new(w).install(|| Portfolio::heuristics().seeded(2011).run(&inst))
+        });
         assert_eq!(
             signature(&par),
             signature(&seq),
@@ -51,7 +49,7 @@ fn portfolio_is_deterministic_across_thread_modes() {
             spec.name
         );
         assert_eq!(par.best, seq.best, "{}: winners diverge", spec.name);
-        // And a rerun in the same mode reproduces exactly.
+        // And a rerun on the global pool reproduces exactly.
         let again = Portfolio::heuristics().seeded(2011).run(&inst);
         assert_eq!(signature(&par), signature(&again));
     }

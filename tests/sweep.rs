@@ -21,6 +21,14 @@ use spg::{streamit_workflow, STREAMIT_SPECS};
 
 const SEED: u64 = 2011;
 
+/// Runs `check` on a 1-worker and on a 2-worker pool: outcomes must not
+/// depend on the pool width.
+fn on_both_widths(check: fn()) {
+    for w in [1, 2] {
+        rayon::ThreadPool::new(w).install(check);
+    }
+}
+
 /// Energy-or-failure signature of one portfolio/sweep outcome set.
 fn energy_bits(runs: &[ea_core::SolveOutcome]) -> Vec<(String, Option<u64>)> {
     runs.iter()
@@ -30,6 +38,10 @@ fn energy_bits(runs: &[ea_core::SolveOutcome]) -> Vec<(String, Option<u64>)> {
 
 #[test]
 fn sweep_points_match_independent_fresh_solves() {
+    on_both_widths(sweep_points_match_fresh_solves);
+}
+
+fn sweep_points_match_fresh_solves() {
     // A 6-point decade on two StreamIt workflows DPA1D handles plus one it
     // fails on (lattice cap — failure outcomes must match too).
     for wf in ["DES", "TDE", "FMRadio"] {
@@ -50,7 +62,6 @@ fn sweep_points_match_independent_fresh_solves() {
             let fresh = Instance::new(g.clone(), pf.clone(), t);
             let fresh_report = Portfolio::new(default_heuristics())
                 .seeded(SEED)
-                .parallel(false)
                 .run(&fresh);
             assert_eq!(
                 energy_bits(&point.runs),
@@ -90,6 +101,10 @@ fn skeleton_is_shared_across_with_period_retargets() {
 
 #[test]
 fn admission_is_direction_independent() {
+    on_both_widths(admission_is_direction_independent_on_this_pool);
+}
+
+fn admission_is_direction_independent_on_this_pool() {
     // A descending decade and its ascending reverse must produce the same
     // outcome at every period: admission is a pure threshold over the
     // skeleton, never stateful in the sweep order.
@@ -107,11 +122,9 @@ fn admission_is_direction_independent() {
     let solvers: Vec<Arc<dyn Solver>> = vec![Arc::new(Dpa1d::default())];
     let down = PeriodSweep::over_periods(solvers.clone(), descending)
         .seeded(SEED)
-        .parallel(false)
         .run(&base);
     let up = PeriodSweep::over_periods(solvers, ascending)
         .seeded(SEED)
-        .parallel(false)
         .run(&base);
 
     type PointSig = (u64, Vec<(String, Option<u64>)>);
