@@ -344,6 +344,9 @@ pub fn compute_fresh_metrics(
                 fresh.insert(format!("{prefix}/complete_transitions"), pairs as f64);
             }
             fresh.insert(format!("{prefix}/pruned_wall"), s.wall_ms);
+            for (width, ms) in s.oneshot_walls {
+                fresh.insert(format!("{prefix}/oneshot_wall_w{width}"), ms);
+            }
         }
     }
 

@@ -12,8 +12,11 @@
 //! maximum certified bound gap (0 unless a `frontier_cap` truncates), the
 //! size of the complete transition system (the exact nested-ideal-pair
 //! count, which decides whether a complete skeleton is built at all), and
-//! the sweep wall. Deterministic metrics gate in `xp bench-check`; walls
-//! advise.
+//! the sweep wall. For `BitonicSort` it also records the wall of one
+//! one-shot solve at utilisation 0.3 on 1- and 2-worker pools: a fresh
+//! session over the edge cap streams, so these rows time the pipelined
+//! streaming relaxation alone. Deterministic metrics gate in
+//! `xp bench-check`; walls advise.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -21,7 +24,7 @@ use std::time::Instant;
 use cmp_platform::Platform;
 use ea_core::solvers::Dpa1d;
 use ea_core::sweep::PeriodSweep;
-use ea_core::{Instance, PruneStats, Solver};
+use ea_core::{Instance, PruneStats, SolveCtx, Solver};
 use spg::generate::families::{FamilyKind, FamilyParams, WorkloadSpec};
 use spg::ideal::count_ideal_pairs;
 use spg::{streamit_workflow, Spg, STREAMIT_SPECS};
@@ -36,6 +39,17 @@ pub const PRUNE_BENCH_POINTS: usize = 16;
 
 /// Wall-clock samples per workload (medians).
 const PRUNE_BENCH_SAMPLES: usize = 2;
+
+/// The workload timed by the one-shot rows, at utilisation 0.3 on the
+/// 4×4 grid: its transition system overflows the edge cap, so a one-shot
+/// solve streams.
+const ONESHOT_WORKLOAD: &str = "BitonicSort";
+
+/// Pool widths of the one-shot rows.
+const ONESHOT_WIDTHS: [usize; 2] = [1, 2];
+
+/// Wall-clock samples per one-shot row (median).
+const ONESHOT_SAMPLES: usize = 9;
 
 /// The ≥256-stage generated workload of the suite: a TGFF-style mixed
 /// SPG whose interned lattice fits the default ideal cap while its
@@ -72,6 +86,9 @@ pub struct PruneSweep {
     pub complete_transitions: Option<u128>,
     /// Median wall of the sweep, ms.
     pub wall_ms: f64,
+    /// `(pool width, median ms)` of one one-shot solve at utilisation 0.3
+    /// (empty except for the one-shot workload).
+    pub oneshot_walls: Vec<(usize, f64)>,
 }
 
 impl PruneSweep {
@@ -137,6 +154,25 @@ fn decade_sweep(
     (median(walls).unwrap_or(0.0), energies, stats)
 }
 
+/// Median wall (ms) of one `DPA1D` solve on a fresh session at
+/// utilisation 0.3 — lattice enumeration included, no skeleton built —
+/// run on an explicit `width`-worker pool.
+fn oneshot_wall(g: &Spg, pf: &Platform, width: usize) -> f64 {
+    let pool = rayon::ThreadPool::new(width);
+    let solver = Dpa1d::default();
+    let walls = (0..ONESHOT_SAMPLES)
+        .map(|_| {
+            let inst = Instance::for_utilisation(g.clone(), pf.clone(), 0.3);
+            let started = Instant::now();
+            let ok = pool.install(|| solver.solve(&inst, &SolveCtx::default()).is_ok());
+            let wall = started.elapsed().as_secs_f64() * 1e3;
+            assert!(ok, "the one-shot workload solves at utilisation 0.3");
+            wall
+        })
+        .collect();
+    median(walls).unwrap_or(0.0)
+}
+
 /// Runs the full prune benchmark.
 pub fn prune_bench(seed: u64) -> Vec<PruneSweep> {
     let pf = Platform::paper(4, 4);
@@ -153,6 +189,14 @@ pub fn prune_bench(seed: u64) -> Vec<PruneSweep> {
             let grid = PeriodSweep::geometric(hi, hi / 10.0, PRUNE_BENCH_POINTS);
             let (wall_ms, energies, stats) =
                 sequential.install(|| decade_sweep(&g, &pf, &grid, seed));
+            let oneshot_walls = if name == ONESHOT_WORKLOAD {
+                ONESHOT_WIDTHS
+                    .iter()
+                    .map(|&w| (w, oneshot_wall(&g, &pf, w)))
+                    .collect()
+            } else {
+                Vec::new()
+            };
             PruneSweep {
                 workload: name,
                 stages: g.n(),
@@ -161,6 +205,7 @@ pub fn prune_bench(seed: u64) -> Vec<PruneSweep> {
                 stats,
                 complete_transitions: count_ideal_pairs(&g),
                 wall_ms,
+                oneshot_walls,
             }
         })
         .collect()
@@ -202,6 +247,12 @@ pub fn prune_bench_json(sweeps: &[PruneSweep]) -> String {
             "    {{\"name\": \"{prefix}/pruned_wall\", \"value\": {}, \"unit\": \"ms\"}}",
             fmt_f64(s.wall_ms)
         ));
+        for &(width, ms) in &s.oneshot_walls {
+            entries.push(format!(
+                "    {{\"name\": \"{prefix}/oneshot_wall_w{width}\", \"value\": {}, \"unit\": \"ms\"}}",
+                fmt_f64(ms)
+            ));
+        }
     }
     format!("{{\n  \"results\": [\n{}\n  ]\n}}\n", entries.join(",\n"))
 }
@@ -250,6 +301,7 @@ mod tests {
             ],
             complete_transitions: Some(1_613_684_663_258_170_449_376),
             wall_ms: 2.0,
+            oneshot_walls: vec![(1, 3.0), (2, 2.0)],
         }];
         let doc = prune_bench_json(&sweeps);
         let metrics = crate::bench_check::parse_bench_metrics(&doc).unwrap();
@@ -260,11 +312,13 @@ mod tests {
         let pairs = get("prune/Fake/complete_transitions");
         assert_eq!(pairs.value, 1_613_684_663_258_170_449_376u128 as f64);
         assert_eq!(pairs.unit, "count", "the count gates");
-        assert_eq!(
-            get("prune/Fake/pruned_wall").unit,
-            "ms",
-            "walls must stay advisory"
-        );
+        for wall in [
+            "prune/Fake/pruned_wall",
+            "prune/Fake/oneshot_wall_w1",
+            "prune/Fake/oneshot_wall_w2",
+        ] {
+            assert_eq!(get(wall).unit, "ms", "walls must stay advisory");
+        }
         assert!(prune_bench_text(&sweeps).contains("Fake"));
     }
 

@@ -17,17 +17,19 @@
 //! Implementation: the ideal lattice is enumerated once per [`Instance`]
 //! (capped — a cap hit is a heuristic *failure*, mirroring the paper's
 //! observation that `DPA1D` cannot handle the high-elevation StreamIt
-//! graphs). One relaxer consumes the `(ideal, extended ideal)` cluster
-//! transitions, fed by one of two producers: a [`TransitionSkeleton`]
-//! serving the period, or a streaming extension DFS that produces the
-//! period's transitions without storing any (see "Which producer runs"
-//! below). Both producers emit the same transitions in the same order, so
-//! the choice changes time and memory, never the result. Sources are
-//! relaxed in ideal-id order (a topological order of the transition DAG),
-//! each by the same per-source routine: prune the finalised DP row to its
-//! Pareto frontier, snapshot its window of cluster counts, relax every
-//! admitted out-transition. Backtracking the optimum yields at most `r`
-//! clusters, which are laid along the snake.
+//! graphs). The `(ideal, extended ideal)` cluster transitions come from
+//! one slice filler — the extension DFS, writing per-source blocks — and
+//! reach the relaxer through one block consumer. Either the filler ran
+//! once over every source into a [`TransitionSkeleton`] serving the
+//! period, or it streams: it fills bounded slices at the period's
+//! thresholds while the relaxer drains the previous slice (see "Which
+//! producer runs" below). Both hand the relaxer the same transitions in
+//! the same order, so the choice changes time and memory, never the
+//! result. Sources are relaxed in ideal-id order (a topological order of
+//! the transition DAG), each by the same per-block routine: prune the
+//! finalised DP row to its Pareto frontier, snapshot its window of
+//! cluster counts, relax every admitted out-transition. Backtracking the
+//! optimum yields at most `r` clusters, which are laid along the snake.
 //!
 //! ## The period-sweep split
 //!
@@ -41,8 +43,8 @@
 //! the transition system once — complete, or bounded by the loosest period
 //! the session needs — and each sweep point runs a cheap admission pass
 //! (two compares and a speed lookup per transition) over its flat arrays.
-//! Only when no skeleton fits the edge cap does a point fall back to the
-//! streaming DFS, which applies the same thresholds while it walks.
+//! Only when no skeleton fits the edge cap does a point fall back to
+//! streaming, whose filler applies the same thresholds while it walks.
 //!
 //! ## Which producer runs
 //!
@@ -61,15 +63,30 @@
 //! * otherwise — a one-shot solve on a fresh session, such as a campaign
 //!   op — it streams, and builds nothing.
 //!
-//! Builds and both producers poll the solve's deadline once per source
-//! ideal; a deadline failure is never cached on the session.
+//! Streaming is a two-stage pipeline over two reused slice buffers: under
+//! one `rayon::join` per slice, the filler walks the next run of source
+//! ideals into one buffer (closing it at a source boundary once it holds
+//! `SLICE_TRANSITIONS`) while the relaxer drains the other. On a pool
+//! of two or more workers the DFS and the relaxation overlap; a 1-worker
+//! pool runs the two stages inline, in order. Only two slices are ever
+//! alive, and one source adds at most one transition per ideal, so the
+//! stream's memory stays bounded by the slice size plus the lattice size.
+//! The filler runs ahead of the relaxer, yet still skips the sources the
+//! relaxer would ignore: it tracks the fewest clusters of any chain it
+//! has emitted into each ideal, which is final — and equal to the
+//! relaxer's — by the time that ideal is walked as a source.
+//!
+//! The lattice enumeration (every [`spg::ideal::ENUM_POLL_INTERVAL`]
+//! ideals), skeleton builds, the slice filler (once per source ideal) and
+//! the relaxer (once per source block) poll the solve's deadline; a
+//! deadline failure is never cached on the session.
 //!
 //! The admission pass deliberately scans the skeleton in its original DFS
 //! order instead of pre-sorting transitions by critical period and slicing
 //! a prefix: the relaxation breaks energy ties by first arrival, so any
 //! reordering could pick a different (equal-DP-energy) parent chain whose
 //! *evaluated* energy differs in the last ulp. Scanning in order keeps
-//! every sweep point bit-identical to the streaming DFS at that period,
+//! every sweep point bit-identical to the streamed solve at that period,
 //! which is what the sweep equivalence tests pin; the filtered-out
 //! compares it wastes are noise next to the relaxation itself.
 //!
@@ -93,8 +110,9 @@ pub struct Dpa1dConfig {
     pub ideal_cap: usize,
     /// Maximum number of transitions a [`TransitionSkeleton`] may
     /// materialise. A bound on memory, not a failure mode: a transition
-    /// system past the cap is relaxed by the streaming DFS, which stores
-    /// no transitions and returns the identical result.
+    /// system past the cap is streamed in bounded slices, which store no
+    /// more than two slices' worth of transitions and return the
+    /// identical result.
     pub edge_cap: usize,
     /// Upper bound on the per-ideal Pareto frontier kept by the dominance
     /// pruning (`usize::MAX` = unbounded, the default; values below 1 are
@@ -153,6 +171,207 @@ impl SkeletonBlock {
     }
 }
 
+/// Source blocks of cluster transitions in the per-source-block SoA layout
+/// the relaxation reads: the storage of a [`TransitionSkeleton`] (one slice
+/// over every source), and each slice the streaming pipeline hands from
+/// its producer to its relaxer.
+#[derive(Default)]
+struct Slice {
+    blocks: Vec<SkeletonBlock>,
+    /// Per-transition destination ideal (DFS order within each block).
+    to: Vec<IdealId>,
+    /// Per-transition cluster work (cycles) — the speed-admission and
+    /// `Ecal` input.
+    work: Vec<f64>,
+    /// Largest cluster stage count over all transitions (telemetry; the DP
+    /// never reads stage counts, so only the running max is kept — a
+    /// per-transition array would pin ~4 MB per cached skeleton at the
+    /// default edge cap for nothing).
+    max_stages: u32,
+}
+
+impl Slice {
+    fn clear(&mut self) {
+        self.blocks.clear();
+        self.to.clear();
+        self.work.clear();
+        self.max_stages = 0;
+    }
+
+    /// The one block consumer: feeds every transition admitted at `adm`'s
+    /// thresholds to the relaxer, block by block in source-id order and in
+    /// DFS order within each block — so a skeleton and the streamed slices
+    /// of the same period hand the relaxer the identical sequence. Polls
+    /// `ctx`'s deadline once per source block.
+    fn relax_into(&self, adm: &Admission, dp: &mut Relaxer, ctx: &SolveCtx) -> Result<(), Failure> {
+        for b in &self.blocks {
+            ctx.check_budget()?;
+            if !b.admissible(adm) {
+                continue;
+            }
+            let range = b.range.start as usize..b.range.end as usize;
+            dp.relax_block(
+                b.from,
+                b.hop,
+                &self.to[range.clone()],
+                &self.work[range],
+                adm.cap_work,
+            );
+        }
+        Ok(())
+    }
+
+    /// How many transitions the admission pass keeps at the period's
+    /// thresholds. Monotone in the period: loosening a threshold only
+    /// ever adds transitions.
+    #[cfg(test)]
+    fn admitted_count(&self, adm: &Admission) -> usize {
+        self.blocks
+            .iter()
+            .filter(|b| b.admissible(adm))
+            .map(|b| {
+                let range = b.range.start as usize..b.range.end as usize;
+                self.work[range]
+                    .iter()
+                    .filter(|&&w| w <= adm.cap_work)
+                    .count()
+            })
+            .sum()
+    }
+}
+
+/// The one slice filler: the extension DFS walking source ideals in id
+/// order from a cursor. A source whose outgoing cut exceeds `bw_cap` is
+/// skipped (no period the fill serves can pass through it); every other
+/// source's extensions within the DFS's work threshold become one block.
+struct BlockProducer<'a> {
+    dfs: ExtendCtx<'a>,
+    pf: &'a Platform,
+    cuts: &'a [f64],
+    bw_cap: f64,
+    /// The next source ideal to walk.
+    next: u32,
+    /// A streaming producer's view of its relaxer (see
+    /// [`BlockProducer::feeding`]): per ideal, the fewest clusters of any
+    /// emitted chain reaching it (`u16::MAX` = none yet), and the most
+    /// clusters a source row may hold and still extend.
+    reach: Option<(Vec<u16>, u16)>,
+}
+
+impl<'a> BlockProducer<'a> {
+    /// A producer at `adm`'s thresholds, or — with `None` — a complete one
+    /// that keeps every boundary and every cluster work.
+    fn new(
+        spg: &'a Spg,
+        pf: &'a Platform,
+        shared: &'a SharedLattice,
+        adm: Option<&Admission>,
+    ) -> BlockProducer<'a> {
+        BlockProducer {
+            dfs: ExtendCtx::new(
+                spg,
+                &shared.lattice,
+                adm.map_or(f64::INFINITY, |a| a.cap_work),
+            ),
+            pf,
+            cuts: &shared.cuts,
+            bw_cap: adm.map_or(f64::INFINITY, |a| a.bw_cap),
+            next: 0,
+            reach: None,
+        }
+    }
+
+    /// Lets a streaming producer skip the DFS work that `dp` would ignore.
+    /// Sources come in id order and every transition leads to a larger
+    /// id, so when a source is walked, the fewest clusters of any chain
+    /// the producer has emitted into it is final — and equal to the
+    /// relaxer's lowest finite cluster count for that row. The relaxer
+    /// ignores an unreached source, and of a source whose row cannot
+    /// extend (`k + 1` must stay below the DP width) it only prunes the
+    /// row at the first transition: the producer walks neither further.
+    fn feeding(mut self, dp: &Relaxer) -> BlockProducer<'a> {
+        let mut fewest = vec![u16::MAX; self.cuts.len()];
+        fewest[0] = 0;
+        self.reach = Some((fewest, (dp.state.width - 2) as u16));
+        self
+    }
+
+    /// Whether every source has been walked.
+    fn done(&self) -> bool {
+        self.next as usize == self.cuts.len()
+    }
+
+    /// Appends the blocks of the next sources to `out` until every source
+    /// is walked, or — at a source boundary — `out` holds at least
+    /// `close_at` transitions. One source adds at most one transition per
+    /// ideal, so a fill never passes `close_at` by more than the lattice
+    /// size. Returns `Ok(false)` when a source would push `out` past
+    /// `edge_cap` transitions (a build's overflow; `out` is then partial).
+    /// Polls `ctx`'s deadline once per source ideal.
+    fn fill(
+        &mut self,
+        out: &mut Slice,
+        close_at: usize,
+        edge_cap: usize,
+        ctx: &SolveCtx,
+    ) -> Result<bool, Failure> {
+        while !self.done() && out.to.len() < close_at {
+            ctx.check_budget()?;
+            let from = IdealId(self.next);
+            self.next += 1;
+            let cut = self.cuts[from.idx()];
+            if from.idx() != 0 && cut > self.bw_cap {
+                continue; // outgoing link overloaded: unreachable boundary
+            }
+            let k = self
+                .reach
+                .as_ref()
+                .map_or(0, |(fewest, _)| fewest[from.idx()]);
+            if k == u16::MAX {
+                continue; // no chain reaches this source
+            }
+            let extends = self.reach.as_ref().is_none_or(|&(_, last)| k <= last);
+            let start = out.to.len() as u32;
+            let mut overflow = false;
+            let reach = &mut self.reach;
+            self.dfs
+                .extensions(from, &mut |child: IdealId, w: f64, depth: u32| -> bool {
+                    if out.to.len() >= edge_cap {
+                        overflow = true;
+                        return false;
+                    }
+                    out.to.push(child);
+                    out.work.push(w);
+                    out.max_stages = out.max_stages.max(depth);
+                    if !extends {
+                        return false; // the relaxer only prunes this row
+                    }
+                    if let Some((fewest, _)) = reach.as_mut() {
+                        fewest[child.idx()] = fewest[child.idx()].min(k + 1);
+                    }
+                    true
+                });
+            if overflow {
+                return Ok(false);
+            }
+            let end = out.to.len() as u32;
+            if end > start {
+                out.blocks.push(SkeletonBlock {
+                    from,
+                    cut,
+                    hop: hop_energy(self.pf, from, cut),
+                    wmin: out.work[start as usize..end as usize]
+                        .iter()
+                        .copied()
+                        .fold(f64::INFINITY, f64::min),
+                    range: start..end,
+                });
+            }
+        }
+        Ok(true)
+    }
+}
+
 /// The period-independent half of the `DPA1D` pipeline: every cluster
 /// transition of the lattice (work-uncapped, so it serves *every* period,
 /// or capped at a ceiling period's work threshold), in the per-source-block
@@ -165,17 +384,8 @@ impl SkeletonBlock {
 pub struct TransitionSkeleton {
     // Summarised rather than dumped: a skeleton can hold a million
     // transitions.
-    blocks: Vec<SkeletonBlock>,
-    /// Per-transition destination ideal (DFS order within each block).
-    to: Vec<IdealId>,
-    /// Per-transition cluster work (cycles) — the speed-admission and
-    /// `Ecal` input.
-    work: Vec<f64>,
-    /// Largest cluster stage count over all transitions (telemetry; the DP
-    /// never reads stage counts, so only the running max is kept — a
-    /// per-transition array would pin ~4 MB per cached skeleton at the
-    /// default edge cap for nothing).
-    max_stages: u32,
+    /// Every stored transition: one slice over all sources.
+    slice: Slice,
     /// Size of the lattice the skeleton was built over: every ideal id it
     /// holds is below it, and a skeleton only serves a lattice of exactly
     /// this size.
@@ -186,15 +396,15 @@ pub struct TransitionSkeleton {
     /// so a build capped at the ceiling's work threshold contains *every*
     /// transition any period `T ≤ ceiling` admits, in the same DFS order —
     /// the admission pass at such a `T` is bit-identical to one over the
-    /// complete skeleton (and to the streaming DFS at `T`).
+    /// complete skeleton (and to the streamed slices at `T`).
     period_ceiling: f64,
 }
 
 impl std::fmt::Debug for TransitionSkeleton {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TransitionSkeleton")
-            .field("blocks", &self.blocks.len())
-            .field("transitions", &self.to.len())
+            .field("blocks", &self.slice.blocks.len())
+            .field("transitions", &self.slice.to.len())
             .field("ideals", &self.n_ideals)
             .field("period_ceiling", &self.period_ceiling)
             .finish()
@@ -206,12 +416,12 @@ impl TransitionSkeleton {
     /// pair for a complete build (see [`spg::ideal::count_ideal_pairs`]),
     /// or the pairs within the work ceiling for a bounded one.
     pub fn n_transitions(&self) -> usize {
-        self.to.len()
+        self.slice.to.len()
     }
 
     /// Number of source blocks with at least one transition.
     pub fn n_blocks(&self) -> usize {
-        self.blocks.len()
+        self.slice.blocks.len()
     }
 
     /// Approximate resident size in bytes (all per-block and
@@ -220,14 +430,14 @@ impl TransitionSkeleton {
     pub fn size_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<Self>()
-            + self.blocks.capacity() * size_of::<SkeletonBlock>()
-            + self.to.capacity() * size_of::<IdealId>()
-            + self.work.capacity() * size_of::<f64>()
+            + self.slice.blocks.capacity() * size_of::<SkeletonBlock>()
+            + self.slice.to.capacity() * size_of::<IdealId>()
+            + self.slice.work.capacity() * size_of::<f64>()
     }
 
     /// Largest cluster stage count over all transitions.
     pub fn max_cluster_stages(&self) -> u32 {
-        self.max_stages
+        self.slice.max_stages
     }
 
     /// The loosest period this skeleton serves exactly (`INFINITY` for a
@@ -243,7 +453,7 @@ impl TransitionSkeleton {
     }
 
     /// Whether an admission pass at `period` over this skeleton is exact —
-    /// i.e. bit-identical to the streaming DFS at that period. True for
+    /// i.e. bit-identical to the streamed solve at that period. True for
     /// every period of a complete build, and for `period ≤ ceiling` of a
     /// bounded one.
     pub fn serves(&self, period: f64) -> bool {
@@ -256,9 +466,15 @@ impl TransitionSkeleton {
     /// reloaded skeleton admits bit-identically.
     pub fn to_bytes(&self) -> Vec<u8> {
         use spg::wire;
-        let mut out = Vec::with_capacity(64 + self.blocks.len() * 36 + self.to.len() * 12);
-        wire::put_u64(&mut out, self.blocks.len() as u64);
-        for b in &self.blocks {
+        let Slice {
+            blocks,
+            to,
+            work,
+            max_stages,
+        } = &self.slice;
+        let mut out = Vec::with_capacity(64 + blocks.len() * 36 + to.len() * 12);
+        wire::put_u64(&mut out, blocks.len() as u64);
+        for b in blocks {
             wire::put_u32(&mut out, b.from.0);
             wire::put_f64(&mut out, b.cut);
             wire::put_f64(&mut out, b.hop);
@@ -266,12 +482,12 @@ impl TransitionSkeleton {
             wire::put_u32(&mut out, b.range.start);
             wire::put_u32(&mut out, b.range.end);
         }
-        wire::put_u64(&mut out, self.to.len() as u64);
-        for t in &self.to {
+        wire::put_u64(&mut out, to.len() as u64);
+        for t in to {
             wire::put_u32(&mut out, t.0);
         }
-        wire::put_f64_slice(&mut out, &self.work);
-        wire::put_u32(&mut out, self.max_stages);
+        wire::put_f64_slice(&mut out, work);
+        wire::put_u32(&mut out, *max_stages);
         wire::put_u32(&mut out, self.n_ideals);
         wire::put_f64(&mut out, self.period_ceiling);
         out
@@ -330,54 +546,15 @@ impl TransitionSkeleton {
             return Err("transition references an out-of-range ideal".into());
         }
         Ok(TransitionSkeleton {
-            blocks,
-            to,
-            work,
-            max_stages,
+            slice: Slice {
+                blocks,
+                to,
+                work,
+                max_stages,
+            },
             n_ideals,
             period_ceiling,
         })
-    }
-
-    /// How many transitions the admission pass keeps at the period's
-    /// thresholds. Monotone in the period: loosening a threshold only
-    /// ever adds transitions.
-    #[cfg(test)]
-    fn admitted_count(&self, adm: &Admission) -> usize {
-        self.blocks
-            .iter()
-            .filter(|b| b.admissible(adm))
-            .map(|b| {
-                let range = b.range.start as usize..b.range.end as usize;
-                self.work[range]
-                    .iter()
-                    .filter(|&&w| w <= adm.cap_work)
-                    .count()
-            })
-            .sum()
-    }
-
-    /// The skeleton producer: feeds every transition admitted at `adm`'s
-    /// thresholds to the relaxer, block by block in id order and in DFS
-    /// order within each block — the exact sequence the streaming DFS
-    /// produces at the same period. Polls `ctx`'s deadline once per source
-    /// block.
-    fn relax_into(&self, adm: &Admission, dp: &mut Relaxer, ctx: &SolveCtx) -> Result<(), Failure> {
-        for b in &self.blocks {
-            ctx.check_budget()?;
-            if !b.admissible(adm) {
-                continue;
-            }
-            let range = b.range.start as usize..b.range.end as usize;
-            dp.relax_source(b.from, b.hop, |src| {
-                for (&to, &w) in self.to[range.clone()].iter().zip(&self.work[range]) {
-                    if w <= adm.cap_work && !src.offer(to, w) {
-                        break;
-                    }
-                }
-            });
-        }
-        Ok(())
     }
 
     /// Builds the transition system over a shared lattice up to a
@@ -389,7 +566,7 @@ impl TransitionSkeleton {
     /// default cap). The inner result is the build's outcome: the
     /// skeleton, or the materialise-phase budget payload with the
     /// `edge_cap + 1` witness when the built set exceeds `edge_cap` (the
-    /// caller falls back to a tighter ceiling or to the streaming DFS).
+    /// caller falls back to a tighter ceiling or to streaming).
     /// The outer `Err` is `solve_ctx`'s deadline, polled once per source
     /// ideal: it says nothing about the inputs, so callers must not cache
     /// it.
@@ -401,7 +578,6 @@ impl TransitionSkeleton {
         period_ceiling: f64,
         solve_ctx: &SolveCtx,
     ) -> Result<BuildOutcome, Failure> {
-        let (lattice, cuts) = (&shared.lattice, &shared.cuts);
         #[cfg(test)]
         {
             let counter = if period_ceiling.is_infinite() {
@@ -413,73 +589,27 @@ impl TransitionSkeleton {
         }
         // A bounded build applies the ceiling period's admission thresholds
         // at materialisation time: both are monotone in the period, so
-        // everything a tighter period admits survives, in DFS order.
+        // everything a tighter period admits survives, in DFS order. A
+        // complete build keeps every boundary and every cluster (a cut
+        // infeasible at one period is feasible at a looser one; the
+        // admission pass applies both thresholds per period).
         let ceiling_adm = period_ceiling
             .is_finite()
             .then(|| Admission::new(pf, period_ceiling));
-        let mut blocks: Vec<SkeletonBlock> = Vec::new();
-        let mut to: Vec<IdealId> = Vec::new();
-        let mut work: Vec<f64> = Vec::new();
-        let mut max_stages = 0u32;
-        let mut dfs = ExtendCtx::new(
-            spg,
-            lattice,
-            // Complete builds are work-uncapped: the skeleton serves every
-            // period, so only the edge cap bounds it.
-            ceiling_adm.as_ref().map_or(f64::INFINITY, |a| a.cap_work),
-        );
-        for from in lattice.ids() {
-            solve_ctx.check_budget()?;
-            // Complete builds keep every boundary (a cut infeasible at one
-            // period is feasible at a looser one; the admission pass applies
-            // both thresholds per period). A bounded build drops boundaries
-            // already overloaded at the ceiling — no served period can pass
-            // through them.
-            if let Some(a) = &ceiling_adm {
-                if from.idx() != 0 && cuts[from.idx()] > a.bw_cap {
-                    continue;
-                }
-            }
-            let start = to.len() as u32;
-            let ok = dfs.extensions(from, &mut |child: IdealId, w: f64, depth: u32| -> bool {
-                if to.len() >= edge_cap {
-                    return false;
-                }
-                to.push(child);
-                work.push(w);
-                max_stages = max_stages.max(depth);
-                true
-            });
-            if !ok {
-                // Saturating, so a cap of `usize::MAX` cannot overflow.
-                let witness = edge_cap.saturating_add(1);
-                return Ok(Err(Failure::budget(
-                    BudgetPhase::Materialise,
-                    edge_cap,
-                    witness,
-                )));
-            }
-            let end = to.len() as u32;
-            if end > start {
-                let cut = cuts[from.idx()];
-                blocks.push(SkeletonBlock {
-                    from,
-                    cut,
-                    hop: hop_energy(pf, from, cut),
-                    wmin: work[start as usize..end as usize]
-                        .iter()
-                        .copied()
-                        .fold(f64::INFINITY, f64::min),
-                    range: start..end,
-                });
-            }
+        let mut slice = Slice::default();
+        let mut producer = BlockProducer::new(spg, pf, shared, ceiling_adm.as_ref());
+        if !producer.fill(&mut slice, usize::MAX, edge_cap, solve_ctx)? {
+            // Saturating, so a cap of `usize::MAX` cannot overflow.
+            let witness = edge_cap.saturating_add(1);
+            return Ok(Err(Failure::budget(
+                BudgetPhase::Materialise,
+                edge_cap,
+                witness,
+            )));
         }
         Ok(Ok(TransitionSkeleton {
-            blocks,
-            to,
-            work,
-            max_stages,
-            n_ideals: lattice.len() as u32,
+            slice,
+            n_ideals: shared.lattice.len() as u32,
             period_ceiling,
         }))
     }
@@ -489,6 +619,13 @@ impl TransitionSkeleton {
 /// overflow it stopped at. Both are facts about the inputs, so the
 /// `Instance` cache records either.
 pub(crate) type BuildOutcome = Result<TransitionSkeleton, Failure>;
+
+// The deadlines a joined producer fill stopped at — the witness that the
+// producer, not only the relaxer, polls. Keyed by deadline, so tests
+// running in parallel do not see each other's entries.
+#[cfg(test)]
+static PRODUCER_DEADLINES: std::sync::Mutex<Vec<std::time::Instant>> =
+    std::sync::Mutex::new(Vec::new());
 
 // Complete and bounded skeleton builds started on this thread — the
 // witnesses that a solve streamed, or that a cache path refused a build
@@ -548,17 +685,16 @@ impl EcalTable {
 /// `DPA1D` on an instance's session caches: its interned
 /// [`SharedLattice`], a [`TransitionSkeleton`] serving the period when the
 /// session has one or has declared reuse (see the module docs, "Which
-/// producer runs"), and the snake route table. Skeleton builds and the
-/// relaxation poll `ctx`'s deadline once per source ideal; the lattice
-/// enumeration is bounded by its cap instead. A deadline failure is never
-/// cached on the instance.
+/// producer runs"), and the snake route table. The lattice enumeration,
+/// skeleton builds and both pipeline stages poll `ctx`'s deadline; a
+/// deadline failure is never cached on the instance.
 pub(crate) fn dpa1d_run(
     inst: &Instance,
     cfg: &Dpa1dConfig,
     ctx: &SolveCtx,
 ) -> Result<Solution, Failure> {
     let shared = inst
-        .lattice(cfg.ideal_cap)
+        .lattice_within(cfg.ideal_cap, ctx)?
         .map_err(|e| lattice_failure(&e))?;
     let skeleton = if inst.reuse_declared() {
         inst.skeleton_within(cfg, ctx)?
@@ -579,7 +715,7 @@ type ChainSolve = (Vec<Vec<StageId>>, PruneStats);
 /// The Theorem 1 dynamic program over a shared lattice: the optimal chain
 /// of clusters (at most one per alive core) for the uni-directional
 /// uni-line. Transitions come from `skeleton` when it serves this period,
-/// and from the streaming DFS otherwise; either producer fails with the
+/// and are streamed otherwise; either way the solve fails with the
 /// deadline-phase budget once `ctx`'s deadline passes.
 fn solve_chain(
     spg: &Spg,
@@ -598,42 +734,63 @@ fn solve_chain(
     // hands out serving skeletons only; the check keeps a mismatched one
     // from slicing out of range).
     match skeleton.filter(|sk| sk.serves(period) && sk.n_ideals as usize == lattice.len()) {
-        Some(sk) => sk.relax_into(&adm, &mut dp, ctx)?,
-        None => stream_into(spg, pf, lattice, &shared.cuts, &adm, &mut dp, ctx)?,
+        Some(sk) => sk.slice.relax_into(&adm, &mut dp, ctx)?,
+        None => stream_into(spg, pf, shared, &adm, &mut dp, ctx)?,
     }
     let (chain, best) = dp.state.backtrack(lattice)?;
     Ok((chain, dp.prune.stats(best)))
 }
 
-/// The streaming producer: walks the per-period extension DFS from every
-/// source whose outgoing link fits the period and feeds each transition to
-/// the relaxer the moment the DFS produces it, storing none of them. This
-/// is what makes the edge cap a *soundness-preserving* bound: a
-/// transition system past the cap costs time, not a `TooExpensive`
-/// failure. Polls `solve_ctx`'s deadline once per source ideal.
+/// Transitions a streamed slice holds before it closes (at the next
+/// source boundary). Two slices are live at once — one filling, one
+/// relaxing — so a stream holds at most `2 · (SLICE_TRANSITIONS +
+/// lattice size)` transitions of 12 bytes each; at 2^14 a slice (~200 KB)
+/// stays cache-resident between its two stages, and one join is paid per
+/// ~16K transitions.
+const SLICE_TRANSITIONS: usize = 1 << 14;
+
+/// The streaming producer, run as a two-stage pipeline: the extension DFS
+/// at the period's thresholds fills the next slice of source blocks while
+/// the relaxer drains the previous one, under one `rayon::join` per slice
+/// over two reused buffers (a 1-worker pool runs both inline, in order).
+/// Slices are relaxed in source order, through the same block consumer a
+/// skeleton uses, so the relaxer sees the exact transition sequence of a
+/// skeleton serving this period and stores at most two slices. This is
+/// what makes the edge cap a *soundness-preserving* bound: a transition
+/// system past the cap costs time, not a `TooExpensive` failure. Both
+/// stages poll `ctx`'s deadline: the producer once per source ideal, the
+/// relaxer once per source block.
 fn stream_into(
     spg: &Spg,
     pf: &Platform,
-    lattice: &IdealLattice,
-    cuts: &[f64],
+    shared: &SharedLattice,
     adm: &Admission,
     dp: &mut Relaxer,
-    solve_ctx: &SolveCtx,
+    ctx: &SolveCtx,
 ) -> Result<(), Failure> {
-    let mut ctx = ExtendCtx::new(spg, lattice, adm.cap_work);
-    for from in lattice.ids() {
-        solve_ctx.check_budget()?;
-        let cut = cuts[from.idx()];
-        if from.idx() != 0 && cut > adm.bw_cap {
-            continue; // outgoing link overloaded: unreachable boundary
-        }
-        dp.relax_source(from, hop_energy(pf, from, cut), |src| {
-            ctx.extensions(from, &mut |to: IdealId, w: f64, _depth: u32| {
-                src.offer(to, w)
-            });
-        });
+    let mut producer = BlockProducer::new(spg, pf, shared, Some(adm)).feeding(dp);
+    let (mut ready, mut next) = (Slice::default(), Slice::default());
+    producer.fill(&mut ready, SLICE_TRANSITIONS, usize::MAX, ctx)?;
+    // The last slice has nothing to overlap with, so it is relaxed inline
+    // — as is a whole stream that fits one slice, which wakes no worker.
+    while !producer.done() {
+        next.clear();
+        let (relaxed, filled) = rayon::join(
+            || ready.relax_into(adm, dp, ctx),
+            || {
+                let filled = producer.fill(&mut next, SLICE_TRANSITIONS, usize::MAX, ctx);
+                #[cfg(test)]
+                if filled.is_err() {
+                    PRODUCER_DEADLINES.lock().unwrap().extend(ctx.deadline);
+                }
+                filled
+            },
+        );
+        relaxed?;
+        filled?;
+        std::mem::swap(&mut ready, &mut next);
     }
-    Ok(())
+    ready.relax_into(adm, dp, ctx)
 }
 
 /// Per-period admission thresholds (both monotone in the period).
@@ -819,11 +976,11 @@ impl PruneCtx {
     }
 }
 
-/// The one relaxation engine. Producers hand it sources in ideal-id order —
-/// a topological order of the transition DAG (every extension strictly
-/// grows the ideal, and ids are sorted by cardinality) — so when a source
-/// is opened, all of its in-transitions have already been relaxed and its
-/// DP row is final. One pass over the sources therefore relaxes every
+/// The one relaxation engine. The block consumer hands it sources in
+/// ideal-id order — a topological order of the transition DAG (every
+/// extension strictly grows the ideal, and ids are sorted by cardinality)
+/// — so when a source is opened, all of its in-transitions have already
+/// been relaxed and its DP row is final. One pass over the sources therefore relaxes every
 /// cluster-count layer at once: the per-ideal rows stay cache-resident
 /// while the transitions stream through exactly once.
 struct Relaxer {
@@ -854,93 +1011,68 @@ impl Relaxer {
         }
     }
 
-    /// Relaxes the out-transitions of source `from` (hop energy `hop`),
-    /// which `produce` offers in order through the [`SourceRelax`] handle.
-    /// The row is pruned and snapshotted lazily, at the first transition
-    /// with a feasible speed, so a source with no feasible extension at
-    /// this period leaves its row and the telemetry untouched. An
-    /// unreachable source is skipped outright.
-    fn relax_source(
+    /// Relaxes one source block: the out-transitions of `from` (hop energy
+    /// `hop`) into `to` with cluster works `work`, in order, skipping those
+    /// heavier than `cap_work`. The row is pruned and snapshotted lazily,
+    /// at the first transition with a feasible speed, so a source with no
+    /// feasible extension at this period leaves its row and the telemetry
+    /// untouched; once the row turns out unable to extend, the rest of the
+    /// block is skipped. An unreachable source is skipped outright.
+    fn relax_block(
         &mut self,
         from: IdealId,
         hop: f64,
-        produce: impl FnOnce(&mut SourceRelax<'_>),
+        to: &[IdealId],
+        work: &[f64],
+        cap_work: f64,
     ) {
         let f = from.idx();
         if self.state.klo[f] == u16::MAX {
             return;
         }
-        let mut src = SourceRelax {
-            dp: self,
-            from,
-            hop,
-            window: None,
-            kept: 0,
-        };
-        produce(&mut src);
-        let (window, kept) = (src.window, src.kept);
-        if let Some(Some((lo, hi))) = window {
+        // `None` until the first feasible transition primes the row; then
+        // the row's relaxation window.
+        let mut window: Option<(usize, usize)> = None;
+        let mut kept = 0u64;
+        for (&t, &w) in to.iter().zip(work) {
+            if w > cap_work {
+                continue;
+            }
+            // The work threshold guarantees a feasible speed; be defensive
+            // about rounding anyway and skip rather than panic.
+            let Some(ecal) = self.ec.ecal(w) else {
+                continue;
+            };
+            let (lo, hi) = match window {
+                Some(window) => window,
+                None => match self.prime(f, hop) {
+                    Some(primed) => *window.insert(primed),
+                    None => return,
+                },
+            };
+            kept += 1;
+            self.state
+                .relax(t.idx(), from.0, hop + ecal, &self.row, lo, hi);
+        }
+        if let Some((lo, hi)) = window {
             self.prune.count_source(f, kept, (hi - lo + 1) as u64);
         }
     }
-}
 
-/// One open source row of the [`Relaxer`]; producers feed it the source's
-/// out-transitions with [`SourceRelax::offer`].
-struct SourceRelax<'a> {
-    dp: &'a mut Relaxer,
-    from: IdealId,
-    hop: f64,
-    /// `None` until the first feasible transition primes the row; then the
-    /// row's relaxation window (`None` inside when it cannot extend).
-    window: Option<Option<(usize, usize)>>,
-    kept: u64,
-}
-
-impl SourceRelax<'_> {
-    /// Relaxes one transition of cluster work `w` into ideal `to`.
-    /// Returns `false` once nothing more can be relaxed out of this
-    /// source, so the producer can stop early.
-    #[inline]
-    fn offer(&mut self, to: IdealId, w: f64) -> bool {
-        // The work threshold guarantees a feasible speed; be defensive
-        // about rounding anyway and skip rather than panic.
-        let Some(ecal) = self.dp.ec.ecal(w) else {
-            return true;
-        };
-        let window = match self.window {
-            Some(window) => window,
-            None => {
-                let window = self.prime();
-                self.window = Some(window);
-                window
-            }
-        };
-        let Some((lo, hi)) = window else {
-            return false;
-        };
-        self.kept += 1;
-        let dp = &mut *self.dp;
-        dp.state
-            .relax(to.idx(), self.from.0, self.hop + ecal, &dp.row, lo, hi);
-        true
-    }
-
-    /// Prunes the now-final source row, takes its window, and snapshots it.
-    fn prime(&mut self) -> Option<(usize, usize)> {
-        let f = self.from.idx();
-        let dp = &mut *self.dp;
-        let width = dp.state.width;
-        dp.prune.prune_row(
+    /// Prunes the now-final row of source `f`, takes its window, and
+    /// snapshots it (`None` when the row cannot extend).
+    fn prime(&mut self, f: usize, hop: f64) -> Option<(usize, usize)> {
+        let width = self.state.width;
+        self.prune.prune_row(
             f,
-            self.hop,
+            hop,
             width,
-            &mut dp.state.e[f * width..(f + 1) * width],
-            &mut dp.state.klo[f],
-            &mut dp.state.khi[f],
+            &mut self.state.e[f * width..(f + 1) * width],
+            &mut self.state.klo[f],
+            &mut self.state.khi[f],
         );
-        let (lo, hi) = dp.state.window(f)?;
-        dp.row[lo..=hi].copy_from_slice(&dp.state.e[f * width + lo..f * width + hi + 1]);
+        let (lo, hi) = self.state.window(f)?;
+        self.row[lo..=hi].copy_from_slice(&self.state.e[f * width + lo..f * width + hi + 1]);
         Some((lo, hi))
     }
 }
@@ -1094,7 +1226,12 @@ struct ExtendCtx<'a> {
     lattice: &'a IdealLattice,
     pred_masks: &'a [NodeSet],
     cap_work: f64,
-    stack: Vec<StageId>,
+    /// Pending `(stage, ideal reached by adding it)` entries of every
+    /// recursion level.
+    stack: Vec<(StageId, IdealId)>,
+    /// Scratch, indexed by stage: the ideal its cover leads to from the
+    /// ideal whose next level is being assembled.
+    via: Vec<IdealId>,
 }
 
 impl<'a> ExtendCtx<'a> {
@@ -1105,6 +1242,7 @@ impl<'a> ExtendCtx<'a> {
             pred_masks: lattice.pred_masks(),
             cap_work,
             stack: Vec::with_capacity(4 * spg.n()),
+            via: vec![IdealId(0); spg.n()],
         }
     }
 
@@ -1118,14 +1256,18 @@ impl<'a> ExtendCtx<'a> {
     ) -> bool {
         // The ready stages of `from` are exactly its recorded covers.
         self.stack.clear();
-        self.stack
-            .extend(self.lattice.covers(from).iter().map(|&(s, _)| StageId(s)));
+        self.stack.extend(
+            self.lattice
+                .covers(from)
+                .iter()
+                .map(|&(s, c)| (StageId(s), IdealId(c))),
+        );
         let hi = self.stack.len();
-        extend(self, from, 0.0, 1, 0, hi, visit)
+        extend(self, 0.0, 1, 0, hi, visit)
     }
 }
 
-/// DFS over cluster extensions of `cur`, whose pending ready list is
+/// DFS over cluster extensions of the ideal whose pending ready list is
 /// `ctx.stack[lo..hi]` (in lattice cover order — NOT sorted by weight, so
 /// an overweight stage must be `continue`d past, never `break`ed on). Each
 /// loop iteration picks `stack[k]` as the *next* included stage (everything
@@ -1135,7 +1277,6 @@ impl<'a> ExtendCtx<'a> {
 /// this path); returning `false` aborts.
 fn extend(
     ctx: &mut ExtendCtx<'_>,
-    cur: IdealId,
     w: f64,
     depth: u32,
     lo: usize,
@@ -1143,15 +1284,11 @@ fn extend(
     visit: &mut impl FnMut(IdealId, f64, u32) -> bool,
 ) -> bool {
     for k in lo..hi {
-        let s = ctx.stack[k];
+        let (s, child) = ctx.stack[k];
         let w2 = w + ctx.spg.weight(s);
         if w2 > ctx.cap_work {
             continue; // a lighter stage later in the list may still fit
         }
-        let child = ctx
-            .lattice
-            .child_via(cur, s)
-            .expect("ready stage must have a recorded cover");
         if !visit(child, w2, depth) {
             return false;
         }
@@ -1160,17 +1297,25 @@ fn extend(
         // its last missing predecessor joins the ideal, so "newly released"
         // is precisely "`s` is one of its predecessors" — stages ready
         // earlier (including the ones deliberately excluded at shallower
-        // levels of this path) can never have `s` as a predecessor.
+        // levels of this path) can never have `s` as a predecessor. The
+        // stages after `k` stay ready in `child`, so each has a cover there.
+        let covers = ctx.lattice.covers(child);
+        for &(cs, next) in covers {
+            ctx.via[cs as usize] = IdealId(next);
+        }
         let next_lo = ctx.stack.len();
-        ctx.stack.extend_from_within(k + 1..hi);
-        for &(cs, _) in ctx.lattice.covers(child) {
+        for j in k + 1..hi {
+            let stage = ctx.stack[j].0;
+            ctx.stack.push((stage, ctx.via[stage.idx()]));
+        }
+        for &(cs, next) in covers {
             if ctx.pred_masks[cs as usize].contains(s.idx()) {
-                ctx.stack.push(StageId(cs));
+                ctx.stack.push((StageId(cs), IdealId(next)));
             }
         }
         let next_hi = ctx.stack.len();
         if next_hi > next_lo {
-            let ok = extend(ctx, child, w2, depth + 1, next_lo, next_hi, visit);
+            let ok = extend(ctx, w2, depth + 1, next_lo, next_hi, visit);
             ctx.stack.truncate(next_lo);
             if !ok {
                 return false;
@@ -1334,7 +1479,7 @@ mod tests {
         let sk = build(&g, &pf, &shared, cfg.edge_cap, f64::INFINITY).unwrap();
         let mut prev = 0usize;
         for period in [0.01, 0.1, 1.0, 10.0] {
-            let n = sk.admitted_count(&Admission::new(&pf, period));
+            let n = sk.slice.admitted_count(&Admission::new(&pf, period));
             assert!(n >= prev, "admission must be monotone in the period");
             prev = n;
         }
@@ -1402,8 +1547,8 @@ mod tests {
         for period in [0.5, 0.2, 0.05, 0.01] {
             let adm = Admission::new(&pf, period);
             assert_eq!(
-                bounded.admitted_count(&adm),
-                complete.admitted_count(&adm),
+                bounded.slice.admitted_count(&adm),
+                complete.slice.admitted_count(&adm),
                 "admitted sets must agree at T={period}"
             );
             let fresh = solve_chain(&g, &pf, period, &cfg, &shared, None, &SolveCtx::default());
@@ -1517,6 +1662,54 @@ mod tests {
         assert_eq!(after.prune, cold.prune);
     }
 
+    /// The producer polls the deadline too. On a 2-worker pool, deadlines
+    /// that fall inside the pipelined relaxation stop the solve with a
+    /// deadline failure — at least one of them inside a producer fill on
+    /// the worker opposite the relaxer — and cache nothing; the session
+    /// then solves to the bits of a fresh one.
+    #[test]
+    fn deadline_expires_inside_the_producer() {
+        use std::time::Instant;
+        let cfg = Dpa1dConfig::default();
+        let pool = rayon::ThreadPool::new(2);
+        // The lattice is enumerated outside every budget below, so each
+        // deadline lands in the pipeline.
+        let warmed = || {
+            let inst = bitonic_session();
+            inst.lattice(cfg.ideal_cap).unwrap();
+            inst
+        };
+        // The quicker of two unbudgeted solves: the deadlines below stay
+        // early enough to land inside a solve even on an idle host.
+        let mut full = std::time::Duration::MAX;
+        let mut cold = Err(Failure::NoValidMapping(String::new()));
+        for _ in 0..2 {
+            let started = Instant::now();
+            cold = pool.install(|| dpa1d_run(&warmed(), &cfg, &SolveCtx::default()));
+            full = full.min(started.elapsed());
+        }
+        assert!(cold.is_ok(), "{cold:?}");
+        let inst = warmed();
+        let mut tripped = 0;
+        for share in [0.05, 0.1, 0.15, 0.2, 0.25] {
+            let ctx = SolveCtx {
+                deadline: Some(Instant::now() + full.mul_f64(share)),
+                ..SolveCtx::default()
+            };
+            match pool.install(|| dpa1d_run(&inst, &cfg, &ctx)) {
+                Err(Failure::TooExpensive(b)) => assert_eq!(b.phase, BudgetPhase::Deadline),
+                other => panic!("expected a deadline failure at {share}, got {other:?}"),
+            }
+            assert!(inst.cached_any_skeleton().is_none(), "{share}");
+            assert!(inst.skeleton_overflows().is_empty(), "{share}");
+            let deadline = ctx.deadline.unwrap();
+            tripped += PRODUCER_DEADLINES.lock().unwrap().contains(&deadline) as usize;
+        }
+        assert!(tripped > 0, "no deadline stopped a producer fill");
+        let after = pool.install(|| dpa1d_run(&inst, &cfg, &SolveCtx::default()));
+        assert_eq!(outcome(&after), outcome(&cold));
+    }
+
     /// The deadline is polled inside skeleton builds too: a session that
     /// declared reuse fails a 1 ms deadline during its bounded build, and
     /// the failure is not recorded in the skeleton slot, so the next
@@ -1527,6 +1720,9 @@ mod tests {
         use std::time::Duration;
         let cfg = Dpa1dConfig::default();
         let inst = declared(bitonic_session());
+        // The lattice build polls the deadline too: enumerate it outside
+        // the budget, so the deadline lands in the skeleton build.
+        inst.lattice(cfg.ideal_cap).unwrap();
         let before = builds();
         let ctx = SolveCtx::budgeted(0, Duration::from_millis(1));
         match dpa1d_run(&inst, &cfg, &ctx) {
@@ -1547,6 +1743,49 @@ mod tests {
         let fresh = dpa1d_run(&bitonic_session(), &cfg, &SolveCtx::default());
         assert!(after.is_ok(), "{after:?}");
         assert_eq!(outcome(&after), outcome(&fresh));
+    }
+
+    /// The pipelined stream hands the relaxer the exact sequence a skeleton
+    /// serving the period would. On explicit 1- and 2-worker pools, a
+    /// one-shot solve of each point — the four BitonicSort campaign points
+    /// (over the edge cap) and DES and Serpent on 4×4 at u0.3 — matches,
+    /// energy bits and `PruneStats`, a session seeded with a skeleton
+    /// built at the period with the edge cap lifted; the one-shot solve
+    /// builds and caches nothing.
+    #[test]
+    fn pipelined_stream_matches_skeleton_served() {
+        let cfg = Dpa1dConfig::default();
+        let points = [
+            ("BitonicSort", 4, 0.3),
+            ("BitonicSort", 4, 0.5),
+            ("BitonicSort", 6, 0.3),
+            ("BitonicSort", 6, 0.5),
+            ("DES", 4, 0.3),
+            ("Serpent", 4, 0.3),
+        ];
+        let pools = [1, 2].map(|w| (w, rayon::ThreadPool::new(w)));
+        for (flow, p, u) in points {
+            let spec = spg::STREAMIT_SPECS.iter().find(|s| s.name == flow).unwrap();
+            let g = spg::streamit_workflow(spec, 0);
+            let pf = Platform::paper(p, p);
+            let session = || Instance::for_utilisation(g.clone(), pf.clone(), u);
+            let served = session();
+            let shared = served.lattice(cfg.ideal_cap).unwrap();
+            let sk = build(&g, &pf, &shared, usize::MAX, served.period()).unwrap();
+            served.seed_skeleton(std::sync::Arc::new(sk));
+            assert!(served.serving_skeleton().is_some(), "{flow} {p}x{p} u{u}");
+            let reference = dpa1d_run(&served, &cfg, &SolveCtx::default());
+            assert!(reference.is_ok(), "{flow} {p}x{p} u{u}: {reference:?}");
+            for (w, pool) in &pools {
+                let at = format!("{flow} {p}x{p} u{u} on {w} workers");
+                let fresh = session();
+                let before = builds();
+                let streamed = pool.install(|| dpa1d_run(&fresh, &cfg, &SolveCtx::default()));
+                assert_eq!(builds(), before, "{at}: a one-shot solve built");
+                assert!(fresh.cached_any_skeleton().is_none(), "{at}");
+                assert_eq!(outcome(&streamed), outcome(&reference), "{at}");
+            }
+        }
     }
 
     /// The StreamIt flows with the largest transition systems (together

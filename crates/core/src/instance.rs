@@ -40,7 +40,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use cmp_mapping::{evaluate_with, Evaluation, Mapping, MappingError};
 use cmp_platform::{snake_core, CoreId, Fault, Platform, RoutePolicy, RouteTable};
-use spg::ideal::{count_ideal_pairs, count_ideals, enumerate_ideals, IdealError, IdealLattice};
+use spg::ideal::{
+    count_ideal_pairs, count_ideals, enumerate_ideals_polled, IdealError, IdealLattice,
+    ENUM_POLL_INTERVAL,
+};
 use spg::{Edit, Spg, StageId};
 
 use crate::common::Failure;
@@ -332,35 +335,63 @@ impl Instance {
     /// capped enumeration to find out; its `LimitExceeded` is cached and
     /// answers any cap at most as large.
     pub fn lattice(&self, cap: usize) -> Result<Arc<SharedLattice>, IdealError> {
+        match self.lattice_within(cap, &SolveCtx::default()) {
+            Ok(res) => res,
+            Err(_) => unreachable!("a context without a deadline never expires"),
+        }
+    }
+
+    /// [`Instance::lattice`] under `ctx`'s deadline, which the enumeration
+    /// and the cut-volume pass poll every [`ENUM_POLL_INTERVAL`] ideals. The
+    /// outer `Err` is the deadline: it says nothing about the workload, so
+    /// it is recorded nowhere and a later call enumerates as if this one
+    /// had never run. The inner result is [`Instance::lattice`]'s, cached
+    /// as there.
+    pub(crate) fn lattice_within(
+        &self,
+        cap: usize,
+        ctx: &SolveCtx,
+    ) -> Result<Result<Arc<SharedLattice>, IdealError>, Failure> {
         let mut slot = self.derived.lattice.lock().unwrap();
         if let Some((cached_cap, res)) = slot.as_ref() {
             match res {
-                Ok(sh) if sh.lattice.len() <= cap => return Ok(Arc::clone(sh)),
+                Ok(sh) if sh.lattice.len() <= cap => return Ok(Ok(Arc::clone(sh))),
                 // A cached success larger than the requested cap is itself
                 // proof the enumeration would exceed `cap`: answer without
                 // re-enumerating and without evicting the success.
                 Ok(sh) => {
-                    return Err(IdealError::LimitExceeded {
+                    return Ok(Err(IdealError::LimitExceeded {
                         cap,
                         found: sh.lattice.len(),
-                    })
+                    }))
                 }
-                Err(e) if cap <= *cached_cap => return Err(e.clone()),
+                Err(e) if cap <= *cached_cap => return Ok(Err(e.clone())),
                 _ => {}
             }
         }
         if self.ideal_count().is_some_and(|count| count > cap as u128) {
-            return Err(IdealError::LimitExceeded {
+            return Ok(Err(IdealError::LimitExceeded {
                 cap,
                 found: cap.saturating_add(1),
-            });
+            }));
         }
-        let res = enumerate_ideals(&self.spg, cap).map(|lattice| {
-            let cuts = lattice.iter().map(|s| self.spg.cut_volume(s)).collect();
-            Arc::new(SharedLattice { lattice, cuts })
-        });
+        let res = match enumerate_ideals_polled(&self.spg, cap, || ctx.check_budget())? {
+            Ok(lattice) => {
+                // The cut volumes cost more than the enumeration itself on
+                // wide graphs; they poll at the same rate.
+                let mut cuts = Vec::with_capacity(lattice.len());
+                for (i, s) in lattice.iter().enumerate() {
+                    if i.is_multiple_of(ENUM_POLL_INTERVAL) {
+                        ctx.check_budget()?;
+                    }
+                    cuts.push(self.spg.cut_volume(s));
+                }
+                Ok(Arc::new(SharedLattice { lattice, cuts }))
+            }
+            Err(e) => Err(e),
+        };
         *slot = Some((cap, res.clone()));
-        res
+        Ok(res)
     }
 
     /// The period-independent `DPA1D` transition skeleton for this
@@ -412,7 +443,7 @@ impl Instance {
         ctx: &SolveCtx,
     ) -> Result<Option<Arc<TransitionSkeleton>>, Failure> {
         let shared = self
-            .lattice(cfg.ideal_cap)
+            .lattice_within(cfg.ideal_cap, ctx)?
             .map_err(|e| crate::dpa1d::lattice_failure(&e))?;
         let hint = *self.derived.sweep_ceiling.lock().unwrap();
         let mut slot = self.derived.skeleton.lock().unwrap();

@@ -436,6 +436,29 @@ pub fn count_ideal_pairs(spg: &Spg) -> Option<u128> {
 /// scratch set — the only allocations are the arena pushes for genuinely
 /// new ideals.
 pub fn enumerate_ideals(spg: &Spg, cap: usize) -> Result<IdealLattice, IdealError> {
+    match enumerate_ideals_polled(spg, cap, || Ok::<(), std::convert::Infallible>(())) {
+        Ok(res) => res,
+        Err(never) => match never {},
+    }
+}
+
+/// Interned ideals between two calls of the check of
+/// [`enumerate_ideals_polled`]: one poll (a clock read) costs about as much
+/// as interning one ideal, and interning 1024 ideals of a 256-stage graph
+/// takes about half a millisecond in release.
+pub const ENUM_POLL_INTERVAL: usize = 1024;
+
+/// [`enumerate_ideals`] that calls `check` once every
+/// [`ENUM_POLL_INTERVAL`] interned ideals and stops with the check's error
+/// (the outer `Err`) as soon as it returns one — how a caller bounds the
+/// enumeration by a deadline. The inner result is the enumeration's own
+/// outcome, a fact about `spg` and `cap` that a caller may cache; the
+/// outer error says nothing about either.
+pub fn enumerate_ideals_polled<E>(
+    spg: &Spg,
+    cap: usize,
+    mut check: impl FnMut() -> Result<(), E>,
+) -> Result<Result<IdealLattice, IdealError>, E> {
     let n = spg.n();
     let mut lat = IdealLattice::with_capacity(n, spg.predecessor_masks());
     let mut scratch = NodeSet::new(n);
@@ -456,10 +479,13 @@ pub fn enumerate_ideals(spg: &Spg, cap: usize) -> Result<IdealLattice, IdealErro
             lat.hasse[k].1 = child.0;
             if inserted {
                 if lat.len() > cap {
-                    return Err(IdealError::LimitExceeded {
+                    return Ok(Err(IdealError::LimitExceeded {
                         cap,
                         found: lat.len(),
-                    });
+                    }));
+                }
+                if lat.len().is_multiple_of(ENUM_POLL_INTERVAL) {
+                    check()?;
                 }
                 // Record the child's ready list: this level's stages minus
                 // `s`, plus the successors of `s` whose predecessors are now
@@ -486,7 +512,7 @@ pub fn enumerate_ideals(spg: &Spg, cap: usize) -> Result<IdealLattice, IdealErro
         }
         i += 1;
     }
-    Ok(lat)
+    Ok(Ok(lat))
 }
 
 /// Placeholder child id in freshly recorded Hasse entries, overwritten when
@@ -510,6 +536,38 @@ mod tests {
 
     fn uniform_chain(n: usize) -> Spg {
         chain(&vec![1.0; n], &vec![1.0; n - 1])
+    }
+
+    /// The check runs once per `ENUM_POLL_INTERVAL` interned ideals, and
+    /// its error stops the enumeration at once.
+    #[test]
+    fn enumeration_polls_its_check_and_stops_on_its_error() {
+        // Four parallel 8-chains: thousands of ideals.
+        let branches: Vec<Spg> = (0..4).map(|_| uniform_chain(8)).collect();
+        let g = parallel_many(&branches);
+        let plain = enumerate_ideals(&g, usize::MAX).unwrap();
+        assert!(plain.len() > 2 * ENUM_POLL_INTERVAL);
+        let mut calls = 0;
+        let polled = enumerate_ideals_polled(&g, usize::MAX, || {
+            calls += 1;
+            Ok::<(), ()>(())
+        });
+        let Ok(Ok(polled)) = polled else {
+            panic!("a passing check changes nothing");
+        };
+        assert_eq!(polled.len(), plain.len());
+        assert_eq!(calls, plain.len() / ENUM_POLL_INTERVAL);
+        let mut calls = 0;
+        let stopped = enumerate_ideals_polled(&g, usize::MAX, || {
+            calls += 1;
+            if calls == 2 {
+                Err("deadline")
+            } else {
+                Ok(())
+            }
+        });
+        assert!(matches!(stopped, Err("deadline")));
+        assert_eq!(calls, 2, "the enumeration stops at the first error");
     }
 
     #[test]

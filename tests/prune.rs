@@ -16,12 +16,15 @@
 //! independent brute-force optimum in `tests/complexity_results.rs`.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use cmp_platform::Platform;
 use ea_bench::prune_xp::huge_workload;
 use ea_core::solvers::Dpa1d;
 use ea_core::sweep::PeriodSweep;
-use ea_core::{Dpa1dConfig, Failure, Instance, SolveCtx, Solver};
+use ea_core::{BudgetPhase, Dpa1dConfig, Failure, Instance, SolveCtx, Solver};
+use spg::generate::families::{FamilyKind, FamilyParams, WorkloadSpec};
+use spg::ideal::ENUM_POLL_INTERVAL;
 use spg::{streamit_workflow, Spg, STREAMIT_SPECS};
 
 const SEED: u64 = 2011;
@@ -162,4 +165,64 @@ fn huge_workloads_sweep_the_decade_under_the_edge_cap() {
             "{name}: the loose end of the decade must solve"
         );
     }
+}
+
+/// A 256-stage generated workload whose interned lattice (45 052 ideals)
+/// sits near the default ideal cap: enumerating it takes ~20 ms in
+/// release, and its cut volumes as long again.
+fn deep_lattice_workload() -> (String, Spg) {
+    let params = FamilyParams {
+        n: 256,
+        width: 8,
+        depth: 3,
+        ..FamilyParams::default()
+    };
+    let spec = WorkloadSpec::new(FamilyKind::TgffMixed, params, 30);
+    (spec.id(), spec.instantiate())
+}
+
+/// The lattice build polls the solve's deadline: a 1 ms deadline stops
+/// `DPA1D` inside the enumeration of a lattice that takes far longer to
+/// build, within a few poll intervals, caches no lattice, and the session
+/// then builds the lattice of a fresh one.
+#[test]
+fn deadline_bounds_the_lattice_enumeration() {
+    let (name, g) = deep_lattice_workload();
+    let pf = Platform::paper(4, 4);
+    let t = anchor(&g);
+    let cap = Dpa1dConfig::default().ideal_cap;
+    let started = Instant::now();
+    let fresh = Instance::new(g.clone(), pf.clone(), t)
+        .lattice(cap)
+        .unwrap();
+    let build = started.elapsed();
+    let ideals = fresh.lattice.len();
+    assert!(ideals > 16 * ENUM_POLL_INTERVAL, "{name}: {ideals} ideals");
+
+    let inst = Instance::new(g, pf, t);
+    let budget = Duration::from_millis(1);
+    let started = Instant::now();
+    let budgeted = Dpa1d::default().solve(&inst, &SolveCtx::budgeted(SEED, budget));
+    let overshoot = started.elapsed().saturating_sub(budget);
+    match &budgeted {
+        Err(Failure::TooExpensive(b)) => assert_eq!(b.phase, BudgetPhase::Deadline, "{name}"),
+        other => panic!("{name}: expected a deadline failure, got {other:?}"),
+    }
+    assert!(
+        inst.cached_lattice().is_none(),
+        "{name}: the deadline must stop the lattice build and not be cached"
+    );
+    // Between two polls the build handles `ENUM_POLL_INTERVAL` ideals;
+    // allow four such intervals plus 5 ms of scheduling noise — far below
+    // the nearly whole `build` an unpolled enumeration would overshoot by.
+    let interval = build.mul_f64(ENUM_POLL_INTERVAL as f64 / ideals as f64);
+    let bound = Duration::from_millis(5) + interval * 4;
+    assert!(
+        overshoot <= bound,
+        "{name}: overshot a 1 ms deadline by {overshoot:?} (bound {bound:?}, build {build:?})"
+    );
+
+    let after = inst.lattice(cap).unwrap();
+    assert_eq!(after.lattice.len(), ideals, "{name}");
+    assert_eq!(after.cuts, fresh.cuts, "{name}");
 }
