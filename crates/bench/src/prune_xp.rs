@@ -24,7 +24,7 @@ use std::time::Instant;
 use cmp_platform::Platform;
 use ea_core::solvers::Dpa1d;
 use ea_core::sweep::PeriodSweep;
-use ea_core::{Instance, PruneStats, SolveCtx, Solver};
+use ea_core::{Instance, Portfolio, PruneStats, SolveCtx, Solver};
 use spg::generate::families::{FamilyKind, FamilyParams, WorkloadSpec};
 use spg::ideal::count_ideal_pairs;
 use spg::{streamit_workflow, Spg, STREAMIT_SPECS};
@@ -140,9 +140,9 @@ fn decade_sweep(
         // skeleton builds once, like a real sweep session.
         let base = Instance::new(g.clone(), pf.clone(), grid[0]);
         let started = Instant::now();
-        let report = PeriodSweep::over_periods(solvers.clone(), grid.to_vec())
-            .seeded(seed)
-            .run(&base);
+        let report =
+            PeriodSweep::over_periods(Portfolio::new(solvers.clone()).seeded(seed), grid.to_vec())
+                .run(&base);
         walls.push(started.elapsed().as_secs_f64() * 1e3);
         energies = report.points.iter().map(|p| p.best_energy()).collect();
         stats = report

@@ -23,7 +23,7 @@ use std::time::Instant;
 use cmp_platform::Platform;
 use ea_core::solvers::Dpa1d;
 use ea_core::sweep::{PeriodSweep, SweepReport};
-use ea_core::{Instance, Solver};
+use ea_core::{Instance, Portfolio, Solver};
 use spg::generate::families::{FamilyKind, FamilyParams, WorkloadSpec};
 use spg::{streamit_workflow, Spg, STREAMIT_SPECS};
 
@@ -83,9 +83,7 @@ fn dpa1d_solvers() -> Vec<Arc<dyn Solver>> {
 /// benchmark calls it on a 1-worker pool: it compares single-threaded
 /// pipeline cost, not fan-out.
 fn amortized_sweep(base: &Instance, grid: Vec<f64>, seed: u64) -> SweepReport {
-    PeriodSweep::over_periods(dpa1d_solvers(), grid)
-        .seeded(seed)
-        .run(base)
+    PeriodSweep::over_periods(Portfolio::new(dpa1d_solvers()).seeded(seed), grid).run(base)
 }
 
 /// The naive baseline: a fresh [`Instance`] per point, so every point pays
@@ -95,8 +93,7 @@ fn naive_sweep(g: &Spg, pf: &Platform, grid: &[f64], seed: u64) -> Vec<Option<f6
     grid.iter()
         .map(|&t| {
             let inst = Instance::new(g.clone(), pf.clone(), t);
-            PeriodSweep::over_periods(dpa1d_solvers(), vec![t])
-                .seeded(seed)
+            PeriodSweep::over_periods(Portfolio::new(dpa1d_solvers()).seeded(seed), vec![t])
                 .run(&inst)
                 .points
                 .remove(0)
@@ -277,9 +274,11 @@ pub fn family_sweeps(
             };
             let g = WorkloadSpec::new(family, params, seed).instantiate();
             let base = Instance::for_utilisation(g, pf.clone(), grid[0]);
-            let report = PeriodSweep::over_utilisations(solvers.to_vec(), grid.clone())
-                .seeded(seed)
-                .run(&base);
+            let report = PeriodSweep::over_utilisations(
+                Portfolio::new(solvers.to_vec()).seeded(seed),
+                grid.clone(),
+            )
+            .run(&base);
             FamilySweep {
                 family: family.to_string(),
                 n,

@@ -21,6 +21,7 @@ use spg::{Spg, STREAMIT_SPECS};
 
 use crate::common::Failure;
 use crate::json::{obj, Json};
+use crate::sweep::SweepAxis;
 
 /// Hard cap on a frame payload; anything larger is a protocol error, not a
 /// memory commitment.
@@ -34,6 +35,11 @@ pub const MAX_CORES: u64 = 256;
 /// Largest stage count of a `"family"` workload. Generators allocate in
 /// proportion to `n` before any solver budget applies.
 pub const MAX_FAMILY_N: u64 = 4096;
+
+/// Most grid values a `sweep` may carry. The whole grid runs as one
+/// portfolio wave, so every point's instance and solver runs are held at
+/// once; a frame-sized grid would be millions of them.
+pub const MAX_SWEEP_POINTS: usize = 1024;
 
 /// Writes one frame (length prefix + serialized JSON) and flushes.
 pub fn write_frame<W: Write>(w: &mut W, msg: &Json) -> io::Result<()> {
@@ -421,9 +427,10 @@ pub struct SweepReq {
     pub workload: WorkloadReq,
     /// The platform.
     pub platform: Platform,
-    /// `"period"` or `"utilisation"`: what `values` enumerates.
-    pub over_utilisation: bool,
-    /// The grid values.
+    /// What `values` enumerates (wire key `"axis"`: `"period"` or
+    /// `"utilisation"`, the default).
+    pub axis: SweepAxis,
+    /// The grid values (at most [`MAX_SWEEP_POINTS`]).
     pub values: Vec<f64>,
     /// Solver CSV (`None` = heuristics).
     pub solvers: Option<String>,
@@ -477,9 +484,9 @@ pub fn parse_request(v: &Json) -> Result<Request, String> {
         "sweep" => {
             let workload =
                 WorkloadReq::from_json(v.get("workload").ok_or("sweep needs a \"workload\"")?)?;
-            let over_utilisation = match v.get("axis").and_then(Json::as_str) {
-                Some("utilisation") | None => true,
-                Some("period") => false,
+            let axis = match v.get("axis").and_then(Json::as_str) {
+                Some("utilisation") | None => SweepAxis::Utilisation,
+                Some("period") => SweepAxis::Period,
                 Some(other) => {
                     return Err(format!(
                         "unknown axis '{other}' (expected \"period\" or \"utilisation\")"
@@ -487,19 +494,22 @@ pub fn parse_request(v: &Json) -> Result<Request, String> {
                 }
             };
             let values = f64_array(v, "values")?;
-            if values.is_empty() {
-                return Err("sweep needs at least one grid value".to_string());
+            if values.is_empty() || values.len() > MAX_SWEEP_POINTS {
+                return Err(format!(
+                    "sweep needs 1 to {MAX_SWEEP_POINTS} grid values, got {}",
+                    values.len()
+                ));
             }
             if values
                 .iter()
-                .any(|&x| x <= 0.0 || (over_utilisation && x > 1.0))
+                .any(|&x| x <= 0.0 || (axis == SweepAxis::Utilisation && x > 1.0))
             {
                 return Err("sweep values must be positive (and <= 1 for utilisation)".to_string());
             }
             Ok(Request::Sweep(SweepReq {
                 workload,
                 platform: platform_from_json(v.get("platform"))?,
-                over_utilisation,
+                axis,
                 values,
                 solvers: v.get("solvers").and_then(Json::as_str).map(String::from),
                 seed: opt_u64(v, "seed")?,
@@ -837,6 +847,23 @@ mod tests {
             let err = solve(&chain(n), "{}").unwrap_err();
             assert!(err.contains("n <= 4096"), "n = {n}: {err}");
         }
+    }
+
+    #[test]
+    fn sweep_grids_are_bounded() {
+        let sweep = |points: usize| {
+            let values = vec!["0.5"; points].join(",");
+            parse(&format!(
+                r#"{{"op":"sweep","workload":{{"streamit":"FFT"}},"values":[{values}]}}"#
+            ))
+        };
+        let Ok(Request::Sweep(req)) = sweep(MAX_SWEEP_POINTS) else {
+            panic!("a {MAX_SWEEP_POINTS}-point grid is accepted");
+        };
+        assert_eq!(req.values.len(), MAX_SWEEP_POINTS);
+        assert_eq!(req.axis, SweepAxis::Utilisation);
+        let err = sweep(MAX_SWEEP_POINTS + 1).unwrap_err();
+        assert!(err.contains("1 to 1024 grid values"), "{err}");
     }
 
     #[test]

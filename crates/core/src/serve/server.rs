@@ -20,7 +20,9 @@
 //! `batching` disabled, and for a solve that arrives after the shutdown
 //! drain, the connection thread runs the same executor (prepare → wave →
 //! finish) on a batch of one. `sweep` requests run on their connection
-//! thread — a sweep is already one long session internally.
+//! thread through the same prepare and finish: one cache-seeded session
+//! and one arrival-anchored portfolio, run at every grid value as one
+//! [`PeriodSweep`] wave.
 //!
 //! ## Cache persistence
 //!
@@ -67,7 +69,8 @@ use cmp_platform::Platform;
 use crate::instance::{utilisation_period, Instance};
 use crate::json::{obj, Json};
 use crate::portfolio::{Portfolio, PortfolioReport};
-use crate::solver::SolverRegistry;
+use crate::solver::{Solver, SolverRegistry};
+use crate::sweep::{PeriodSweep, SweepAxis};
 
 use super::cache::{Artifact, ArtifactCache, ArtifactKey, CacheStats};
 use super::fingerprint::{
@@ -266,19 +269,19 @@ impl Drop for Service {
 /// One distinct solve for [`ServiceCore::execute`]: the decoded request,
 /// its instantiated workload and resolved solver set, and its arrival
 /// time (the latency and deadline anchor).
-type SolveInput = (
-    SolveReq,
-    spg::Spg,
-    Vec<Arc<dyn crate::solver::Solver>>,
-    Instant,
-);
+type SolveInput = (SolveReq, spg::Spg, Vec<Arc<dyn Solver>>, Instant);
 
-/// A solve ready to run: the cache-seeded instance plus the configured
-/// portfolio, with the hit bookkeeping the response frame reports.
-struct PreparedSolve {
+/// A cache-seeded instance session (see [`ServiceCore::session`]) with
+/// the hit bookkeeping its response frame reports and its harvest skips.
+struct Session {
     inst: Instance,
     keys: [ArtifactKey; 3],
     hits: [bool; 4],
+}
+
+/// A solve ready to run: its session plus the configured portfolio.
+struct PreparedSolve {
+    session: Session,
     portfolio: Portfolio,
 }
 
@@ -384,7 +387,7 @@ impl ServiceCore {
                 ok_response(obj([("shutting_down", Json::from(true))]))
             }
             Ok(Request::Solve(req)) => self.dispatch_solve(req),
-            Ok(Request::Sweep(req)) => self.sweep(&req),
+            Ok(Request::Sweep(req)) => self.sweep(req),
         })
         .unwrap_or_else(|msg| self.internal_error(&msg));
         // Count every bad_request, whether it failed at the frame, the
@@ -505,10 +508,7 @@ impl ServiceCore {
 
     /// Resolves a request's solver CSV against the registry (`None` = the
     /// paper's five heuristics).
-    fn solvers_for(
-        &self,
-        csv: Option<&str>,
-    ) -> Result<Vec<Arc<dyn crate::solver::Solver>>, String> {
+    fn solvers_for(&self, csv: Option<&str>) -> Result<Vec<Arc<dyn Solver>>, String> {
         match csv {
             Some(csv) => self.registry.parse_list(csv),
             None => Ok(crate::solvers::default_heuristics()),
@@ -517,7 +517,7 @@ impl ServiceCore {
 
     /// The three cache keys of a request's artifacts — lattice, complete
     /// skeleton, route table — with fault-aware keying (see
-    /// [`ServiceCore::seeded_instance`]).
+    /// [`ServiceCore::session`]).
     fn request_keys(workload: &spg::Spg, pf: &Platform) -> [ArtifactKey; 3] {
         let wfp = workload_fingerprint(workload);
         let pfp = platform_fingerprint(pf);
@@ -633,7 +633,7 @@ impl ServiceCore {
         &self,
         workload: &spg::Spg,
         req: &SolveReq,
-        solvers: &[Arc<dyn crate::solver::Solver>],
+        solvers: &[Arc<dyn Solver>],
     ) -> u64 {
         let mut fp = Fingerprint::new();
         fp.u64(workload_fingerprint(workload));
@@ -655,14 +655,13 @@ impl ServiceCore {
         fp.finish()
     }
 
-    /// Builds the instance for a workload on a platform at a period and
-    /// warm-seeds it from the cache. A caller that will solve the session
-    /// up to `ceiling` declares that reuse
+    /// Warm-seeds a fresh instance from the cache. A caller that will
+    /// solve the session up to `ceiling` declares that reuse
     /// ([`Instance::note_period_ceiling`]: the cache harvests what the
     /// solve builds), and a skeleton bounded at `ceiling` can stand in for
-    /// a missing complete one. Returns the instance, its three cache keys,
-    /// and which of `[lattice, skeleton, route, healthy route]` the cache
-    /// held (see [`ServiceCore::probe`]).
+    /// a missing complete one. The session records the instance's three
+    /// cache keys and which of `[lattice, skeleton, route, healthy route]`
+    /// the cache held (see [`ServiceCore::probe`]).
     ///
     /// Fault-aware keying (see `docs/fault-model.md`): the skeleton key
     /// uses the fault-stripped platform fingerprint (the transition
@@ -671,15 +670,9 @@ impl ServiceCore {
     /// miss falls back to patching the healthy table via
     /// [`cmp_platform::RouteTable::patched`] — so a warm daemon stays
     /// warm across faults instead of rebuilding from scratch.
-    fn seeded_instance(
-        &self,
-        workload: spg::Spg,
-        pf: &Platform,
-        period: f64,
-        ceiling: Option<f64>,
-    ) -> (Instance, [ArtifactKey; 3], [bool; 4]) {
-        let keys = Self::request_keys(&workload, pf);
-        let inst = Instance::new(workload, pf.clone(), period);
+    fn session(&self, inst: Instance, ceiling: Option<f64>) -> Session {
+        let pf = inst.platform();
+        let keys = Self::request_keys(inst.spg(), pf);
         if let Some(ceiling) = ceiling {
             inst.note_period_ceiling(ceiling);
         }
@@ -699,7 +692,30 @@ impl ServiceCore {
         if let Some(Artifact::Route(t)) = healthy_route {
             inst.seed_route_table(pf.policy, Arc::new(t.patched(pf)));
         }
-        (inst, keys, hits)
+        Session { inst, keys, hits }
+    }
+
+    /// A request's portfolio: its solvers, seed and anytime mode, and a
+    /// deadline **anchored at request arrival** — a job that waited in the
+    /// queue has its wait charged against its own deadline.
+    fn portfolio(
+        &self,
+        solvers: Vec<Arc<dyn Solver>>,
+        seed: Option<u64>,
+        deadline_ms: Option<u64>,
+        anytime: bool,
+        arrival: Instant,
+    ) -> Portfolio {
+        let portfolio = Portfolio::new(solvers)
+            .seeded(seed.unwrap_or(self.cfg.default_seed))
+            .anytime(anytime);
+        match deadline_ms
+            .or(self.cfg.default_deadline_ms)
+            .and_then(|ms| arrival.checked_add(Duration::from_millis(ms)))
+        {
+            Some(deadline) => portfolio.with_deadline(deadline),
+            None => portfolio,
+        }
     }
 
     /// Stores whichever artifacts a solve materialised that were not
@@ -710,12 +726,8 @@ impl ServiceCore {
     /// caller can spill them write-behind, outside the cache lock — even
     /// an entry the LRU immediately evicts is worth spilling, because the
     /// disk tier is what makes a restart warm.
-    fn harvest(
-        &self,
-        inst: &Instance,
-        keys: &[ArtifactKey; 3],
-        hits: &[bool; 4],
-    ) -> Vec<(ArtifactKey, Artifact)> {
+    fn harvest(&self, session: &Session) -> Vec<(ArtifactKey, Artifact)> {
+        let Session { inst, keys, hits } = session;
         let mut built = Vec::new();
         if let (false, Some(l)) = (hits[0], inst.cached_lattice()) {
             built.push((keys[0], Artifact::Lattice(l)));
@@ -757,6 +769,17 @@ impl ServiceCore {
     fn record_latency(&self, warm: bool, nanos: u64) {
         let hist = if warm { &self.warm } else { &self.cold };
         lock(hist).record(nanos);
+    }
+
+    /// The tail every solve and sweep shares: harvest and spill the
+    /// session's fresh artifacts, then record the arrival-to-response
+    /// latency. Returns whether the session was warm and that latency.
+    fn settle(&self, session: &Session, arrival: Instant) -> (bool, u64) {
+        self.spill_fresh(&self.harvest(session));
+        let warm = warm(&session.hits);
+        let elapsed_ns = arrival.elapsed().as_nanos() as u64;
+        self.record_latency(warm, elapsed_ns);
+        (warm, elapsed_ns)
     }
 
     /// Routes a decoded solve. With batching on, the request is
@@ -863,22 +886,17 @@ impl ServiceCore {
     /// input order. A solve whose preparation, portfolio or response
     /// panics is answered `internal`; the others carry on.
     fn execute(&self, inputs: Vec<SolveInput>) -> Vec<Json> {
-        // Solves prepare in parallel: cold preparation (lattice and
-        // route-table construction) can dominate a cold solve, and a
-        // serial loop would queue each batch-mate's behind the others'.
-        // Cache inserts only happen at finish time, so concurrent prepares
-        // see exactly the cache state a sequential loop would. A batch of
-        // one prepares inline on the calling thread.
-        let prepared: Vec<_> = {
-            use rayon::prelude::*;
-            inputs
-                .into_par_iter()
-                .map(|(req, workload, solvers, arrival)| {
-                    let p = isolate(|| self.prepare_solve(workload, solvers, &req, arrival));
-                    (p, req, arrival)
-                })
-                .collect()
-        };
+        // Solves prepare in input order on this thread: a prepare only
+        // fingerprints the workload, probes the cache and seeds the lazy
+        // instance (at most patching one route table); lattices, skeletons
+        // and route tables are built inside the wave.
+        let prepared: Vec<_> = inputs
+            .into_iter()
+            .map(|(req, workload, solvers, arrival)| {
+                let p = isolate(|| self.prepare_solve(workload, solvers, &req, arrival));
+                (p, req, arrival)
+            })
+            .collect();
         let ready: Vec<&PreparedSolve> = prepared
             .iter()
             .filter_map(|(p, ..)| p.as_ref().ok())
@@ -905,8 +923,10 @@ impl ServiceCore {
     /// wave re-runs each solve alone, so only the panicking ones fail:
     /// solves are deterministic, so the others' answers do not change.
     fn run_wave(ready: &[&PreparedSolve]) -> Vec<Result<PortfolioReport, String>> {
-        let pairs: Vec<(&Portfolio, &Instance)> =
-            ready.iter().map(|p| (&p.portfolio, &p.inst)).collect();
+        let pairs: Vec<(&Portfolio, &Instance)> = ready
+            .iter()
+            .map(|p| (&p.portfolio, &p.session.inst))
+            .collect();
         match isolate(|| Portfolio::run_batch(&pairs)) {
             Ok(reports) => reports.into_iter().map(Ok).collect(),
             Err(msg) if pairs.len() == 1 => vec![Err(msg)],
@@ -917,14 +937,12 @@ impl ServiceCore {
         }
     }
 
-    /// Everything a solve needs before the portfolio runs: the
-    /// cache-seeded instance and a configured portfolio whose deadline is
-    /// **anchored at request arrival** — a job that waited in the queue
-    /// has its wait charged against its own deadline.
+    /// Everything a solve needs before the portfolio runs: its session
+    /// and its portfolio (see [`ServiceCore::portfolio`]).
     fn prepare_solve(
         &self,
         workload: spg::Spg,
-        solvers: Vec<Arc<dyn crate::solver::Solver>>,
+        solvers: Vec<Arc<dyn Solver>>,
         req: &SolveReq,
         arrival: Instant,
     ) -> PreparedSolve {
@@ -932,28 +950,15 @@ impl ServiceCore {
         // materialises its skeleton (for the next request with these
         // fingerprints) instead of streaming.
         let period = Self::request_period(&workload, req);
-        let (inst, keys, hits) =
-            self.seeded_instance(workload, &req.platform, period, Some(period));
-        let mut portfolio = Portfolio::new(solvers)
-            .seeded(req.seed.unwrap_or(self.cfg.default_seed))
-            .anytime(req.anytime);
-        if let Some(deadline) = req
-            .deadline_ms
-            .or(self.cfg.default_deadline_ms)
-            .and_then(|ms| arrival.checked_add(Duration::from_millis(ms)))
-        {
-            portfolio = portfolio.with_deadline(deadline);
-        }
+        let inst = Instance::new(workload, req.platform.clone(), period);
         PreparedSolve {
-            inst,
-            keys,
-            hits,
-            portfolio,
+            session: self.session(inst, Some(period)),
+            portfolio: self.portfolio(solvers, req.seed, req.deadline_ms, req.anytime, arrival),
         }
     }
 
-    /// The tail of a solve: harvest and spill fresh artifacts, record the
-    /// arrival-to-response latency, build the response frame.
+    /// The tail of a solve: [`ServiceCore::settle`], then the response
+    /// frame.
     fn finish_solve(
         &self,
         p: &PreparedSolve,
@@ -961,13 +966,8 @@ impl ServiceCore {
         req: &SolveReq,
         arrival: Instant,
     ) -> Json {
-        let fresh = self.harvest(&p.inst, &p.keys, &p.hits);
-        self.spill_fresh(&fresh);
-        let warm = warm(&p.hits);
-        let elapsed_ns = arrival.elapsed().as_nanos() as u64;
-        self.record_latency(warm, elapsed_ns);
-        let inst = &p.inst;
-        let hits = &p.hits;
+        let (warm, elapsed_ns) = self.settle(&p.session, arrival);
+        let Session { inst, hits, .. } = &p.session;
 
         let cache_tags = obj([
             ("lattice", Json::from(if hits[0] { "hit" } else { "miss" })),
@@ -1009,11 +1009,7 @@ impl ServiceCore {
                         ]),
                     ));
                 }
-                let fields: Vec<(String, Json)> = fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect();
-                ok_response(Json::Obj(fields.into_iter().collect()))
+                ok_response(object(fields))
             }
             None => {
                 // Every solver failed. Budget exhaustion dominates the
@@ -1036,8 +1032,13 @@ impl ServiceCore {
         }
     }
 
-    fn sweep(&self, req: &SweepReq) -> Json {
-        let started = Instant::now();
+    /// A `sweep`: the prepare a solve makes (one session, one portfolio),
+    /// a [`PeriodSweep`] of that portfolio over the grid, the tail a solve
+    /// makes, then one point per grid value. The deadline covers the whole
+    /// sweep: a point it cut off answers `null`, and the first budget
+    /// failure in grid order is reported once as `deadline_exceeded`.
+    fn sweep(&self, req: SweepReq) -> Json {
+        let arrival = Instant::now();
         let workload = match req.workload.instantiate() {
             Ok(g) => g,
             Err(msg) => return error_response("bad_request", &msg),
@@ -1046,97 +1047,54 @@ impl ServiceCore {
             Ok(s) => s,
             Err(msg) => return error_response("bad_request", &msg),
         };
-        // A sweep is a solve per grid value sharing one seeded instance
-        // session (so the lattice/skeleton build — or cache hit — pays
-        // once), with the deadline covering the *whole* sweep. The whole
-        // grid is resolved up front so its loosest period is the session's
-        // ceiling: one bounded build then serves every tighter point, and
-        // an identical earlier sweep's bounded artifact is found by it.
-        let periods: Vec<f64> = req
-            .values
+        let portfolio = self.portfolio(solvers, req.seed, req.deadline_ms, req.anytime, arrival);
+        let sweep = match req.axis {
+            SweepAxis::Period => PeriodSweep::over_periods(portfolio, req.values),
+            SweepAxis::Utilisation => PeriodSweep::over_utilisations(portfolio, req.values),
+        };
+        // The session declares the grid's loosest period: one bounded
+        // skeleton build then serves every point, and an identical earlier
+        // sweep's bounded artifact is found by the probe.
+        let inst = Instance::new(workload, req.platform, 1.0);
+        let ceiling = sweep.ceiling(&inst);
+        let session = self.session(inst, ceiling);
+        let report = sweep.run(&session.inst);
+        let (warm, elapsed_ns) = self.settle(&session, arrival);
+        let points: Vec<Json> = report
+            .points
             .iter()
-            .map(|&value| {
-                if req.over_utilisation {
-                    utilisation_period(&workload, &req.platform, value)
-                } else {
-                    value
+            .map(|point| {
+                let best = point
+                    .best_run()
+                    .map(|run| (run, run.result.as_ref().expect("best_run is a success")));
+                let mut fields = vec![
+                    ("value", Json::from(point.value)),
+                    ("period", Json::from(point.period)),
+                    (
+                        "energy",
+                        best.map_or(Json::Null, |(_, s)| Json::from(s.energy())),
+                    ),
+                    (
+                        "solver",
+                        best.map_or(Json::Null, |(r, _)| Json::from(r.name.clone())),
+                    ),
+                ];
+                if let Some(p) = best.and_then(|(_, s)| s.prune) {
+                    self.record_prune(&p);
+                    fields.push(("bound_gap", Json::from(p.bound_gap)));
+                    fields.push(("transitions_kept", Json::from(p.transitions_kept)));
+                    fields.push(("transitions_pruned", Json::from(p.transitions_pruned)));
+                    fields.push(("frontier_max", Json::from(u64::from(p.frontier_max))));
                 }
+                object(fields)
             })
             .collect();
-        let loosest = periods
-            .iter()
-            .copied()
-            .max_by(f64::total_cmp)
-            .filter(|t| t.is_finite() && *t > 0.0);
-        let (base, keys, hits) = self.seeded_instance(workload, &req.platform, 1.0, loosest);
-        let deadline_at = req
-            .deadline_ms
-            .or(self.cfg.default_deadline_ms)
-            .and_then(|ms| started.checked_add(Duration::from_millis(ms)));
-        let seed = req.seed.unwrap_or(self.cfg.default_seed);
-        let mut points = Vec::with_capacity(req.values.len());
-        let mut exhausted: Option<crate::common::Failure> = None;
-        for (&value, &period) in req.values.iter().zip(&periods) {
-            let inst = base.with_period(period);
-            let mut portfolio = Portfolio::new(solvers.clone())
-                .seeded(seed)
-                .anytime(req.anytime);
-            if let Some(at) = deadline_at {
-                portfolio = portfolio.with_deadline(at);
-            }
-            let report = portfolio.run(&inst);
-            if exhausted.is_none() {
-                exhausted = report
-                    .runs
-                    .iter()
-                    .filter_map(|r| r.result.as_ref().err())
-                    .find(|f| f.budget_exceeded().is_some())
-                    .cloned();
-            }
-            let (energy, solver, prune) = match report.best_run() {
-                Some(run) => {
-                    let sol = run.result.as_ref().expect("best_run is a success");
-                    (
-                        Json::from(sol.energy()),
-                        Json::from(run.name.clone()),
-                        sol.prune,
-                    )
-                }
-                None => (Json::Null, Json::Null, None),
-            };
-            let mut fields = vec![
-                ("value", Json::from(value)),
-                ("period", Json::from(period)),
-                ("energy", energy),
-                ("solver", solver),
-            ];
-            if let Some(p) = prune {
-                self.record_prune(&p);
-                fields.push(("bound_gap", Json::from(p.bound_gap)));
-                fields.push(("transitions_kept", Json::from(p.transitions_kept)));
-                fields.push(("transitions_pruned", Json::from(p.transitions_pruned)));
-                fields.push(("frontier_max", Json::from(u64::from(p.frontier_max))));
-            }
-            let fields: Vec<(String, Json)> = fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect();
-            points.push(Json::Obj(fields.into_iter().collect()));
-        }
-        let fresh = self.harvest(&base, &keys, &hits);
-        self.spill_fresh(&fresh);
-        let warm = warm(&hits);
-        let elapsed_ns = started.elapsed().as_nanos() as u64;
-        self.record_latency(warm, elapsed_ns);
-        // A sweep that lost points to the deadline still reports the grid
-        // (with null energies) — but flags the exhaustion structurally.
         let mut fields = vec![
             (
                 "axis",
-                Json::from(if req.over_utilisation {
-                    "utilisation"
-                } else {
-                    "period"
+                Json::from(match report.axis {
+                    SweepAxis::Period => "period",
+                    SweepAxis::Utilisation => "utilisation",
                 }),
             ),
             ("workload", Json::from(req.workload.describe())),
@@ -1144,8 +1102,12 @@ impl ServiceCore {
             ("warm", Json::from(warm)),
             ("wall_ms", Json::from(elapsed_ns as f64 / 1e6)),
         ];
-        if let Some(f) = &exhausted {
-            let budget = f.budget_exceeded().expect("filtered on budget_exceeded");
+        if let Some(budget) = report
+            .points
+            .iter()
+            .flat_map(|p| &p.runs)
+            .find_map(|r| r.result.as_ref().err()?.budget_exceeded())
+        {
             fields.push((
                 "deadline_exceeded",
                 obj([
@@ -1155,12 +1117,19 @@ impl ServiceCore {
                 ]),
             ));
         }
-        let fields: Vec<(String, Json)> = fields
+        ok_response(object(fields))
+    }
+}
+
+/// A JSON object from a field list built up at run time ([`obj`] takes a
+/// fixed-size array).
+fn object(fields: Vec<(&str, Json)>) -> Json {
+    Json::Obj(
+        fields
             .into_iter()
             .map(|(k, v)| (k.to_string(), v))
-            .collect();
-        ok_response(Json::Obj(fields.into_iter().collect()))
-    }
+            .collect(),
+    )
 }
 
 /// A connected byte stream the daemon can serve: both socket families,
@@ -1694,6 +1663,155 @@ mod tests {
                 .and_then(Json::as_bool),
             Some(true)
         );
+    }
+
+    /// A sweep frame over the deep-chain fixture; `extra` is spliced into
+    /// the request object.
+    fn sweep_frame(axis: &str, values: &[f64], solvers: &str, extra: &str) -> Json {
+        let values: Vec<String> = values.iter().map(f64::to_string).collect();
+        Json::parse(&format!(
+            r#"{{"op":"sweep","workload":{{"family":"deep-chain","n":12,"seed":1}},
+                 "platform":{{"p":2,"q":2}},"axis":"{axis}","values":[{}],
+                 "solvers":"{solvers}"{extra}}}"#,
+            values.join(",")
+        ))
+        .unwrap()
+    }
+
+    fn points_of(resp: &Json) -> &[Json] {
+        result_of(resp)
+            .get("points")
+            .and_then(Json::as_arr)
+            .expect("a sweep result carries points")
+    }
+
+    fn f64_bits(v: &Json, key: &str) -> Option<u64> {
+        v.get(key).and_then(Json::as_f64).map(f64::to_bits)
+    }
+
+    /// The daemon's sweep answers what the library sweep answers: on both
+    /// axes and at pool widths 1 and 2, every point's period, energy and
+    /// winning solver equal a `PeriodSweep` run with the same solvers and
+    /// seed, to the bit.
+    #[test]
+    fn daemon_sweep_points_equal_the_library_sweep() {
+        use crate::sweep::PeriodSweep;
+        let csv = "greedy,dpa2d,dpa1d";
+        let seed = 5;
+        let base = || {
+            let req = parse_request(&sweep_frame("period", &[1.0], csv, "")).unwrap();
+            let Request::Sweep(req) = req else {
+                panic!("fixture must parse as a sweep");
+            };
+            Instance::new(req.workload.instantiate().unwrap(), req.platform, 1.0)
+        };
+        let us = [0.3, 0.5, 0.7];
+        let periods: Vec<f64> = us.iter().map(|&u| base().utilisation_period(u)).collect();
+        for (axis, values) in [("utilisation", us.to_vec()), ("period", periods)] {
+            for width in [1, 2] {
+                let svc = Service::new(ServeConfig::default());
+                let portfolio = Portfolio::new(svc.solvers_for(Some(csv)).unwrap()).seeded(seed);
+                let sweep = match axis {
+                    "period" => PeriodSweep::over_periods(portfolio, values.clone()),
+                    _ => PeriodSweep::over_utilisations(portfolio, values.clone()),
+                };
+                let frame = sweep_frame(axis, &values, csv, &format!(r#","seed":{seed}"#));
+                let (resp, report) = rayon::ThreadPool::new(width)
+                    .install(|| (svc.handle(&frame), sweep.run(&base())));
+                let points = points_of(&resp);
+                assert_eq!(points.len(), report.points.len());
+                for (got, want) in points.iter().zip(&report.points) {
+                    let winner = want.best_run().map(|r| r.name.as_str());
+                    let ctx = format!("{axis} w{width}: {got}");
+                    assert_eq!(f64_bits(got, "value"), Some(want.value.to_bits()), "{ctx}");
+                    assert_eq!(
+                        f64_bits(got, "period"),
+                        Some(want.period.to_bits()),
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        f64_bits(got, "energy"),
+                        want.best_energy().map(f64::to_bits),
+                        "{ctx}"
+                    );
+                    assert_eq!(got.get("solver").and_then(Json::as_str), winner, "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// `"axis":"period"` takes period bounds as they are, values above 1
+    /// included, and echoes each one as the point's value and period.
+    #[test]
+    fn a_period_axis_sweep_echoes_its_periods_exactly() {
+        let svc = Service::new(ServeConfig::default());
+        let values: [f64; 3] = [1.5, 2.0, 4.25];
+        let resp = svc.handle(&sweep_frame("period", &values, "greedy", ""));
+        assert_eq!(
+            result_of(&resp).get("axis").and_then(Json::as_str),
+            Some("period")
+        );
+        let points = points_of(&resp);
+        assert_eq!(points.len(), values.len());
+        for (p, v) in points.iter().zip(values) {
+            assert_eq!(f64_bits(p, "value"), Some(v.to_bits()), "{p}");
+            assert_eq!(f64_bits(p, "period"), Some(v.to_bits()), "{p}");
+        }
+    }
+
+    /// A deadline that runs out during a sweep still answers every grid
+    /// value, with `null` where the deadline cut a point off, and one
+    /// structured `deadline_exceeded` for the whole sweep.
+    #[test]
+    fn a_deadline_mid_sweep_still_answers_every_value() {
+        let svc = Service::new(ServeConfig::default());
+        let values: [f64; 6] = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7];
+        let frame = Json::parse(&format!(
+            r#"{{"op":"sweep","workload":{{"streamit":"BitonicSort"}},"values":{values:?},
+                 "deadline_ms":1}}"#
+        ))
+        .unwrap();
+        let resp = svc.handle(&frame);
+        let points = points_of(&resp);
+        assert_eq!(points.len(), values.len());
+        for (p, v) in points.iter().zip(values) {
+            assert_eq!(f64_bits(p, "value"), Some(v.to_bits()), "{p}");
+            let energy = p.get("energy").expect("every point carries energy");
+            assert!(energy.as_f64().is_some() || *energy == Json::Null, "{p}");
+        }
+        let exceeded = result_of(&resp)
+            .get("deadline_exceeded")
+            .unwrap_or_else(|| panic!("a 1 ms sweep reports its deadline: {resp}"));
+        assert_eq!(
+            exceeded.get("phase").and_then(Json::as_str),
+            Some("deadline")
+        );
+    }
+
+    /// Under a starving deadline an anytime sweep answers every point with
+    /// the rescue mapping and its certified `bound_gap`.
+    #[test]
+    fn an_anytime_sweep_under_a_starving_deadline_rescues_every_point() {
+        let svc = Service::new(ServeConfig::default());
+        let frame = sweep_frame(
+            "utilisation",
+            &[0.3, 0.5],
+            "greedy,dpa1d",
+            r#","deadline_ms":0,"anytime":true"#,
+        );
+        let resp = svc.handle(&frame);
+        let points = points_of(&resp);
+        assert_eq!(points.len(), 2);
+        for p in points {
+            assert_eq!(
+                p.get("solver").and_then(Json::as_str),
+                Some("Anytime(Greedy)"),
+                "{p}"
+            );
+            let gap = p.get("bound_gap").and_then(Json::as_f64).expect("gap");
+            assert!(gap.is_finite() && gap >= 0.0, "{p}");
+            assert!(p.get("energy").and_then(Json::as_f64).unwrap() > gap);
+        }
     }
 
     #[test]

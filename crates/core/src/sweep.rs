@@ -1,39 +1,38 @@
 //! Period sweeps: the paper's feasibility/energy-versus-tightness curves
 //! (§6.1.3, Figures 8–13's x-axis) as a first-class API.
 //!
-//! A [`PeriodSweep`] runs a solver list over a grid of period bounds — given
-//! either directly or as platform *utilisations* (`u`, resolved through
-//! [`Instance::utilisation_period`]) — against **one** instance, so every
-//! sweep point shares the instance's period-independent caches via
-//! [`Instance::with_period`]: the interned ideal lattice, `DPA1D`'s
-//! [`crate::TransitionSkeleton`], and the route tables are built once for
-//! the whole curve instead of once per point. The whole grid runs as one
-//! [`Portfolio::run_batch`] wave (every `(point, solver)` pair is one task
-//! on the rayon pool), so per-point outcomes are deterministic in
-//! `(instance, solvers, seed)` and bit-identical to a fresh
-//! [`Instance::new`] solve at that period (the root test-suite pins this).
+//! A [`PeriodSweep`] runs a [`Portfolio`] at every value of a grid of
+//! period bounds — given either directly or as platform *utilisations*
+//! (`u`, resolved through [`Instance::utilisation_period`]) — against
+//! **one** instance, so every sweep point shares the instance's
+//! period-independent caches via [`Instance::with_period`]: the interned
+//! ideal lattice, `DPA1D`'s [`crate::TransitionSkeleton`], and the route
+//! tables are built once for the whole curve instead of once per point.
+//! The whole grid runs as one [`Portfolio::run_batch`] wave (every
+//! `(point, solver)` pair is one task on the rayon pool), so per-point
+//! outcomes are deterministic in `(instance, portfolio)` and bit-identical
+//! to a fresh [`Instance::new`] run of the portfolio at that period (the
+//! root test-suite pins this). The portfolio's seed, deadline and anytime
+//! mode apply at every point; the `serve` daemon's `sweep` op is this
+//! sweep over its request's portfolio.
 //!
 //! ```
 //! use ea_core::sweep::PeriodSweep;
-//! use ea_core::Instance;
+//! use ea_core::{Instance, Portfolio};
 //! use cmp_platform::Platform;
 //!
 //! let inst = Instance::new(spg::chain(&[2e8; 6], &[1e4; 5]), Platform::paper(2, 2), 1.0);
 //! let grid = PeriodSweep::geometric(1.0, 0.1, 8); // one decade, 8 points
-//! let report = PeriodSweep::over_periods(ea_core::solvers::default_heuristics(), grid)
-//!     .seeded(2011)
-//!     .run(&inst);
+//! let report = PeriodSweep::over_periods(Portfolio::heuristics().seeded(2011), grid).run(&inst);
 //! for f in report.frontier() {
 //!     println!("{}: tightest feasible T = {:?}", f.solver, f.tightest_period);
 //! }
 //! ```
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::instance::Instance;
 use crate::portfolio::{Portfolio, SolverRun};
-use crate::solver::Solver;
 
 /// One solver's outcome at one sweep point (name, seed, solution or
 /// failure, wall time) — the same record a [`Portfolio`] run produces.
@@ -49,33 +48,31 @@ pub enum SweepAxis {
     Utilisation,
 }
 
-/// A configured sweep: a solver list and a grid over one axis.
+/// A configured sweep: the portfolio run at every point and a grid over
+/// one axis.
 pub struct PeriodSweep {
-    solvers: Vec<Arc<dyn Solver>>,
+    portfolio: Portfolio,
     axis: SweepAxis,
     values: Vec<f64>,
-    seed: u64,
 }
 
 impl PeriodSweep {
     /// A sweep whose grid values are period bounds (seconds).
-    pub fn over_periods(solvers: Vec<Arc<dyn Solver>>, periods: Vec<f64>) -> Self {
+    pub fn over_periods(portfolio: Portfolio, periods: Vec<f64>) -> Self {
         PeriodSweep {
-            solvers,
+            portfolio,
             axis: SweepAxis::Period,
             values: periods,
-            seed: 0,
         }
     }
 
     /// A sweep whose grid values are platform utilisations, resolved to
     /// periods per instance ([`Instance::utilisation_period`]).
-    pub fn over_utilisations(solvers: Vec<Arc<dyn Solver>>, utilisations: Vec<f64>) -> Self {
+    pub fn over_utilisations(portfolio: Portfolio, utilisations: Vec<f64>) -> Self {
         PeriodSweep {
-            solvers,
+            portfolio,
             axis: SweepAxis::Utilisation,
             values: utilisations,
-            seed: 0,
         }
     }
 
@@ -98,16 +95,26 @@ impl PeriodSweep {
             .collect()
     }
 
-    /// Sets the base seed (mixed per solver name, like [`Portfolio`], so a
-    /// sweep point's outcomes equal a fresh portfolio run at that period).
-    pub fn seeded(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+    /// The grid's periods on `base`'s workload and platform, in grid
+    /// order.
+    fn periods(&self, base: &Instance) -> Vec<f64> {
+        self.values
+            .iter()
+            .map(|&v| match self.axis {
+                SweepAxis::Period => v,
+                SweepAxis::Utilisation => base.utilisation_period(v),
+            })
+            .collect()
     }
 
-    /// The solver names, in sweep order.
-    pub fn solver_names(&self) -> Vec<String> {
-        self.solvers.iter().map(|s| s.name().to_string()).collect()
+    /// The grid's loosest finite period on `base`: the work ceiling that
+    /// one bounded `DPA1D` skeleton build must reach to serve every point
+    /// (see [`Instance::note_period_ceiling`]).
+    pub(crate) fn ceiling(&self, base: &Instance) -> Option<f64> {
+        self.periods(base)
+            .into_iter()
+            .max_by(f64::total_cmp)
+            .filter(|t| t.is_finite())
     }
 
     /// Runs the sweep against `base`'s workload and platform. Every point
@@ -116,46 +123,31 @@ impl PeriodSweep {
     /// `base`'s own period is *not* part of the grid unless listed.
     pub fn run(&self, base: &Instance) -> SweepReport {
         let started = Instant::now();
-        let resolved: Vec<(f64, f64)> = self
-            .values
-            .iter()
-            .map(|&v| match self.axis {
-                SweepAxis::Period => (v, v),
-                SweepAxis::Utilisation => (v, base.utilisation_period(v)),
-            })
-            .collect();
         // Announce the grid's loosest period before fanning out: the first
         // `DPA1D` bounded-skeleton build then targets a work ceiling that
-        // serves *every* point of the sweep (see
-        // [`Instance::note_period_ceiling`]), instead of the first-solved
+        // serves *every* point of the sweep, instead of the first-solved
         // point's — which under the rayon fan-out would be an arbitrary
         // (though result-identical) choice.
-        if let Some(loosest) = resolved
-            .iter()
-            .map(|&(_, t)| t)
-            .max_by(f64::total_cmp)
-            .filter(|t| t.is_finite())
-        {
+        if let Some(loosest) = self.ceiling(base) {
             base.note_period_ceiling(loosest);
         }
-        let portfolio = Portfolio::new(self.solvers.clone()).seeded(self.seed);
-        let insts: Vec<Instance> = resolved
-            .iter()
-            .map(|&(_, period)| base.with_period(period))
-            .collect();
-        let jobs: Vec<(&Portfolio, &Instance)> = insts.iter().map(|i| (&portfolio, i)).collect();
+        let periods = self.periods(base);
+        let insts: Vec<Instance> = periods.iter().map(|&t| base.with_period(t)).collect();
+        let jobs: Vec<(&Portfolio, &Instance)> =
+            insts.iter().map(|i| (&self.portfolio, i)).collect();
         let points: Vec<SweepPoint> = Portfolio::run_batch(&jobs)
             .into_iter()
-            .zip(resolved)
-            .map(|(report, (value, period))| SweepPoint {
+            .zip(self.values.iter().zip(periods))
+            .map(|(report, (&value, period))| SweepPoint {
                 value,
                 period,
                 runs: report.runs,
+                best: report.best,
             })
             .collect();
         SweepReport {
             axis: self.axis,
-            solver_names: self.solver_names(),
+            solver_names: self.portfolio.solver_names(),
             points,
             wall: started.elapsed(),
         }
@@ -168,17 +160,23 @@ pub struct SweepPoint {
     pub value: f64,
     /// The resolved period bound this point solved at.
     pub period: f64,
-    /// Per-solver outcomes, in sweep solver order.
+    /// Per-solver outcomes, in sweep solver order (plus the anytime rescue
+    /// run, last, when one was made).
     pub runs: Vec<SolveOutcome>,
+    /// Index into `runs` of the lowest-energy run, if any solver succeeded
+    /// (the point's [`crate::PortfolioReport::best`]).
+    pub best: Option<usize>,
 }
 
 impl SweepPoint {
+    /// The winning run, if any solver succeeded.
+    pub fn best_run(&self) -> Option<&SolveOutcome> {
+        self.best.map(|i| &self.runs[i])
+    }
+
     /// The lowest energy over the point's solvers, if any succeeded.
     pub fn best_energy(&self) -> Option<f64> {
-        self.runs
-            .iter()
-            .filter_map(SolveOutcome::energy)
-            .min_by(f64::total_cmp)
+        self.best_run().and_then(SolveOutcome::energy)
     }
 
     /// This point's outcome for one solver (by display name).
@@ -250,7 +248,6 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solvers::default_heuristics;
     use cmp_platform::Platform;
     use spg::chain;
 
@@ -273,8 +270,7 @@ mod tests {
         let grid = PeriodSweep::geometric(1.0, 0.05, 6);
         let [seq, par] = [1, 2].map(|w| {
             rayon::ThreadPool::new(w).install(|| {
-                PeriodSweep::over_periods(default_heuristics(), grid.clone())
-                    .seeded(7)
+                PeriodSweep::over_periods(Portfolio::heuristics().seeded(7), grid.clone())
                     .run(&base())
             })
         });
@@ -292,9 +288,9 @@ mod tests {
     #[test]
     fn utilisation_axis_resolves_periods() {
         let inst = base();
-        let report = PeriodSweep::over_utilisations(default_heuristics(), vec![0.2, 0.4])
-            .seeded(1)
-            .run(&inst);
+        let report =
+            PeriodSweep::over_utilisations(Portfolio::heuristics().seeded(1), vec![0.2, 0.4])
+                .run(&inst);
         assert_eq!(report.points.len(), 2);
         for p in &report.points {
             assert!((p.period - inst.utilisation_period(p.value)).abs() < 1e-15);
@@ -309,9 +305,8 @@ mod tests {
         // A decade sweep on a loose pipeline: every solver feasible at the
         // loose end, and the frontier period is the minimum feasible one.
         let grid = PeriodSweep::geometric(1.0, 0.01, 8);
-        let report = PeriodSweep::over_periods(default_heuristics(), grid)
-            .seeded(3)
-            .run(&base());
+        let report =
+            PeriodSweep::over_periods(Portfolio::heuristics().seeded(3), grid).run(&base());
         for f in report.frontier() {
             assert!(f.feasible_points > 0, "{} never succeeded", f.solver);
             let t = f.tightest_period.unwrap();

@@ -356,6 +356,16 @@ fn oversized_family_is_a_bad_request() {
     );
 }
 
+/// A sweep grid one value over `MAX_SWEEP_POINTS`: the whole grid runs as
+/// one wave, so an unbounded grid would hold every point's runs at once.
+#[test]
+fn oversized_sweep_is_a_bad_request() {
+    let values = vec!["0.5"; ea_core::serve::protocol::MAX_SWEEP_POINTS + 1].join(",");
+    oversized_request_is_refused_and_the_daemon_keeps_serving(&format!(
+        r#"{{"op":"sweep","workload":{{"streamit":"FFT"}},"values":[{values}]}}"#
+    ));
+}
+
 /// `bind_unix` probes an existing socket before unlinking it: a live
 /// daemon keeps its endpoint (`AddrInUse`), a crashed daemon's stale file
 /// is replaced, and a non-socket file is never deleted.

@@ -124,11 +124,11 @@
 //!
 //! The paper's central experiments are curves versus period tightness;
 //! 0.4 makes the whole curve one call. A [`prelude::PeriodSweep`] runs a
-//! solver list over a geometric or explicit grid of periods (or platform
-//! utilisations) against **one** instance, so the period-independent
-//! caches — most importantly `DPA1D`'s interned lattice and its
-//! transition skeleton — are built once for the whole curve, and sweep
-//! points fan out over the rayon pool:
+//! [`prelude::Portfolio`] at every value of a geometric or explicit grid of
+//! periods (or platform utilisations) against **one** instance, so the
+//! period-independent caches — most importantly `DPA1D`'s interned
+//! lattice and its transition skeleton — are built once for the whole
+//! curve, and sweep points fan out over the rayon pool:
 //!
 //! ```
 //! use spg_cmp::prelude::*;
@@ -137,9 +137,7 @@
 //! let inst = Instance::new(app, Platform::paper(2, 2), 1.0);
 //! // One decade, 8 points, all five heuristics per point.
 //! let grid = PeriodSweep::geometric(1.0, 0.1, 8);
-//! let report = PeriodSweep::over_periods(solvers::default_heuristics(), grid)
-//!     .seeded(2011)
-//!     .run(&inst);
+//! let report = PeriodSweep::over_periods(Portfolio::heuristics().seeded(2011), grid).run(&inst);
 //! assert_eq!(report.points.len(), 8);
 //! // The per-solver feasibility frontier: tightest period still solved.
 //! for entry in report.frontier() {

@@ -54,9 +54,9 @@ fn sweep_is_deterministic_across_worker_counts() {
     let run_with = |workers: usize| {
         let pool = rayon::ThreadPool::new(workers);
         pool.install(|| {
-            let report = PeriodSweep::over_periods(default_heuristics(), grid.clone())
-                .seeded(SEED)
-                .run(&inst);
+            let report =
+                PeriodSweep::over_periods(Portfolio::heuristics().seeded(SEED), grid.clone())
+                    .run(&inst);
             report
                 .points
                 .iter()
@@ -79,9 +79,7 @@ fn nested_sweep_inside_installed_pool_completes() {
     let grid = PeriodSweep::geometric(inst.period(), inst.period() / 4.0, 4);
     let pool = rayon::ThreadPool::new(2);
     let report = pool.install(|| {
-        PeriodSweep::over_periods(default_heuristics(), grid)
-            .seeded(SEED)
-            .run(&inst)
+        PeriodSweep::over_periods(Portfolio::heuristics().seeded(SEED), grid).run(&inst)
     });
     assert_eq!(report.points.len(), 4);
     // Every point must have been solved (feasibly or not — the tightest

@@ -22,7 +22,7 @@ use cmp_platform::Platform;
 use ea_bench::prune_xp::huge_workload;
 use ea_core::solvers::Dpa1d;
 use ea_core::sweep::PeriodSweep;
-use ea_core::{BudgetPhase, Dpa1dConfig, Failure, Instance, SolveCtx, Solver};
+use ea_core::{BudgetPhase, Dpa1dConfig, Failure, Instance, Portfolio, SolveCtx, Solver};
 use spg::generate::families::{FamilyKind, FamilyParams, WorkloadSpec};
 use spg::ideal::ENUM_POLL_INTERVAL;
 use spg::{streamit_workflow, Spg, STREAMIT_SPECS};
@@ -52,8 +52,7 @@ fn bounded_skeleton_matches_from_scratch_at_every_point() {
     let swept = [1, 2].map(|w| {
         rayon::ThreadPool::new(w).install(|| {
             let base = Instance::new(g.clone(), pf.clone(), hi);
-            PeriodSweep::over_periods(solvers.clone(), grid.clone())
-                .seeded(SEED)
+            PeriodSweep::over_periods(Portfolio::new(solvers.clone()).seeded(SEED), grid.clone())
                 .run(&base)
         })
     });
@@ -146,9 +145,7 @@ fn huge_workloads_sweep_the_decade_under_the_edge_cap() {
         let grid = PeriodSweep::geometric(hi, hi / 10.0, 16);
         let base = Instance::new(g.clone(), pf.clone(), hi);
         let report = rayon::ThreadPool::new(w).install(|| {
-            PeriodSweep::over_periods(solvers.clone(), grid)
-                .seeded(SEED)
-                .run(&base)
+            PeriodSweep::over_periods(Portfolio::new(solvers.clone()).seeded(SEED), grid).run(&base)
         });
         let mut feasible = 0usize;
         for p in &report.points {

@@ -52,8 +52,7 @@ fn sweep_points_match_fresh_solves() {
         let grid = PeriodSweep::geometric(hi, hi / 10.0, 6);
 
         let base = Instance::new(g.clone(), pf.clone(), hi);
-        let report = PeriodSweep::over_periods(default_heuristics(), grid.clone())
-            .seeded(SEED)
+        let report = PeriodSweep::over_periods(Portfolio::heuristics().seeded(SEED), grid.clone())
             .run(&base);
 
         for (point, &t) in report.points.iter().zip(&grid) {
@@ -120,12 +119,9 @@ fn admission_is_direction_independent_on_this_pool() {
     ascending.reverse();
 
     let solvers: Vec<Arc<dyn Solver>> = vec![Arc::new(Dpa1d::default())];
-    let down = PeriodSweep::over_periods(solvers.clone(), descending)
-        .seeded(SEED)
+    let down = PeriodSweep::over_periods(Portfolio::new(solvers.clone()).seeded(SEED), descending)
         .run(&base);
-    let up = PeriodSweep::over_periods(solvers, ascending)
-        .seeded(SEED)
-        .run(&base);
+    let up = PeriodSweep::over_periods(Portfolio::new(solvers).seeded(SEED), ascending).run(&base);
 
     type PointSig = (u64, Vec<(String, Option<u64>)>);
     let mut down_pts: Vec<PointSig> = down
