@@ -41,8 +41,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use cmp_mapping::{evaluate_with, Evaluation, Mapping, MappingError};
 use cmp_platform::{snake_core, CoreId, Fault, Platform, RoutePolicy, RouteTable};
 use spg::ideal::{
-    count_ideal_pairs, count_ideals, enumerate_ideals_polled, IdealError, IdealLattice,
-    ENUM_POLL_INTERVAL,
+    count_ideal_pairs, count_ideals, cut_volumes_polled, enumerate_ideals_polled, IdealError,
+    IdealLattice,
 };
 use spg::{Edit, Spg, StageId};
 
@@ -342,7 +342,8 @@ impl Instance {
     }
 
     /// [`Instance::lattice`] under `ctx`'s deadline, which the enumeration
-    /// and the cut-volume pass poll every [`ENUM_POLL_INTERVAL`] ideals. The
+    /// and the cut-volume pass poll every
+    /// [`ENUM_POLL_INTERVAL`](spg::ideal::ENUM_POLL_INTERVAL) ideals. The
     /// outer `Err` is the deadline: it says nothing about the workload, so
     /// it is recorded nowhere and a later call enumerates as if this one
     /// had never run. The inner result is [`Instance::lattice`]'s, cached
@@ -377,15 +378,7 @@ impl Instance {
         }
         let res = match enumerate_ideals_polled(&self.spg, cap, || ctx.check_budget())? {
             Ok(lattice) => {
-                // The cut volumes cost more than the enumeration itself on
-                // wide graphs; they poll at the same rate.
-                let mut cuts = Vec::with_capacity(lattice.len());
-                for (i, s) in lattice.iter().enumerate() {
-                    if i.is_multiple_of(ENUM_POLL_INTERVAL) {
-                        ctx.check_budget()?;
-                    }
-                    cuts.push(self.spg.cut_volume(s));
-                }
+                let cuts = cut_volumes_polled(&self.spg, &lattice, || ctx.check_budget())?;
                 Ok(Arc::new(SharedLattice { lattice, cuts }))
             }
             Err(e) => Err(e),
@@ -782,7 +775,8 @@ impl Instance {
                     // Same structure, new per-ideal cut volumes — computed
                     // ideal by ideal exactly as a cold enumeration would.
                     let lattice = sh.lattice.clone();
-                    let cuts = lattice.iter().map(|s| spg.cut_volume(s)).collect();
+                    let cuts = cut_volumes_polled(&spg, &lattice, || Ok(()))
+                        .unwrap_or_else(|never: std::convert::Infallible| match never {});
                     Some((*cap, Ok(Arc::new(SharedLattice { lattice, cuts }))))
                 }
                 // Weight retunes leave the lattice untouched; enumeration

@@ -222,14 +222,15 @@ impl IdealLattice {
         &self.hasse[self.hasse_off[id.idx()] as usize..self.hasse_off[id.idx() + 1] as usize]
     }
 
-    /// The ideal reached from `id` by adding `stage`, if `stage` is ready
-    /// there (a scan over the handful of covers of `id`).
+    /// The whole Hasse diagram as flat arrays: every `(stage, child_id)`
+    /// cover of every ideal, and the offsets delimiting them — the covers
+    /// of ideal `i` are `edges[offsets[i] .. offsets[i + 1]]`, the same
+    /// slice [`IdealLattice::covers`] returns. A cover's position in
+    /// `edges` is its dense *Hasse-edge id*, which lets DP clients index
+    /// per-edge tables.
     #[inline]
-    pub fn child_via(&self, id: IdealId, stage: StageId) -> Option<IdealId> {
-        self.covers(id)
-            .iter()
-            .find(|&&(s, _)| s == stage.0)
-            .map(|&(_, c)| IdealId(c))
+    pub fn hasse(&self) -> (&[(u32, u32)], &[u32]) {
+        (&self.hasse, &self.hasse_off)
     }
 
     /// The dense id of the empty ideal (always 0).
@@ -513,6 +514,60 @@ pub fn enumerate_ideals_polled<E>(
         i += 1;
     }
     Ok(Ok(lat))
+}
+
+/// The cut volume ([`Spg::cut_volume`]) of every ideal of `lattice`, in id
+/// order, calling `check` once every [`ENUM_POLL_INTERVAL`] ideals and
+/// stopping with its error as soon as it returns one.
+///
+/// One linear pass instead of a scan over every edge per ideal: each
+/// ideal's set of crossing edges (a bitset over edge ids) is derived from
+/// a Hasse parent's — adding stage `s` drops the in-edges of `s`, which
+/// now end inside, and adds its out-edges, whose heads are still outside.
+/// The volumes are then summed in edge-id order with the same
+/// `Iterator::sum` [`Spg::cut_volume`] runs, so every cut is bit-identical
+/// to it, an empty cut's signed zero included.
+pub fn cut_volumes_polled<E>(
+    spg: &Spg,
+    lattice: &IdealLattice,
+    mut check: impl FnMut() -> Result<(), E>,
+) -> Result<Vec<f64>, E> {
+    let m = spg.n_edges();
+    let ewps = m.div_ceil(64);
+    let n = lattice.len();
+    // The empty ideal's crossing set is empty; every other ideal is a
+    // child of a smaller id (ids grow with cardinality), so its set is
+    // derived before the loop reaches it.
+    let mut crossing = vec![0u64; n * ewps];
+    let mut derived = vec![false; n];
+    derived[0] = true;
+    let edges = spg.edges();
+    let mut cuts = Vec::with_capacity(n);
+    for i in 0..n {
+        if i.is_multiple_of(ENUM_POLL_INTERVAL) {
+            check()?;
+        }
+        debug_assert!(derived[i], "ideal {i} has no Hasse parent below it");
+        for &(s, c) in lattice.covers(IdealId(i as u32)) {
+            let c = c as usize;
+            if derived[c] {
+                continue;
+            }
+            derived[c] = true;
+            let (head, tail) = crossing.split_at_mut(c * ewps);
+            let set = &mut tail[..ewps];
+            set.copy_from_slice(&head[i * ewps..(i + 1) * ewps]);
+            for (e, _) in spg.in_edges(StageId(s)) {
+                set[e.idx() / 64] &= !(1 << (e.idx() % 64));
+            }
+            for (e, _) in spg.out_edges(StageId(s)) {
+                set[e.idx() / 64] |= 1 << (e.idx() % 64);
+            }
+        }
+        let set = NodeSetRef::from_words(&crossing[i * ewps..(i + 1) * ewps], m);
+        cuts.push(set.iter().map(|e| edges[e].volume).sum());
+    }
+    Ok(cuts)
 }
 
 /// Placeholder child id in freshly recorded Hasse entries, overwritten when

@@ -24,7 +24,7 @@ use ea_core::solvers::Dpa1d;
 use ea_core::sweep::PeriodSweep;
 use ea_core::{BudgetPhase, Dpa1dConfig, Failure, Instance, Portfolio, SolveCtx, Solver};
 use spg::generate::families::{FamilyKind, FamilyParams, WorkloadSpec};
-use spg::ideal::ENUM_POLL_INTERVAL;
+use spg::ideal::{count_ideals, cut_volumes_polled, enumerate_ideals, ENUM_POLL_INTERVAL};
 use spg::{streamit_workflow, Spg, STREAMIT_SPECS};
 
 const SEED: u64 = 2011;
@@ -166,7 +166,7 @@ fn huge_workloads_sweep_the_decade_under_the_edge_cap() {
 
 /// A 256-stage generated workload whose interned lattice (45 052 ideals)
 /// sits near the default ideal cap: enumerating it takes ~20 ms in
-/// release, and its cut volumes as long again.
+/// release, and its cut volumes about 2 ms more.
 fn deep_lattice_workload() -> (String, Spg) {
     let params = FamilyParams {
         n: 256,
@@ -222,4 +222,55 @@ fn deadline_bounds_the_lattice_enumeration() {
     let after = inst.lattice(cap).unwrap();
     assert_eq!(after.lattice.len(), ideals, "{name}");
     assert_eq!(after.cuts, fresh.cuts, "{name}");
+}
+
+/// The linear cut-volume pass (each ideal's crossing edges derived from a
+/// Hasse parent's) equals `Spg::cut_volume`'s scan over every edge to the
+/// bit, signed zeros included, on every ideal of: the StreamIt flows under
+/// the ideal cap, the campaign's random SPGs (its `(n, elevation, CCR)`
+/// cells and generator seeds, under the cap), and the 45 052-ideal
+/// TgffMixed workload.
+#[test]
+fn linear_cut_volumes_equal_the_per_edge_scan() {
+    use rand::SeedableRng;
+    let cap = Dpa1dConfig::default().ideal_cap;
+    let mut graphs: Vec<(String, Spg)> = STREAMIT_SPECS
+        .iter()
+        .map(|spec| (spec.name.to_string(), streamit_workflow(spec, 0)))
+        .collect();
+    for (n, elevations) in [(50, &[2, 4, 16][..]), (150, &[2, 16][..])] {
+        for &elevation in elevations {
+            for (ci, ccr) in [10.0, 0.1].into_iter().enumerate() {
+                let cfg = spg::SpgGenConfig {
+                    n,
+                    elevation,
+                    ccr: Some(ccr),
+                    ..Default::default()
+                };
+                let seed = n as u64 * 1000 + u64::from(elevation) * 10 + ci as u64;
+                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+                graphs.push((
+                    format!("random:n{n}:e{elevation}:ccr{ccr}:g{seed}"),
+                    spg::random_spg(&cfg, &mut rng),
+                ));
+            }
+        }
+    }
+    graphs.push(deep_lattice_workload());
+    let mut checked = 0;
+    for (name, g) in graphs {
+        if count_ideals(&g).is_none_or(|n| n > cap as u128) {
+            continue;
+        }
+        let lattice = enumerate_ideals(&g, cap).unwrap();
+        let cuts = cut_volumes_polled(&g, &lattice, || Ok::<(), ()>(())).unwrap();
+        assert_eq!(cuts.len(), lattice.len(), "{name}");
+        for (id, (set, cut)) in lattice.iter().zip(&cuts).enumerate() {
+            let scan = g.cut_volume(set);
+            assert_eq!(cut.to_bits(), scan.to_bits(), "{name}: ideal {id}");
+        }
+        checked += 1;
+    }
+    // 7 StreamIt flows, the 6 random cells below elevation 16, TgffMixed.
+    assert_eq!(checked, 14, "workloads under the ideal cap");
 }
