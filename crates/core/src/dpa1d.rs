@@ -1401,9 +1401,8 @@ fn extend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spg::ideal::{cut_volumes_polled, enumerate_ideals};
+    use spg::ideal::{cut_volumes, enumerate_ideals};
     use spg::{chain, parallel_many, NodeSet};
-    use std::convert::Infallible;
 
     /// `DPA1D` through a fresh session, the way every caller reaches it.
     fn solve(g: &Spg, pf: &Platform, t: f64, cfg: &Dpa1dConfig) -> Result<Solution, Failure> {
@@ -1428,7 +1427,7 @@ mod tests {
 
     fn shared(g: &Spg) -> SharedLattice {
         let lattice = enumerate_ideals(g, 60_000).unwrap();
-        let cuts = cut_volumes_polled(g, &lattice, || Ok::<(), Infallible>(())).unwrap();
+        let cuts = cut_volumes(g, &lattice);
         SharedLattice { lattice, cuts }
     }
 

@@ -41,8 +41,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use cmp_mapping::{evaluate_with, Evaluation, Mapping, MappingError};
 use cmp_platform::{snake_core, CoreId, Fault, Platform, RoutePolicy, RouteTable};
 use spg::ideal::{
-    count_ideal_pairs, count_ideals, cut_volumes_polled, enumerate_ideals_polled, IdealError,
-    IdealLattice,
+    count_ideal_pairs, count_ideals, cut_volumes, cut_volumes_polled, enumerate_ideals_polled,
+    IdealError, IdealLattice,
 };
 use spg::{Edit, Spg, StageId};
 
@@ -775,8 +775,7 @@ impl Instance {
                     // Same structure, new per-ideal cut volumes — computed
                     // ideal by ideal exactly as a cold enumeration would.
                     let lattice = sh.lattice.clone();
-                    let cuts = cut_volumes_polled(&spg, &lattice, || Ok(()))
-                        .unwrap_or_else(|never: std::convert::Infallible| match never {});
+                    let cuts = cut_volumes(&spg, &lattice);
                     Some((*cap, Ok(Arc::new(SharedLattice { lattice, cuts }))))
                 }
                 // Weight retunes leave the lattice untouched; enumeration

@@ -517,6 +517,15 @@ pub fn enumerate_ideals_polled<E>(
 }
 
 /// The cut volume ([`Spg::cut_volume`]) of every ideal of `lattice`, in id
+/// order: [`cut_volumes_polled`] with a check that cannot fail.
+pub fn cut_volumes(spg: &Spg, lattice: &IdealLattice) -> Vec<f64> {
+    match cut_volumes_polled(spg, lattice, || Ok::<(), std::convert::Infallible>(())) {
+        Ok(cuts) => cuts,
+        Err(never) => match never {},
+    }
+}
+
+/// The cut volume ([`Spg::cut_volume`]) of every ideal of `lattice`, in id
 /// order, calling `check` once every [`ENUM_POLL_INTERVAL`] ideals and
 /// stopping with its error as soon as it returns one.
 ///
@@ -527,45 +536,70 @@ pub fn enumerate_ideals_polled<E>(
 /// The volumes are then summed in edge-id order with the same
 /// `Iterator::sum` [`Spg::cut_volume`] runs, so every cut is bit-identical
 /// to it, an empty cut's signed zero included.
+///
+/// Ids are grouped by cardinality and every cover is one stage larger, so
+/// the pass walks the lattice layer by layer and holds only two layers of
+/// crossing sets: its scratch is bounded by twice the widest layer, not
+/// by the lattice (a long chain's layers are one ideal wide).
 pub fn cut_volumes_polled<E>(
     spg: &Spg,
     lattice: &IdealLattice,
+    check: impl FnMut() -> Result<(), E>,
+) -> Result<Vec<f64>, E> {
+    cut_volumes_layered(spg, lattice, check, &mut Default::default())
+}
+
+/// [`cut_volumes_polled`] over caller-owned layer buffers: `layers[0]`
+/// holds the current layer's crossing sets, `layers[1]` the next one's.
+fn cut_volumes_layered<E>(
+    spg: &Spg,
+    lattice: &IdealLattice,
     mut check: impl FnMut() -> Result<(), E>,
+    layers: &mut [Vec<u64>; 2],
 ) -> Result<Vec<f64>, E> {
     let m = spg.n_edges();
     let ewps = m.div_ceil(64);
     let n = lattice.len();
-    // The empty ideal's crossing set is empty; every other ideal is a
-    // child of a smaller id (ids grow with cardinality), so its set is
-    // derived before the loop reaches it.
-    let mut crossing = vec![0u64; n * ewps];
-    let mut derived = vec![false; n];
-    derived[0] = true;
     let edges = spg.edges();
+    let [layer, next] = layers;
+    // Layer 0 is the empty ideal, which cuts no edge.
+    layer.clear();
+    layer.resize(ewps, 0);
     let mut cuts = Vec::with_capacity(n);
-    for i in 0..n {
-        if i.is_multiple_of(ENUM_POLL_INTERVAL) {
-            check()?;
+    // The current layer's ids are `lo..hi`; the next layer's start at `hi`.
+    let (mut lo, mut hi) = (0, 1);
+    while lo < n {
+        next.clear();
+        let mut width = 0;
+        for i in lo..hi {
+            if i.is_multiple_of(ENUM_POLL_INTERVAL) {
+                check()?;
+            }
+            let set = &layer[(i - lo) * ewps..(i - lo + 1) * ewps];
+            for &(s, c) in lattice.covers(IdealId(i as u32)) {
+                // Enumeration numbers a layer's ideals in the order this
+                // same walk first meets them, so an unseen child is always
+                // the next id.
+                let j = c as usize - hi;
+                if j < width {
+                    continue;
+                }
+                assert_eq!(j, width, "ideal {c} is not numbered in cover order");
+                width += 1;
+                next.extend_from_slice(set);
+                let child = &mut next[j * ewps..];
+                for (e, _) in spg.in_edges(StageId(s)) {
+                    child[e.idx() / 64] &= !(1 << (e.idx() % 64));
+                }
+                for (e, _) in spg.out_edges(StageId(s)) {
+                    child[e.idx() / 64] |= 1 << (e.idx() % 64);
+                }
+            }
+            let set = NodeSetRef::from_words(set, m);
+            cuts.push(set.iter().map(|e| edges[e].volume).sum());
         }
-        debug_assert!(derived[i], "ideal {i} has no Hasse parent below it");
-        for &(s, c) in lattice.covers(IdealId(i as u32)) {
-            let c = c as usize;
-            if derived[c] {
-                continue;
-            }
-            derived[c] = true;
-            let (head, tail) = crossing.split_at_mut(c * ewps);
-            let set = &mut tail[..ewps];
-            set.copy_from_slice(&head[i * ewps..(i + 1) * ewps]);
-            for (e, _) in spg.in_edges(StageId(s)) {
-                set[e.idx() / 64] &= !(1 << (e.idx() % 64));
-            }
-            for (e, _) in spg.out_edges(StageId(s)) {
-                set[e.idx() / 64] |= 1 << (e.idx() % 64);
-            }
-        }
-        let set = NodeSetRef::from_words(&crossing[i * ewps..(i + 1) * ewps], m);
-        cuts.push(set.iter().map(|e| edges[e].volume).sum());
+        (lo, hi) = (hi, hi + width);
+        std::mem::swap(layer, next);
     }
     Ok(cuts)
 }
@@ -623,6 +657,39 @@ mod tests {
         });
         assert!(matches!(stopped, Err("deadline")));
         assert_eq!(calls, 2, "the enumeration stops at the first error");
+    }
+
+    /// The linear cut pass equals `Spg::cut_volume` to the bit and keeps
+    /// two layers of crossing sets, not one per ideal: a long chain's
+    /// layers are one ideal wide, so its scratch stays a few sets however
+    /// many ideals the chain has, and a fork-join's stays within twice its
+    /// widest layer (with `Vec` growth slack).
+    #[test]
+    fn cut_pass_keeps_two_layers_of_crossing_sets() {
+        let n = 20_000;
+        let weights: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
+        let volumes: Vec<f64> = (0..n - 1).map(|i| 0.5 + (i % 7) as f64).collect();
+        let long_chain = chain(&weights, &volumes);
+        let branches: Vec<Spg> = (0..4).map(|_| uniform_chain(8)).collect();
+        let fork_join = parallel_many(&branches);
+        for (g, stride) in [(long_chain, 97), (fork_join, 1)] {
+            let lat = enumerate_ideals(&g, usize::MAX).unwrap();
+            let mut layers = Default::default();
+            let cuts = cut_volumes_layered(&g, &lat, || Ok::<(), ()>(()), &mut layers).unwrap();
+            assert_eq!(cuts.len(), lat.len());
+            for id in lat.ids().step_by(stride).chain([lat.full_id()]) {
+                let scan = g.cut_volume(lat.get(id));
+                assert_eq!(cuts[id.idx()].to_bits(), scan.to_bits(), "ideal {id:?}");
+            }
+            let mut widths = vec![0usize; g.n() + 1];
+            for set in lat.iter() {
+                widths[set.len()] += 1;
+            }
+            let widest = widths.into_iter().max().unwrap();
+            let words: usize = layers.iter().map(Vec::capacity).sum();
+            let bound = 4 * widest * g.n_edges().div_ceil(64);
+            assert!(words <= bound, "{words} scratch words, bound {bound}");
+        }
     }
 
     #[test]

@@ -4,10 +4,9 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use spg::ideal::{cut_volumes_polled, enumerate_ideals};
+use spg::ideal::{cut_volumes, enumerate_ideals};
 use spg::{chain, parallel_many, Spg};
 use spg_cmp::prelude::*;
-use std::convert::Infallible;
 
 /// Exact solve through the session API.
 fn exact_solve(g: &Spg, pf: &Platform, t: f64) -> Result<Solution, Failure> {
@@ -235,7 +234,7 @@ fn brute_force_uniline(g: &Spg, pf: &Platform, t: f64) -> Option<f64> {
             .iter()
             .map(|s| (0..g.n()).map(|i| s.contains(i)).collect())
             .collect(),
-        cuts: cut_volumes_polled(g, &lattice, || Ok::<(), Infallible>(())).unwrap(),
+        cuts: cut_volumes(g, &lattice),
         full: lattice.full_id().idx(),
     };
     assert_eq!(lattice.empty_id().idx(), 0);

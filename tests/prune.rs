@@ -24,7 +24,7 @@ use ea_core::solvers::Dpa1d;
 use ea_core::sweep::PeriodSweep;
 use ea_core::{BudgetPhase, Dpa1dConfig, Failure, Instance, Portfolio, SolveCtx, Solver};
 use spg::generate::families::{FamilyKind, FamilyParams, WorkloadSpec};
-use spg::ideal::{count_ideals, cut_volumes_polled, enumerate_ideals, ENUM_POLL_INTERVAL};
+use spg::ideal::{count_ideals, cut_volumes, enumerate_ideals, ENUM_POLL_INTERVAL};
 use spg::{streamit_workflow, Spg, STREAMIT_SPECS};
 
 const SEED: u64 = 2011;
@@ -263,7 +263,7 @@ fn linear_cut_volumes_equal_the_per_edge_scan() {
             continue;
         }
         let lattice = enumerate_ideals(&g, cap).unwrap();
-        let cuts = cut_volumes_polled(&g, &lattice, || Ok::<(), ()>(())).unwrap();
+        let cuts = cut_volumes(&g, &lattice);
         assert_eq!(cuts.len(), lattice.len(), "{name}");
         for (id, (set, cut)) in lattice.iter().zip(&cuts).enumerate() {
             let scan = g.cut_volume(set);
