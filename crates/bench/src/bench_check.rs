@@ -24,10 +24,11 @@
 //! optimisation), the loopback serve benchmark for `serve/...` names,
 //! the dominance-pruning benchmark for `prune/...` names (`DPA1D` decade
 //! sweeps; scan ratios, bound gaps and complete-transition counts gate),
-//! and
 //! the fault-injection remap campaign for `incremental/...` names
 //! (delta-patched re-solve vs cold rebuild; energies, regrets and the
-//! speedup-median gate bit gate).
+//! speedup-median gate bit gate), and the `DPA2D` nested-DP benchmark for
+//! `dpa2d/...` names (inner DPs, placements and column tables gate; cold
+//! solve walls advise).
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -361,6 +362,14 @@ pub fn compute_fresh_metrics(
         crate::incremental_xp::fresh_incremental_metrics(&campaigns, &mut fresh);
     }
 
+    // Source 8: the DPA2D nested-DP benchmark (dpa2d/... names). The
+    // DP's work counts gate; the cold solve walls advise.
+    if needed.iter().any(|m| m.name.starts_with("dpa2d/")) {
+        for (name, value, _) in crate::dpa2d_xp::dpa2d_bench(seed) {
+            fresh.insert(name, value);
+        }
+    }
+
     fresh
 }
 
@@ -429,6 +438,7 @@ pub fn default_bench_files(repo_root: &Path) -> Vec<std::path::PathBuf> {
         "BENCH_serve.json",
         "BENCH_prune.json",
         "BENCH_incremental.json",
+        "BENCH_dpa2d.json",
     ]
     .iter()
     .map(|f| repo_root.join(f))

@@ -16,6 +16,7 @@
 //! | Per-backend end-to-end smoke (CI gate) | [`topology_xp`] | `smoke` |
 //! | Synthetic-family campaign engine | [`campaign`] | `campaign` |
 //! | Dominance-pruning decade benchmark | [`prune_xp`] | `sweep --suite prune` |
+//! | `DPA2D` nested-DP work counts | [`dpa2d_xp`] | (example `dpa2d_bench`) |
 //! | Perf-regression gate vs `BENCH_*.json` | [`bench_check`] | `bench-check` |
 //!
 //! The period bound per workload follows §6.1.3 exactly ([`probe`]): start
@@ -31,6 +32,7 @@
 pub mod ablation;
 pub mod bench_check;
 pub mod campaign;
+pub mod dpa2d_xp;
 pub mod exact_xp;
 pub mod incremental_xp;
 pub mod pool_xp;

@@ -33,7 +33,7 @@ pub(crate) fn dpa2d1d_run(inst: &Instance, ctx: &SolveCtx) -> Result<Solution, F
     }
     let r = pf.n_cores() as u32;
     let virt = pf.reshaped(1, r);
-    let valloc = dpa2d_alloc(spg, &virt, period, ctx).0?;
+    let (valloc, _) = dpa2d_alloc(spg, &virt, period, ctx).0?;
     // Virtual core (0, j) becomes snake position j on the physical grid.
     let alloc: Vec<_> = valloc
         .into_iter()

@@ -32,8 +32,11 @@ pub const MAX_FRAME_BYTES: usize = 16 << 20;
 /// bounds the platform before anything is built.
 pub const MAX_CORES: u64 = 256;
 
-/// Largest stage count of a `"family"` workload. Generators allocate in
-/// proportion to `n` before any solver budget applies.
+/// Largest stage count of a `"family"` workload, and of an inline
+/// `"chain"`. Generators allocate in proportion to `n` before any solver
+/// budget applies, and `DPA1D`'s ideal lattice stores each ideal as an
+/// `n`-bit stage set: a chain of `n` stages has `n + 1` ideals, about
+/// `n²/8` bytes (2 MiB at the cap, ~450 MB at 59 999 stages).
 pub const MAX_FAMILY_N: u64 = 4096;
 
 /// Most grid values a `sweep` may carry. The whole grid runs as one
@@ -224,6 +227,12 @@ impl WorkloadReq {
         if let Some(c) = v.get("chain") {
             let weights = f64_array(c, "weights")?;
             let volumes = f64_array(c, "volumes")?;
+            if weights.len() as u64 > MAX_FAMILY_N {
+                return Err(format!(
+                    "chain workloads need at most {MAX_FAMILY_N} stages, got {}",
+                    weights.len()
+                ));
+            }
             if weights.is_empty() || volumes.len() + 1 != weights.len() {
                 return Err(format!(
                     "a chain of {} stages needs exactly {} volumes, got {}",
@@ -847,6 +856,23 @@ mod tests {
             let err = solve(&chain(n), "{}").unwrap_err();
             assert!(err.contains("n <= 4096"), "n = {n}: {err}");
         }
+    }
+
+    #[test]
+    fn inline_chains_are_bounded() {
+        let chain = |n: usize| {
+            let weights = vec!["1e6"; n].join(",");
+            let volumes = vec!["1e3"; n - 1].join(",");
+            parse(&format!(
+                r#"{{"op":"solve","workload":{{"chain":{{"weights":[{weights}],"volumes":[{volumes}]}}}},"period":1}}"#
+            ))
+        };
+        let Ok(Request::Solve(req)) = chain(MAX_FAMILY_N as usize) else {
+            panic!("a {MAX_FAMILY_N}-stage chain is accepted");
+        };
+        assert_eq!(req.workload.describe(), "chain:n4096");
+        let err = chain(MAX_FAMILY_N as usize + 1).unwrap_err();
+        assert!(err.contains("at most 4096 stages, got 4097"), "{err}");
     }
 
     #[test]

@@ -356,6 +356,20 @@ fn oversized_family_is_a_bad_request() {
     );
 }
 
+/// An inline chain one stage over `MAX_FAMILY_N`: `DPA1D`'s ideal lattice
+/// of a chain grows with the square of its length (~450 MB at 59 999
+/// stages, under the ideal cap).
+#[test]
+fn oversized_chain_is_a_bad_request() {
+    let n = ea_core::serve::protocol::MAX_FAMILY_N as usize + 1;
+    let weights = vec!["1e6"; n].join(",");
+    let volumes = vec!["1e3"; n - 1].join(",");
+    oversized_request_is_refused_and_the_daemon_keeps_serving(&format!(
+        r#"{{"op":"solve","workload":{{"chain":{{"weights":[{weights}],"volumes":[{volumes}]}}}},
+            "utilisation":0.5}}"#
+    ));
+}
+
 /// A sweep grid one value over `MAX_SWEEP_POINTS`: the whole grid runs as
 /// one wave, so an unbounded grid would hold every point's runs at once.
 #[test]
