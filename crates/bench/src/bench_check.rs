@@ -276,7 +276,7 @@ pub fn compute_fresh_metrics(
 
     // Source 3: the StreamIt decade sweep (sweep/... names) — both modes,
     // so the advisory wall/speedup drifts are reported alongside the
-    // gating energy and feasible-point metrics.
+    // gating energy, feasible-point and skeleton-count metrics.
     if needed.iter().any(|m| m.name.starts_with("sweep/")) {
         let sweeps = crate::sweep_xp::streamit_sweep_bench(seed);
         for s in &sweeps {
@@ -288,6 +288,14 @@ pub fn compute_fresh_metrics(
             if let Some(med) = median(s.energies.iter().flatten().copied().collect()) {
                 fresh.insert(format!("{prefix}/median_energy"), med);
             }
+            fresh.insert(
+                format!("{prefix}/skeleton_transitions"),
+                s.skeleton_transitions as f64,
+            );
+            fresh.insert(
+                format!("{prefix}/admitted_transitions"),
+                s.admitted_transitions as f64,
+            );
             fresh.insert(format!("{prefix}/amortized_wall"), s.amortized_wall_ms);
             fresh.insert(format!("{prefix}/naive_wall"), s.naive_wall_ms);
             fresh.insert(format!("{prefix}/speedup"), s.speedup());

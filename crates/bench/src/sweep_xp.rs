@@ -14,8 +14,9 @@
 //!   whole curve) and *naive* (a fresh instance per point, the pre-sweep
 //!   cost model). Per-point energies are asserted bit-identical; the wall
 //!   ratio is the headline number of `BENCH_sweep.json`, and the
-//!   deterministic energy/feasibility metrics are what `xp bench-check`
-//!   gates on.
+//!   deterministic energy/feasibility metrics and the skeleton counts
+//!   (transitions built, and transitions the admission prefixes handed
+//!   the relaxer over the whole curve) are what `xp bench-check` gates on.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -61,6 +62,13 @@ pub struct WorkflowSweep {
     pub amortized_wall_ms: f64,
     /// Median wall time of the naive sweep (fresh instance per point), ms.
     pub naive_wall_ms: f64,
+    /// Transitions in the skeleton the amortized sweep built (0 when it
+    /// built none: the lattice is over the ideal cap, or the build over
+    /// the edge cap and the sweep streamed).
+    pub skeleton_transitions: usize,
+    /// Transitions the skeleton's admission prefixes handed the relaxer,
+    /// summed over the points (0 without a skeleton).
+    pub admitted_transitions: usize,
 }
 
 impl WorkflowSweep {
@@ -118,6 +126,7 @@ pub fn streamit_sweep_bench(seed: u64) -> Vec<WorkflowSweep> {
             let mut amortized_walls = Vec::with_capacity(SWEEP_BENCH_SAMPLES);
             let mut energies: Vec<Option<f64>> = Vec::new();
             let mut periods: Vec<f64> = Vec::new();
+            let (mut skeleton_transitions, mut admitted_transitions) = (0, 0);
             for _ in 0..SWEEP_BENCH_SAMPLES {
                 // A fresh instance per sample: each sample pays the
                 // enumeration + skeleton build once, like a real sweep.
@@ -127,6 +136,10 @@ pub fn streamit_sweep_bench(seed: u64) -> Vec<WorkflowSweep> {
                 amortized_walls.push(started.elapsed().as_secs_f64() * 1e3);
                 energies = report.points.iter().map(|p| p.best_energy()).collect();
                 periods = report.points.iter().map(|p| p.period).collect();
+                if let Some(sk) = base.cached_skeleton() {
+                    skeleton_transitions = sk.n_transitions();
+                    admitted_transitions = periods.iter().map(|&t| sk.admitted(&pf, t)).sum();
+                }
             }
             let mut naive_walls = Vec::with_capacity(SWEEP_BENCH_SAMPLES);
             let mut naive_energies: Vec<Option<f64>> = Vec::new();
@@ -147,15 +160,17 @@ pub fn streamit_sweep_bench(seed: u64) -> Vec<WorkflowSweep> {
                 energies,
                 amortized_wall_ms: median(amortized_walls).unwrap_or(0.0),
                 naive_wall_ms: median(naive_walls).unwrap_or(0.0),
+                skeleton_transitions,
+                admitted_transitions,
             }
         })
         .collect()
 }
 
 /// The `BENCH_sweep.json` document. Deterministic metrics (`J` energies,
-/// feasible-point counts) gate in `bench-check`; wall times and the
-/// derived speedups are advisory (machine-dependent), like every other
-/// time metric.
+/// feasible-point and transition counts) gate in `bench-check`; wall
+/// times and the derived speedups are advisory (machine-dependent), like
+/// every other time metric.
 pub fn sweep_bench_json(sweeps: &[WorkflowSweep]) -> String {
     let mut entries = Vec::new();
     for s in sweeps {
@@ -170,6 +185,14 @@ pub fn sweep_bench_json(sweeps: &[WorkflowSweep]) -> String {
                 fmt_f64(med)
             ));
         }
+        entries.push(format!(
+            "    {{\"name\": \"{prefix}/skeleton_transitions\", \"value\": {}, \"unit\": \"count\"}}",
+            s.skeleton_transitions
+        ));
+        entries.push(format!(
+            "    {{\"name\": \"{prefix}/admitted_transitions\", \"value\": {}, \"unit\": \"count\"}}",
+            s.admitted_transitions
+        ));
         entries.push(format!(
             "    {{\"name\": \"{prefix}/amortized_wall\", \"value\": {}, \"unit\": \"ms\"}}",
             fmt_f64(s.amortized_wall_ms)
@@ -387,11 +410,17 @@ mod tests {
             energies: vec![Some(2.5), None],
             amortized_wall_ms: 1.0,
             naive_wall_ms: 4.0,
+            skeleton_transitions: 30,
+            admitted_transitions: 45,
         }];
         let doc = sweep_bench_json(&sweeps);
         let metrics = crate::bench_check::parse_bench_metrics(&doc).unwrap();
         let names: Vec<&str> = metrics.iter().map(|m| m.name.as_str()).collect();
         assert!(names.contains(&"sweep/Fake/median_energy"));
+        let count = |name: &str| metrics.iter().find(|m| m.name == name).unwrap();
+        assert_eq!(count("sweep/Fake/skeleton_transitions").value, 30.0);
+        assert_eq!(count("sweep/Fake/admitted_transitions").value, 45.0);
+        assert_eq!(count("sweep/Fake/admitted_transitions").unit, "count");
         assert!(names.contains(&"sweep/median_speedup"));
         let speedup = metrics
             .iter()

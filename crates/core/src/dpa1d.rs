@@ -23,10 +23,11 @@
 //! once over every source into a [`TransitionSkeleton`] serving the
 //! period, or it streams: it fills bounded slices at the period's
 //! thresholds while the relaxer drains the previous slice (see "Which
-//! producer runs" below). Both hand the relaxer the same transitions in
-//! the same order, so the choice changes time and memory, never the
-//! result. Sources are relaxed in ideal-id order (a topological order of
-//! the transition DAG), each by the same per-block routine: prune the
+//! producer runs" below). Both hand the relaxer the same transitions of
+//! each source, sources in the same order, so the choice changes time and
+//! memory, never the result (see "Why the order inside a block is free").
+//! Sources are relaxed in ideal-id order (a topological order of the
+//! transition DAG), each by the same per-block routine: prune the
 //! finalised DP row to its Pareto frontier, snapshot its window of
 //! cluster counts, relax every admitted out-transition. Backtracking the
 //! optimum yields at most `r` clusters, which are laid along the snake.
@@ -59,11 +60,16 @@
 //! its source cut fits the link (`cut ≤ BW·T`) and its cluster work fits
 //! the fastest speed (`w ≤ T·f_max`). So a period sweep does not need to
 //! re-walk the lattice per point: the [`TransitionSkeleton`] materialises
-//! the transition system once — complete, or bounded by the loosest period
-//! the session needs — and each sweep point runs a cheap admission pass
-//! (two compares and a speed lookup per transition) over its flat arrays.
-//! Only when no skeleton fits the edge cap does a point fall back to
-//! streaming, whose filler applies the same thresholds while it walks.
+//! the transitions the loosest period the session needs admits, once, and
+//! each tighter point runs an admission pass over its flat arrays. A build
+//! sorts every source block by `(work, destination id)`, so the pass
+//! admits a block's `partition_point(|w| w <= cap_work)` prefix after one
+//! compare on the source's cut: a skeleton built at a loose period serves
+//! a tight one at the cost of exactly the transitions the tight one
+//! admits. A streamed slice takes the same path: its filler already
+//! applied the period's work threshold, so every prefix is the whole
+//! block. Only when no skeleton fits the edge cap does a point fall back
+//! to streaming.
 //!
 //! ## Which producer runs
 //!
@@ -76,9 +82,9 @@
 //!   call) that serves the period is used;
 //! * on a session that declared reuse through
 //!   [`Instance::note_period_ceiling`] (period sweeps, every daemon solve,
-//!   incremental remaps), the first solve materialises the skeleton —
-//!   complete when it fits `edge_cap`, else bounded at the declared
-//!   ceiling — and relaxes from it;
+//!   incremental remaps), the first solve materialises the skeleton at
+//!   the larger of the declared ceiling and its own period — never more
+//!   than some period of the session admits — and relaxes from it;
 //! * otherwise — a one-shot solve on a fresh session, such as a campaign
 //!   op — it streams, and builds nothing.
 //!
@@ -100,14 +106,18 @@
 //! the relaxer (once per source block) poll the solve's deadline; a
 //! deadline failure is never cached on the session.
 //!
-//! The admission pass deliberately scans the skeleton in its original DFS
-//! order instead of pre-sorting transitions by critical period and slicing
-//! a prefix: the relaxation breaks energy ties by first arrival, so any
-//! reordering could pick a different (equal-DP-energy) parent chain whose
-//! *evaluated* energy differs in the last ulp. Scanning in order keeps
-//! every sweep point bit-identical to the streamed solve at that period,
-//! which is what the sweep equivalence tests pin; the filtered-out
-//! compares it wastes are noise next to the relaxation itself.
+//! ## Why the order inside a block is free
+//!
+//! A skeleton's blocks are sorted by work, a streamed block is in DFS
+//! order, and both give the same bits. Within one block every destination
+//! ideal is distinct (a source extends to each ideal at most once), and
+//! relaxing a transition writes only its destination's row, from the
+//! source's snapshot row. The per-row window bounds `klo`/`khi` are a min
+//! and a max, and the telemetry counters are sums. So no transition of a
+//! block reads what another wrote, and the result cannot depend on their
+//! order. The relaxation's first-arrival tie-break runs *across* sources
+//! (two sources reaching one destination slot at equal energy), and
+//! sources stay in id order on every path.
 //!
 //! On a platform with a single row (`p = 1`) this *is* Theorem 1's exact
 //! algorithm, which the test-suite cross-checks against a brute-force
@@ -174,19 +184,23 @@ struct SkeletonBlock {
     /// Hop energy entering the next cluster (period-independent:
     /// `8 · cut · E_bit`); 0 for the empty ideal.
     hop: f64,
-    /// Lightest cluster work in the block: `wmin > cap_work` skips the
-    /// whole block — the tight half of a decade sweep touches only a
-    /// fraction of the skeleton this way.
-    wmin: f64,
     range: std::ops::Range<u32>,
 }
 
 impl SkeletonBlock {
-    /// Whether any of this block's transitions can be admitted at the
-    /// given thresholds.
+    /// The transitions of this block admitted at `adm`'s thresholds, as a
+    /// range into the slice's arrays: none when the source's outgoing link
+    /// is overloaded, else the prefix of cluster works within `cap_work`.
+    /// A skeleton's blocks are sorted by work; a streamed block holds only
+    /// works within the threshold, so its prefix is the whole block.
     #[inline]
-    fn admissible(&self, adm: &Admission) -> bool {
-        (self.from.idx() == 0 || self.cut <= adm.bw_cap) && self.wmin <= adm.cap_work
+    fn admitted(&self, work: &[f64], adm: &Admission) -> std::ops::Range<usize> {
+        let (start, end) = (self.range.start as usize, self.range.end as usize);
+        let linked = self.from.idx() == 0 || self.cut <= adm.bw_cap;
+        if !linked {
+            return start..start;
+        }
+        start..start + work[start..end].partition_point(|&w| w <= adm.cap_work)
     }
 }
 
@@ -197,7 +211,8 @@ impl SkeletonBlock {
 #[derive(Default)]
 struct Slice {
     blocks: Vec<SkeletonBlock>,
-    /// Per-transition destination ideal (DFS order within each block).
+    /// Per-transition destination ideal (in DFS order within a streamed
+    /// block, sorted by `(work, destination id)` within a skeleton's).
     to: Vec<IdealId>,
     /// Per-transition cluster work (cycles) — the speed-admission and
     /// `Ecal` input.
@@ -217,52 +232,39 @@ impl Slice {
         self.max_stages = 0;
     }
 
-    /// The one block consumer: feeds every transition admitted at `adm`'s
-    /// thresholds to the relaxer, block by block in source-id order and in
-    /// DFS order within each block — so a skeleton and the streamed slices
-    /// of the same period hand the relaxer the identical sequence. Polls
-    /// `ctx`'s deadline once per source block.
+    /// The one block consumer: feeds each block's transitions admitted at
+    /// `adm`'s thresholds (see [`SkeletonBlock::admitted`]) to the
+    /// relaxer, block by block in source-id order — so a skeleton and the
+    /// streamed slices of the same period hand the relaxer the same
+    /// transitions of each source, in the same source order. Polls `ctx`'s
+    /// deadline once per source block.
     fn relax_into(&self, adm: &Admission, dp: &mut Relaxer, ctx: &SolveCtx) -> Result<(), Failure> {
         for b in &self.blocks {
             ctx.check_budget()?;
-            if !b.admissible(adm) {
-                continue;
+            let range = b.admitted(&self.work, adm);
+            if !range.is_empty() {
+                dp.relax_block(b.from, b.hop, &self.to[range.clone()], &self.work[range]);
             }
-            let range = b.range.start as usize..b.range.end as usize;
-            dp.relax_block(
-                b.from,
-                b.hop,
-                &self.to[range.clone()],
-                &self.work[range],
-                adm.cap_work,
-            );
         }
         Ok(())
     }
 
-    /// How many transitions the admission pass keeps at the period's
-    /// thresholds. Monotone in the period: loosening a threshold only
-    /// ever adds transitions.
-    #[cfg(test)]
+    /// How many transitions the block consumer hands the relaxer at the
+    /// period's thresholds. Monotone in the period: loosening a threshold
+    /// only ever adds transitions.
     fn admitted_count(&self, adm: &Admission) -> usize {
         self.blocks
             .iter()
-            .filter(|b| b.admissible(adm))
-            .map(|b| {
-                let range = b.range.start as usize..b.range.end as usize;
-                self.work[range]
-                    .iter()
-                    .filter(|&&w| w <= adm.cap_work)
-                    .count()
-            })
+            .map(|b| b.admitted(&self.work, adm).len())
             .sum()
     }
 }
 
 /// The one slice filler: the extension DFS walking source ideals in id
-/// order from a cursor. A source whose outgoing cut exceeds `bw_cap` is
-/// skipped (no period the fill serves can pass through it); every other
-/// source's extensions within the DFS's work threshold become one block.
+/// order from a cursor, at one period's thresholds. A source whose
+/// outgoing cut exceeds `bw_cap` is skipped (no period the fill serves can
+/// pass through it); every other source's extensions within the DFS's
+/// work threshold become one block, in DFS order.
 struct BlockProducer<'a> {
     dfs: ExtendCtx<'a>,
     pf: &'a Platform,
@@ -278,23 +280,18 @@ struct BlockProducer<'a> {
 }
 
 impl<'a> BlockProducer<'a> {
-    /// A producer at `adm`'s thresholds, or — with `None` — a complete one
-    /// that keeps every boundary and every cluster work.
+    /// A producer at `adm`'s thresholds.
     fn new(
         spg: &'a Spg,
         pf: &'a Platform,
         shared: &'a SharedLattice,
-        adm: Option<&Admission>,
+        adm: &Admission,
     ) -> BlockProducer<'a> {
         BlockProducer {
-            dfs: ExtendCtx::new(
-                spg,
-                &shared.lattice,
-                adm.map_or(f64::INFINITY, |a| a.cap_work),
-            ),
+            dfs: ExtendCtx::new(spg, &shared.lattice, adm.cap_work),
             pf,
             cuts: &shared.cuts,
-            bw_cap: adm.map_or(f64::INFINITY, |a| a.bw_cap),
+            bw_cap: adm.bw_cap,
             next: 0,
             reach: None,
         }
@@ -379,10 +376,6 @@ impl<'a> BlockProducer<'a> {
                     from,
                     cut,
                     hop: hop_energy(self.pf, from, cut),
-                    wmin: out.work[start as usize..end as usize]
-                        .iter()
-                        .copied()
-                        .fold(f64::INFINITY, f64::min),
                     range: start..end,
                 });
             }
@@ -392,13 +385,13 @@ impl<'a> BlockProducer<'a> {
 }
 
 /// The period-independent half of the `DPA1D` pipeline: every cluster
-/// transition of the lattice (work-uncapped, so it serves *every* period,
-/// or capped at a ceiling period's work threshold), in the per-source-block
-/// SoA layout the relaxation streams.
+/// transition of the lattice that a ceiling period admits, in the
+/// per-source-block SoA layout the relaxation streams, each block sorted
+/// by `(work, destination id)`.
 ///
 /// Built at most once per instance (see `Instance::transition_skeleton`)
 /// and shared across `with_period` re-targets — the enabling structure for
-/// period sweeps: per sweep point only the admission thresholds and `Ecal`
+/// period sweeps: per sweep point only the admission prefixes and `Ecal`
 /// change.
 pub struct TransitionSkeleton {
     // Summarised rather than dumped: a skeleton can hold a million
@@ -409,13 +402,11 @@ pub struct TransitionSkeleton {
     /// holds is below it, and a skeleton only serves a lattice of exactly
     /// this size.
     n_ideals: u32,
-    /// The loosest period this skeleton serves exactly: `INFINITY` for a
-    /// complete (work-uncapped) build, or the work-ceiling period of a
-    /// bounded build. Work strictly grows along every extension-DFS path,
-    /// so a build capped at the ceiling's work threshold contains *every*
-    /// transition any period `T ≤ ceiling` admits, in the same DFS order —
-    /// the admission pass at such a `T` is bit-identical to one over the
-    /// complete skeleton (and to the streamed slices at `T`).
+    /// The period the skeleton was built at, and the loosest it serves
+    /// exactly. Both admission thresholds are monotone in the period, so
+    /// the build holds *every* transition any period `T ≤ ceiling` admits,
+    /// and the admission pass at such a `T` hands the relaxer what the
+    /// streamed slices at `T` would (see the module docs).
     period_ceiling: f64,
 }
 
@@ -431,9 +422,10 @@ impl std::fmt::Debug for TransitionSkeleton {
 }
 
 impl TransitionSkeleton {
-    /// Number of transitions this skeleton stores: every nested ideal
-    /// pair for a complete build (see [`spg::ideal::count_ideal_pairs`]),
-    /// or the pairs within the work ceiling for a bounded one.
+    /// Number of transitions this skeleton stores: the nested ideal pairs
+    /// its ceiling period admits (every pair, see
+    /// [`spg::ideal::count_ideal_pairs`], once the ceiling admits every
+    /// cluster and every cut).
     pub fn n_transitions(&self) -> usize {
         self.slice.to.len()
     }
@@ -459,24 +451,32 @@ impl TransitionSkeleton {
         self.slice.max_stages
     }
 
-    /// The loosest period this skeleton serves exactly (`INFINITY` for a
-    /// complete build; see [`TransitionSkeleton::serves`]).
+    /// The loosest period this skeleton serves exactly (see
+    /// [`TransitionSkeleton::serves`]).
     pub fn period_ceiling(&self) -> f64 {
         self.period_ceiling
     }
 
-    /// Whether this is a complete (work-uncapped) build serving every
-    /// period, as opposed to a work-ceiling bounded build.
-    pub fn is_complete(&self) -> bool {
-        self.period_ceiling.is_infinite()
-    }
-
     /// Whether an admission pass at `period` over this skeleton is exact —
-    /// i.e. bit-identical to the streamed solve at that period. True for
-    /// every period of a complete build, and for `period ≤ ceiling` of a
-    /// bounded one.
+    /// i.e. bit-identical to the streamed solve at that period: true for
+    /// every `period ≤ ceiling`.
     pub fn serves(&self, period: f64) -> bool {
         period <= self.period_ceiling
+    }
+
+    /// Whether this skeleton should replace `other` in a cache: only when
+    /// its ceiling is strictly looser, since it then serves every period
+    /// `other` serves, and more.
+    pub(crate) fn supersedes(&self, other: &TransitionSkeleton) -> bool {
+        self.period_ceiling > other.period_ceiling
+    }
+
+    /// How many transitions the admission pass at `period` hands the
+    /// relaxer on platform `pf` (the one this skeleton was built for):
+    /// the sum of the admitted block prefixes. Meaningful for a period the
+    /// skeleton [`serves`](TransitionSkeleton::serves).
+    pub fn admitted(&self, pf: &Platform, period: f64) -> usize {
+        self.slice.admitted_count(&Admission::new(pf, period))
     }
 
     /// Serialises the skeleton into a self-contained little-endian byte
@@ -491,13 +491,12 @@ impl TransitionSkeleton {
             work,
             max_stages,
         } = &self.slice;
-        let mut out = Vec::with_capacity(64 + blocks.len() * 36 + to.len() * 12);
+        let mut out = Vec::with_capacity(64 + blocks.len() * 28 + to.len() * 12);
         wire::put_u64(&mut out, blocks.len() as u64);
         for b in blocks {
             wire::put_u32(&mut out, b.from.0);
             wire::put_f64(&mut out, b.cut);
             wire::put_f64(&mut out, b.hop);
-            wire::put_f64(&mut out, b.wmin);
             wire::put_u32(&mut out, b.range.start);
             wire::put_u32(&mut out, b.range.end);
         }
@@ -515,24 +514,25 @@ impl TransitionSkeleton {
     /// Decodes a byte image produced by [`TransitionSkeleton::to_bytes`],
     /// re-validating every index the relaxation later slices with (block
     /// ranges and ideal ids), so a corrupted spill file yields `Err`, never
-    /// an out-of-bounds panic mid-DP.
+    /// an out-of-bounds panic mid-DP. It also re-validates what the
+    /// admission prefixes rest on — each block's works non-decreasing, and
+    /// a finite ceiling — since a wrong prefix would silently drop
+    /// transitions.
     pub fn from_bytes(bytes: &[u8]) -> Result<TransitionSkeleton, String> {
         use spg::wire;
         let mut pos = 0usize;
-        let n_blocks = wire::get_len(bytes, &mut pos, 36)?;
+        let n_blocks = wire::get_len(bytes, &mut pos, 28)?;
         let mut blocks = Vec::with_capacity(n_blocks);
         for _ in 0..n_blocks {
             let from = IdealId(wire::get_u32(bytes, &mut pos)?);
             let cut = wire::get_f64(bytes, &mut pos)?;
             let hop = wire::get_f64(bytes, &mut pos)?;
-            let wmin = wire::get_f64(bytes, &mut pos)?;
             let start = wire::get_u32(bytes, &mut pos)?;
             let end = wire::get_u32(bytes, &mut pos)?;
             blocks.push(SkeletonBlock {
                 from,
                 cut,
                 hop,
-                wmin,
                 range: start..end,
             });
         }
@@ -564,6 +564,16 @@ impl TransitionSkeleton {
         if to.iter().any(|t| t.0 >= n_ideals) || blocks.iter().any(|b| b.from.0 >= n_ideals) {
             return Err("transition references an out-of-range ideal".into());
         }
+        let unsorted = |b: &SkeletonBlock| {
+            let range = b.range.start as usize..b.range.end as usize;
+            !work[range].is_sorted()
+        };
+        if blocks.iter().any(unsorted) {
+            return Err("a block's cluster works are not sorted".into());
+        }
+        if !period_ceiling.is_finite() {
+            return Err("the skeleton ceiling is not a finite period".into());
+        }
         Ok(TransitionSkeleton {
             slice: Slice {
                 blocks,
@@ -576,19 +586,15 @@ impl TransitionSkeleton {
         })
     }
 
-    /// Builds the transition system over a shared lattice up to a
-    /// work-ceiling period: complete at `period_ceiling = INFINITY`, and
-    /// otherwise exact for every period up to the ceiling (see
-    /// [`TransitionSkeleton::serves`]) and typically far smaller — the
-    /// escape hatch when the complete set is over the edge cap (e.g.
-    /// `BitonicSort`'s 4 171 861 complete transitions against the 1M
-    /// default cap). The inner result is the build's outcome: the
-    /// skeleton, or the materialise-phase budget payload with the
-    /// `edge_cap + 1` witness when the built set exceeds `edge_cap` (the
-    /// caller falls back to a tighter ceiling or to streaming).
-    /// The outer `Err` is `solve_ctx`'s deadline, polled once per source
-    /// ideal: it says nothing about the inputs, so callers must not cache
-    /// it.
+    /// Builds the transition system over a shared lattice at a finite
+    /// ceiling period: exact for every period up to the ceiling (see
+    /// [`TransitionSkeleton::serves`]) and no larger than what the ceiling
+    /// admits. The inner result is the build's outcome: the skeleton, or
+    /// the materialise-phase budget payload with the `edge_cap + 1`
+    /// witness when the built set exceeds `edge_cap` (the caller falls
+    /// back to a tighter ceiling or to streaming). The outer `Err` is
+    /// `solve_ctx`'s deadline, polled once per source ideal: it says
+    /// nothing about the inputs, so callers must not cache it.
     pub(crate) fn build(
         spg: &Spg,
         pf: &Platform,
@@ -598,25 +604,13 @@ impl TransitionSkeleton {
         solve_ctx: &SolveCtx,
     ) -> Result<BuildOutcome, Failure> {
         #[cfg(test)]
-        {
-            let counter = if period_ceiling.is_infinite() {
-                &COMPLETE_BUILDS
-            } else {
-                &BOUNDED_BUILDS
-            };
-            counter.with(|n| n.set(n.get() + 1));
-        }
-        // A bounded build applies the ceiling period's admission thresholds
-        // at materialisation time: both are monotone in the period, so
-        // everything a tighter period admits survives, in DFS order. A
-        // complete build keeps every boundary and every cluster (a cut
-        // infeasible at one period is feasible at a looser one; the
-        // admission pass applies both thresholds per period).
-        let ceiling_adm = period_ceiling
-            .is_finite()
-            .then(|| Admission::new(pf, period_ceiling));
+        BUILDS.with(|n| n.set(n.get() + 1));
+        // The build applies the ceiling period's admission thresholds at
+        // materialisation time: both are monotone in the period, so
+        // everything a tighter period admits survives.
         let mut slice = Slice::default();
-        let mut producer = BlockProducer::new(spg, pf, shared, ceiling_adm.as_ref());
+        let adm = Admission::new(pf, period_ceiling);
+        let mut producer = BlockProducer::new(spg, pf, shared, &adm);
         if !producer.fill(&mut slice, usize::MAX, edge_cap, solve_ctx)? {
             // Saturating, so a cap of `usize::MAX` cannot overflow.
             let witness = edge_cap.saturating_add(1);
@@ -626,11 +620,35 @@ impl TransitionSkeleton {
                 witness,
             )));
         }
+        sort_blocks_by_work(&mut slice);
         Ok(Ok(TransitionSkeleton {
             slice,
             n_ideals: shared.lattice.len() as u32,
             period_ceiling,
         }))
+    }
+}
+
+/// Sorts each block of `slice` by `(work, destination id)`, so every
+/// period's admitted transitions of a block are a prefix of it. The key is
+/// unique within a block (its destinations are distinct), so the order is
+/// fully determined.
+fn sort_blocks_by_work(slice: &mut Slice) {
+    let mut pairs: Vec<(f64, IdealId)> = Vec::new();
+    for b in &slice.blocks {
+        let range = b.range.start as usize..b.range.end as usize;
+        pairs.clear();
+        pairs.extend(
+            slice.work[range.clone()]
+                .iter()
+                .copied()
+                .zip(slice.to[range.clone()].iter().copied()),
+        );
+        pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        for (i, (w, t)) in range.zip(pairs.iter().copied()) {
+            slice.work[i] = w;
+            slice.to[i] = t;
+        }
     }
 }
 
@@ -646,13 +664,11 @@ pub(crate) type BuildOutcome = Result<TransitionSkeleton, Failure>;
 static PRODUCER_DEADLINES: std::sync::Mutex<Vec<std::time::Instant>> =
     std::sync::Mutex::new(Vec::new());
 
-// Complete and bounded skeleton builds started on this thread — the
-// witnesses that a solve streamed, or that a cache path refused a build
-// instead of running it.
+// Skeleton builds started on this thread — the witnesses that a solve
+// streamed, or that a cache path answered without a build.
 #[cfg(test)]
 thread_local! {
-    pub(crate) static COMPLETE_BUILDS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-    pub(crate) static BOUNDED_BUILDS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    pub(crate) static BUILDS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
 
 /// Hop energy paid on the uni-line link leaving boundary ideal `from`
@@ -759,10 +775,10 @@ fn solve_chain(
     let lattice = &shared.lattice;
     let adm = Admission::new(pf, period);
     let mut dp = Relaxer::new(spg, pf, period, lattice, cfg.frontier_cap);
-    // A bounded skeleton is only exact up to its ceiling, and a skeleton
-    // only indexes the lattice it was built over (the `Instance` cache
-    // hands out serving skeletons only; the check keeps a mismatched one
-    // from slicing out of range).
+    // A skeleton is only exact up to its ceiling, and it only indexes the
+    // lattice it was built over (the `Instance` cache hands out serving
+    // skeletons only; the check keeps a mismatched one from slicing out
+    // of range).
     match skeleton.filter(|sk| sk.serves(period) && sk.n_ideals as usize == lattice.len()) {
         Some(sk) => sk.slice.relax_into(&adm, &mut dp, ctx)?,
         None => stream_into(spg, pf, shared, &adm, &mut dp, ctx)?,
@@ -798,7 +814,7 @@ fn stream_into(
     dp: &mut Relaxer,
     ctx: &SolveCtx,
 ) -> Result<(), Failure> {
-    let mut producer = BlockProducer::new(spg, pf, shared, Some(adm)).feeding(dp);
+    let mut producer = BlockProducer::new(spg, pf, shared, adm).feeding(dp);
     let (mut ready, mut next) = (Slice::default(), Slice::default());
     producer.fill(&mut ready, SLICE_TRANSITIONS, usize::MAX, ctx)?;
     // The last slice has nothing to overlap with, so it is relaxed inline
@@ -1041,21 +1057,14 @@ impl Relaxer {
         }
     }
 
-    /// Relaxes one source block: the out-transitions of `from` (hop energy
-    /// `hop`) into `to` with cluster works `work`, in order, skipping those
-    /// heavier than `cap_work`. The row is pruned and snapshotted lazily,
-    /// at the first transition with a feasible speed, so a source with no
-    /// feasible extension at this period leaves its row and the telemetry
-    /// untouched; once the row turns out unable to extend, the rest of the
-    /// block is skipped. An unreachable source is skipped outright.
-    fn relax_block(
-        &mut self,
-        from: IdealId,
-        hop: f64,
-        to: &[IdealId],
-        work: &[f64],
-        cap_work: f64,
-    ) {
+    /// Relaxes one source block: the admitted out-transitions of `from`
+    /// (hop energy `hop`) into `to` with cluster works `work`. The row is
+    /// pruned and snapshotted lazily, at the first transition with a
+    /// feasible speed, so a source with no feasible extension at this
+    /// period leaves its row and the telemetry untouched; once the row
+    /// turns out unable to extend, the rest of the block is skipped. An
+    /// unreachable source is skipped outright.
+    fn relax_block(&mut self, from: IdealId, hop: f64, to: &[IdealId], work: &[f64]) {
         let f = from.idx();
         if self.state.klo[f] == u16::MAX {
             return;
@@ -1065,9 +1074,6 @@ impl Relaxer {
         let mut window: Option<(usize, usize)> = None;
         let mut kept = 0u64;
         for (&t, &w) in to.iter().zip(work) {
-            if w > cap_work {
-                continue;
-            }
             // The work threshold guarantees a feasible speed; be defensive
             // about rounding anyway and skip rather than panic.
             let Some(ecal) = self.ec.ecal(w) else {
@@ -1413,7 +1419,7 @@ mod tests {
         )
     }
 
-    /// A skeleton build at `ceiling` (∞ = complete) with no deadline.
+    /// A skeleton build at `ceiling` with no deadline.
     fn build(
         g: &Spg,
         pf: &Platform,
@@ -1549,7 +1555,7 @@ mod tests {
         let pf = Platform::paper(2, 2);
         let cfg = Dpa1dConfig::default();
         let shared = shared(&g);
-        let sk = build(&g, &pf, &shared, cfg.edge_cap, f64::INFINITY).unwrap();
+        let sk = build(&g, &pf, &shared, cfg.edge_cap, 10.0).unwrap();
         let mut prev = 0usize;
         for period in [0.01, 0.1, 1.0, 10.0] {
             let n = sk.slice.admitted_count(&Admission::new(&pf, period));
@@ -1578,42 +1584,47 @@ mod tests {
         assert!(stats.transitions_kept > 0);
     }
 
-    /// The skeleton builder itself respects the edge cap (complete-set
-    /// explosion falls back, it must not OOM or panic).
+    /// The skeleton builder itself respects the edge cap (a build over it
+    /// stops, it must not OOM or panic), and stores exactly what its
+    /// ceiling admits.
     #[test]
     fn skeleton_build_respects_edge_cap() {
         let g = chain(&[1e6; 30], &[1e3; 29]);
         let pf = Platform::paper(2, 2);
         let shared = shared(&g);
-        // A 30-chain has 31 ideals and C(31,2) = 465 transitions.
-        let sk = build(&g, &pf, &shared, 1_000_000, f64::INFINITY).unwrap();
+        // A 30-chain has 31 ideals and C(31,2) = 465 nested pairs; at 1 s
+        // every cluster and every cut fits, so the build holds them all.
+        let sk = build(&g, &pf, &shared, 1_000_000, 1.0).unwrap();
         assert_eq!(sk.n_transitions(), 465);
         assert!(sk.max_cluster_stages() >= 1);
-        assert!(sk.is_complete() && sk.serves(f64::MAX));
-        let err = build(&g, &pf, &shared, 100, f64::INFINITY).unwrap_err();
+        assert!(sk.serves(1.0) && !sk.serves(1.01));
+        let err = build(&g, &pf, &shared, 100, 1.0).unwrap_err();
         let b = err.budget_exceeded().unwrap();
         assert_eq!(b.phase, BudgetPhase::Materialise);
         assert_eq!(b.cap, 100);
-        // A work-ceiling bounded build materialises only the ceiling's
-        // admitted set — it fits the cap the complete build overflows.
-        // cap_work = 3e6 ⇒ clusters of ≤ 3 stages ⇒ 3·30 − 3 = 87 ≤ 100.
+        // A tighter ceiling materialises only its admitted set — it fits
+        // the cap the loose build overflows. cap_work = 3e6 ⇒ clusters of
+        // ≤ 3 stages ⇒ 3·30 − 3 = 87 ≤ 100.
         let ceiling = 0.003;
         let bounded = build(&g, &pf, &shared, 100, ceiling).unwrap();
-        assert!(!bounded.is_complete());
         assert!(bounded.serves(ceiling) && !bounded.serves(ceiling * 1.01));
-        assert!(bounded.n_transitions() < sk.n_transitions());
+        assert_eq!(bounded.n_transitions(), 87);
+        // The loose skeleton's prefixes at the tight ceiling hand the
+        // relaxer exactly the tight build's transitions.
+        assert_eq!(sk.admitted(&pf, ceiling), 87);
+        assert_eq!(bounded.admitted(&pf, ceiling), 87);
     }
 
     /// A bounded skeleton serves every period at or below its ceiling
-    /// bit-identically to the complete skeleton AND to the fresh
-    /// per-period DFS — results and telemetry both.
+    /// bit-identically to a looser skeleton AND to the fresh per-period
+    /// DFS — results and telemetry both.
     #[test]
     fn bounded_skeleton_matches_fresh_below_ceiling() {
         let g = fork_join();
         let pf = Platform::paper(2, 3);
         let cfg = Dpa1dConfig::default();
         let shared = shared(&g);
-        let complete = build(&g, &pf, &shared, cfg.edge_cap, f64::INFINITY).unwrap();
+        let complete = build(&g, &pf, &shared, cfg.edge_cap, 1e3).unwrap();
         let ceiling = 0.5;
         let bounded = build(&g, &pf, &shared, cfg.edge_cap, ceiling).unwrap();
         assert!(bounded.n_transitions() <= complete.n_transitions());
@@ -1644,12 +1655,9 @@ mod tests {
         }
     }
 
-    /// Complete and bounded skeleton builds this thread has started.
-    fn builds() -> (u32, u32) {
-        (
-            COMPLETE_BUILDS.with(|n| n.get()),
-            BOUNDED_BUILDS.with(|n| n.get()),
-        )
+    /// Skeleton builds this thread has started.
+    fn builds() -> u32 {
+        BUILDS.with(|n| n.get())
     }
 
     /// A session that declared reuse, as sweeps and the daemon do.
@@ -1682,19 +1690,20 @@ mod tests {
         };
         for g in [chain(&[0.5e9; 6], &[1e5; 5]), fork_join()] {
             for period in [1.0, 0.5] {
-                // Materialised: the complete build fits the default cap,
-                // runs once, and is cached.
+                // Materialised: the build at the period fits the default
+                // cap, runs once, and is cached.
                 let full_inst = declared(Instance::new(g.clone(), pf.clone(), period));
                 let before = builds();
                 let full = dpa1d_run(&full_inst, &Dpa1dConfig::default(), &SolveCtx::default());
-                assert_eq!(builds(), (before.0 + 1, before.1), "T={period}");
-                assert!(full_inst.cached_skeleton().is_some(), "T={period}");
-                // Streamed: the pair count refuses the complete build, the
-                // one bounded attempt overflows, and nothing is cached.
+                assert_eq!(builds(), before + 1, "T={period}");
+                let sk = full_inst.cached_skeleton().expect("the build is cached");
+                assert_eq!(sk.period_ceiling(), period);
+                // Streamed: the one build at the period overflows, and
+                // nothing is cached.
                 let streamed_inst = declared(Instance::new(g.clone(), pf.clone(), period));
                 let before = builds();
                 let streamed = dpa1d_run(&streamed_inst, &capped, &SolveCtx::default());
-                assert_eq!(builds(), (before.0, before.1 + 1), "T={period}");
+                assert_eq!(builds(), before + 1, "T={period}");
                 assert!(streamed_inst.serving_skeleton().is_none(), "T={period}");
                 assert!(full.is_ok(), "T={period}: {full:?}");
                 assert_eq!(outcome(&full), outcome(&streamed), "T={period}");
@@ -1773,7 +1782,7 @@ mod tests {
                 Err(Failure::TooExpensive(b)) => assert_eq!(b.phase, BudgetPhase::Deadline),
                 other => panic!("expected a deadline failure at {share}, got {other:?}"),
             }
-            assert!(inst.cached_any_skeleton().is_none(), "{share}");
+            assert!(inst.cached_skeleton().is_none(), "{share}");
             assert!(inst.skeleton_overflows().is_empty(), "{share}");
             let deadline = ctx.deadline.unwrap();
             tripped += PRODUCER_DEADLINES.lock().unwrap().contains(&deadline) as usize;
@@ -1802,17 +1811,15 @@ mod tests {
             Err(Failure::TooExpensive(b)) => assert_eq!(b.phase, BudgetPhase::Deadline),
             other => panic!("expected a deadline failure, got {other:?}"),
         }
-        assert_eq!(builds(), (before.0, before.1 + 1), "stopped in the build");
-        // The slot records only the pair count's refusal of the complete
-        // set: the deadline stopped the bounded build before it could
-        // overflow, and was not recorded.
-        assert_eq!(
-            inst.skeleton_overflows(),
-            [(cfg.edge_cap, f64::INFINITY)],
+        assert_eq!(builds(), before + 1, "stopped in the build");
+        // The slot records nothing: the deadline stopped the build before
+        // it could overflow, and was not recorded.
+        assert!(
+            inst.skeleton_overflows().is_empty(),
             "the build ran past the deadline or cached it"
         );
         let after = dpa1d_run(&inst, &cfg, &SolveCtx::default());
-        assert_eq!(builds(), (before.0, before.1 + 2), "the build is retried");
+        assert_eq!(builds(), before + 2, "the build is retried");
         let fresh = dpa1d_run(&bitonic_session(), &cfg, &SolveCtx::default());
         assert!(after.is_ok(), "{after:?}");
         assert_eq!(outcome(&after), outcome(&fresh));
@@ -1855,7 +1862,7 @@ mod tests {
                 let before = builds();
                 let streamed = pool.install(|| dpa1d_run(&fresh, &cfg, &SolveCtx::default()));
                 assert_eq!(builds(), before, "{at}: a one-shot solve built");
-                assert!(fresh.cached_any_skeleton().is_none(), "{at}");
+                assert!(fresh.cached_skeleton().is_none(), "{at}");
                 assert_eq!(outcome(&streamed), outcome(&reference), "{at}");
             }
         }
@@ -1894,7 +1901,6 @@ mod tests {
                     let one_shot = solver.solve(&fresh, &ctx);
                     assert_eq!(builds(), before, "{at}: a one-shot solve built");
                     assert!(fresh.cached_skeleton().is_none(), "{at}");
-                    assert!(fresh.cached_bounded_skeleton().is_none(), "{at}");
 
                     let reused = declared(Instance::for_utilisation(g.clone(), pf, u));
                     let before = builds();
@@ -1903,20 +1909,19 @@ mod tests {
                     assert_eq!(outcome(&one_shot), outcome(&first), "{at}");
                     let Some(sk) = reused.serving_skeleton() else {
                         // Either a stage misses the period alone and the
-                        // solve was rejected before DPA1D ran, or nothing
-                        // fits the edge cap: the pair count refused the
-                        // complete build unbuilt, the one bounded attempt
-                        // overflowed, and the session streamed.
+                        // solve was rejected before DPA1D ran, or the one
+                        // build at the period overflowed the edge cap and
+                        // the session streamed.
                         let expect = if reused.infeasible_stage().is_some() {
                             before
                         } else {
-                            (before.0, before.1 + 1)
+                            before + 1
                         };
                         assert_eq!(after, expect, "{at}");
                         continue;
                     };
-                    let built = (after.0 - before.0) + (after.1 - before.1);
-                    assert_eq!(built, 1, "{at}: one build serves the session");
+                    assert_eq!(after, before + 1, "{at}: one build serves the session");
+                    assert_eq!(sk.period_ceiling(), reused.period(), "{at}");
                     let tighter = reused.period() * 0.75;
                     assert!(sk.serves(tighter), "{at}");
                     let before = builds();
@@ -1946,18 +1951,109 @@ mod tests {
         one_shot_grid(true);
     }
 
+    /// Energy bits, cluster chain and telemetry of one `solve_chain`, or
+    /// its failure text.
+    type ChainOutcome = Result<(u64, Vec<Vec<StageId>>, PruneStats), String>;
+
+    /// [`solve_chain`] at `period` from `skeleton` (`None` streams), with
+    /// the chain priced along the snake as [`dpa1d_run`] prices it.
+    fn chain_outcome(
+        inst: &Instance,
+        shared: &SharedLattice,
+        skeleton: Option<&TransitionSkeleton>,
+    ) -> ChainOutcome {
+        let (g, pf, period) = (inst.spg(), inst.platform(), inst.period());
+        let cfg = Dpa1dConfig::default();
+        let (chain, prune) =
+            solve_chain(g, pf, period, &cfg, shared, skeleton, &SolveCtx::default())
+                .map_err(|e| e.to_string())?;
+        let table = inst.route_table(RoutePolicy::Snake);
+        let sol = build_snake_solution(g, pf, period, &chain, &table).map_err(|e| e.to_string())?;
+        Ok((sol.energy().to_bits(), chain, prune))
+    }
+
+    /// Utilisations of the served-grid test, loosest (lowest) first.
+    const SERVED_GRID: [f64; 4] = [0.2, 0.3, 0.5, 0.8];
+
+    /// One skeleton built at the loosest point of [`SERVED_GRID`] serves
+    /// every point: on 1- and 2-worker pools, each point's energy bits,
+    /// cluster chain and `PruneStats` equal the streamed solve at that
+    /// period, and the admission prefixes hand the relaxer fewer
+    /// transitions at every tighter point.
+    fn served_grid(flows: &[&str], sizes: &[u32], random: bool) {
+        let mut cases: Vec<(String, Spg)> = flows
+            .iter()
+            .map(|name| {
+                let spec = spg::STREAMIT_SPECS
+                    .iter()
+                    .find(|s| s.name == *name)
+                    .unwrap();
+                (name.to_string(), spg::streamit_workflow(spec, 0))
+            })
+            .collect();
+        if random {
+            cases.extend(campaign_random_spgs());
+        }
+        let cap = Dpa1dConfig::default().ideal_cap;
+        let mut checked = 0;
+        for (name, g) in &cases {
+            for &p in sizes {
+                let pf = Platform::paper(p, p);
+                let loosest = Instance::for_utilisation(g.clone(), pf.clone(), SERVED_GRID[0]);
+                let shared = loosest.lattice(cap).unwrap();
+                let sk = build(g, &pf, &shared, usize::MAX, loosest.period()).unwrap();
+                // The loosest point admits the whole skeleton, and each
+                // tighter one strictly less.
+                let admitted = SERVED_GRID.map(|u| sk.admitted(&pf, loosest.utilisation_period(u)));
+                assert_eq!(admitted[0], sk.n_transitions(), "{name} {p}x{p}");
+                assert!(
+                    admitted.windows(2).all(|a| a[0] > a[1]),
+                    "{name} {p}x{p}: {admitted:?}"
+                );
+                for u in SERVED_GRID {
+                    let inst = loosest.with_period(loosest.utilisation_period(u));
+                    let at = format!("{name} {p}x{p} u{u}");
+                    assert!(sk.serves(inst.period()), "{at}");
+                    for w in [1, 2] {
+                        let (served, streamed) = rayon::ThreadPool::new(w).install(|| {
+                            (
+                                chain_outcome(&inst, &shared, Some(&sk)),
+                                chain_outcome(&inst, &shared, None),
+                            )
+                        });
+                        assert_eq!(served, streamed, "{at} on {w} workers");
+                        checked += served.is_ok() as usize;
+                    }
+                }
+            }
+        }
+        assert!(checked > 0, "the grid must solve somewhere");
+    }
+
+    #[test]
+    fn a_loose_skeleton_serves_every_tighter_point() {
+        served_grid(&["DCT", "FFT", "MPEG2-noparser", "TDE"], &[4], true);
+    }
+
+    #[test]
+    #[ignore = "the heavy StreamIt flows; CI's perf gate runs them in release"]
+    fn a_loose_skeleton_serves_every_tighter_point_heavy() {
+        served_grid(&HEAVY_FLOWS, &[4, 6], false);
+    }
+
     /// A corrupted or mismatched skeleton image is rejected at decode
-    /// time, never sliced out of range mid-DP.
+    /// time, never sliced out of range mid-DP, and so is one whose
+    /// admission prefixes would drop transitions.
     #[test]
     fn skeleton_image_round_trips_and_rejects_bad_indices() {
         let g = fork_join();
         let pf = Platform::paper(2, 3);
-        let sk = build(&g, &pf, &shared(&g), 1_000_000, f64::INFINITY).unwrap();
+        let sk = build(&g, &pf, &shared(&g), 1_000_000, 10.0).unwrap();
         let image = sk.to_bytes();
-        // 12 bytes per transition, 36 per block, 40 of framing.
+        // 12 bytes per transition, 28 per block, 40 of framing.
         assert_eq!(
             image.len(),
-            40 + 36 * sk.n_blocks() + 12 * sk.n_transitions()
+            40 + 28 * sk.n_blocks() + 12 * sk.n_transitions()
         );
         assert_eq!(
             TransitionSkeleton::from_bytes(&image).unwrap().to_bytes(),
@@ -1970,13 +2066,36 @@ mod tests {
         assert!(TransitionSkeleton::from_bytes(&shrunk)
             .unwrap_err()
             .contains("out-of-range ideal"));
-        // The first block's range end sits at bytes 40..44.
+        // The first block's range end sits at bytes 32..36.
         let mut overrun = image.clone();
-        overrun[40..44].copy_from_slice(&u32::MAX.to_le_bytes());
+        overrun[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(TransitionSkeleton::from_bytes(&overrun)
             .unwrap_err()
             .contains("block range"));
         assert!(TransitionSkeleton::from_bytes(&image[..image.len() - 1]).is_err());
+        // The empty ideal's block holds every first cluster, lightest
+        // first; its two heaviest works swapped are out of order.
+        let first = &sk.slice.blocks[0];
+        assert_eq!(first.from, IdealId(0));
+        let last = first.range.end as usize - 1;
+        let works = &sk.slice.work;
+        assert!(works[last - 1] < works[last], "distinct heaviest works");
+        let work_at = image.len() - 16 - 8 * (works.len() - last);
+        let mut swapped = image.clone();
+        swapped[work_at - 8..work_at].copy_from_slice(&works[last].to_le_bytes());
+        swapped[work_at..work_at + 8].copy_from_slice(&works[last - 1].to_le_bytes());
+        assert!(TransitionSkeleton::from_bytes(&swapped)
+            .unwrap_err()
+            .contains("not sorted"));
+        // The ceiling is the last 8 bytes.
+        for ceiling in [f64::INFINITY, f64::NAN] {
+            let mut unbounded = image.clone();
+            let at = image.len() - 8;
+            unbounded[at..].copy_from_slice(&ceiling.to_le_bytes());
+            assert!(TransitionSkeleton::from_bytes(&unbounded)
+                .unwrap_err()
+                .contains("finite period"));
+        }
     }
 
     /// `frontier_cap` truncation returns a solution with a certified gap

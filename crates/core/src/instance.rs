@@ -12,18 +12,14 @@
 //!   is computed first, so an over-cap lattice is refused without being
 //!   enumerated;
 //! * `DPA1D`'s **transition skeleton** ([`TransitionSkeleton`]) — the
-//!   cluster-transition system over the lattice up to a work ceiling
-//!   (∞ for the complete set), which turns each period-sweep point at or
-//!   below the ceiling into a threshold-admission pass instead of a
-//!   lattice re-walk. One slot keyed by ceiling holds the loosest
-//!   skeleton built or seeded, plus the `(edge_cap, ceiling)` builds
-//!   known to overflow. Built only for a session that will reuse it (see
-//!   [`Instance::note_period_ceiling`]) or on an explicit request; a
-//!   one-shot `DPA1D` solve streams instead. For a series-parallel
-//!   workload the complete set's exact size
-//!   ([`spg::ideal::count_ideal_pairs`]) is computed first, so a complete
-//!   build over the edge cap is refused without being walked and the
-//!   session goes straight to a bounded build or the streaming DP;
+//!   cluster-transition system over the lattice up to a ceiling period,
+//!   which turns each period-sweep point at or below the ceiling into a
+//!   prefix-admission pass instead of a lattice re-walk. One slot keyed by
+//!   ceiling holds the loosest skeleton built or seeded, plus the
+//!   `(edge_cap, ceiling)` builds known to overflow. Built only for a
+//!   session that will reuse it (see [`Instance::note_period_ceiling`])
+//!   or on an explicit request, and then only at the loosest period the
+//!   session needs; a one-shot `DPA1D` solve streams instead;
 //! * the **snake order** of the grid (used by `DPA1D` and `DPA2D1D`);
 //! * the **topological stage order** (used by the exact solver);
 //! * the per-stage **speed-feasibility table** (the slowest speed able to
@@ -41,8 +37,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use cmp_mapping::{evaluate_with, Evaluation, Mapping, MappingError};
 use cmp_platform::{snake_core, CoreId, Fault, Platform, RoutePolicy, RouteTable};
 use spg::ideal::{
-    count_ideal_pairs, count_ideals, cut_volumes, cut_volumes_polled, enumerate_ideals_polled,
-    IdealError, IdealLattice,
+    count_ideals, cut_volumes, cut_volumes_polled, enumerate_ideals_polled, IdealError,
+    IdealLattice,
 };
 use spg::{Edit, Spg, StageId};
 
@@ -107,21 +103,18 @@ impl SharedLattice {
 /// enumerations of non-SP graphs, which have no exact count, can fail).
 type LatticeSlot = Mutex<Option<(usize, Result<Arc<SharedLattice>, IdealError>)>>;
 
-/// Cached `DPA1D` transition-skeleton state: one slot keyed by work
-/// ceiling (see [`TransitionSkeleton::period_ceiling`]; a complete build
-/// is the ceiling-∞ case).
+/// Cached `DPA1D` transition-skeleton state: one slot keyed by ceiling
+/// period (see [`TransitionSkeleton::period_ceiling`]).
 ///
 /// It holds at most one built artifact — the loosest ceiling built or
 /// seeded so far, which serves every period at or below it and any edge
-/// cap (per-period admission enforces the cap on the admitted count, not
-/// on the index size) — plus the non-dominated build overflows, keyed by
-/// the edge cap and the ceiling they were attempted at. Builds are
-/// monotone in both, so an overflow at `(cap, ceiling)` proves one at every
+/// cap (the edge cap bounds what a build stores, not what a period
+/// admits) — plus the non-dominated build overflows, keyed by the edge
+/// cap and the ceiling they were attempted at. Builds are monotone in
+/// both, so an overflow at `(cap, ceiling)` proves one at every
 /// `cap' ≤ cap` and `ceiling' ≥ ceiling`, and nothing about tighter
 /// ceilings: a tighter sweep point retries (and may succeed) after a
-/// looser point's build overflowed. A complete overflow is `(cap, ∞)`;
-/// for a series-parallel workload it is recorded off the exact pair count,
-/// without building.
+/// looser point's build overflowed.
 #[derive(Default, Clone)]
 struct SkeletonCache {
     built: Option<Arc<TransitionSkeleton>>,
@@ -134,13 +127,10 @@ impl SkeletonCache {
         self.built.as_ref().filter(|sk| sk.serves(period)).cloned()
     }
 
-    /// Keeps `sk` when its ceiling is strictly looser than the cached one's.
+    /// Keeps `sk` when it supersedes the cached one (a strictly looser
+    /// ceiling).
     fn keep(&mut self, sk: &Arc<TransitionSkeleton>) {
-        if self
-            .built
-            .as_ref()
-            .is_none_or(|b| sk.period_ceiling() > b.period_ceiling())
-        {
+        if self.built.as_ref().is_none_or(|b| sk.supersedes(b)) {
             self.built = Some(Arc::clone(sk));
         }
     }
@@ -170,10 +160,6 @@ struct Derived {
     /// The exact ideal count ([`count_ideals`]; `None` for a non-SP
     /// graph). Structure-only, so every re-target, fault and edit keeps it.
     ideal_count: OnceLock<Option<u128>>,
-    /// The exact nested-pair count, i.e. the complete skeleton's size
-    /// ([`count_ideal_pairs`]; `None` for a non-SP graph). Structure-only,
-    /// like `ideal_count`.
-    pair_count: OnceLock<Option<u128>>,
     skeleton: Mutex<SkeletonCache>,
     /// The loosest period a caller declared this session family will be
     /// solved at again (see [`Instance::note_period_ceiling`]): bounded
@@ -313,17 +299,6 @@ impl Instance {
             .get_or_init(|| count_ideals(&self.spg))
     }
 
-    /// The exact number of nested ideal pairs `I ⊊ J` — the size of the
-    /// complete transition skeleton — computed once per session family
-    /// (`None` when the graph is not series-parallel). See
-    /// [`count_ideal_pairs`].
-    fn pair_count(&self) -> Option<u128> {
-        *self
-            .derived
-            .pair_count
-            .get_or_init(|| count_ideal_pairs(&self.spg))
-    }
-
     /// The interned ideal lattice (plus cut volumes), enumerated under
     /// `cap`. Cached: a previous successful enumeration is reused whenever
     /// it fits the requested cap. Otherwise the exact ideal count
@@ -387,12 +362,12 @@ impl Instance {
         Ok(res)
     }
 
-    /// The period-independent `DPA1D` transition skeleton for this
-    /// instance (see [`TransitionSkeleton`]): the cluster transition system
-    /// over the interned lattice, built at most once per ceiling and shared
-    /// across [`Instance::with_period`] re-targets — each sweep point then
-    /// pays only the threshold-admission pass and the per-period `Ecal`
-    /// lookups instead of re-walking the lattice.
+    /// The `DPA1D` transition skeleton for this instance (see
+    /// [`TransitionSkeleton`]): the cluster transition system over the
+    /// interned lattice up to a ceiling period, built at most once per
+    /// ceiling and shared across [`Instance::with_period`] re-targets —
+    /// each tighter sweep point then pays only the prefix-admission pass
+    /// and the per-period `Ecal` lookups instead of re-walking the lattice.
     ///
     /// An explicit call always materialises (or answers from the cache).
     /// `DPA1D` itself reaches this only on a session that declared reuse
@@ -400,15 +375,13 @@ impl Instance {
     /// instead, and leaves the skeleton slot as it found it.
     ///
     /// A cached or seeded skeleton that serves the period answers at once.
-    /// Otherwise the candidate ceilings run loosest first: ∞ (the complete
-    /// set), then the loosest period the session is known to need (the
-    /// declared sweep ceiling, or the period itself), then the period. A
+    /// Otherwise the build is bounded at the loosest period the session is
+    /// known to need — the larger of the declared ceiling and the period —
+    /// and, when that overflows `cfg.edge_cap`, at the period itself. No
+    /// build ever holds a transition no period of the session admits. A
     /// candidate is skipped when a recorded overflow already proves it
-    /// overflows `cfg.edge_cap`; at ∞ the exact pair count
-    /// ([`count_ideal_pairs`], computed once per session family) decides
-    /// for a series-parallel workload, recording an overflow without
-    /// walking anything. Only a non-SP workload, which has no count, runs
-    /// the capped complete build to find out.
+    /// overflows `cfg.edge_cap`, and so is a non-finite one (a skeleton's
+    /// ceiling is always a finite period).
     ///
     /// Returns:
     ///
@@ -444,29 +417,21 @@ impl Instance {
             return Ok(Some(sk));
         }
         let cap = cfg.edge_cap;
-        for ceiling in [f64::INFINITY, hint.max(self.period), self.period] {
+        for ceiling in [hint.max(self.period), self.period] {
             // Also skips a candidate equal to one that just overflowed.
-            if slot.proves_overflow(cap, ceiling) {
+            if !ceiling.is_finite() || slot.proves_overflow(cap, ceiling) {
                 continue;
             }
-            let counted_over =
-                ceiling.is_infinite() && self.pair_count().is_some_and(|pairs| pairs > cap as u128);
-            if !counted_over {
-                let built = TransitionSkeleton::build(
-                    self.spg(),
-                    self.platform(),
-                    &shared,
-                    cap,
-                    ceiling,
-                    ctx,
-                )?;
-                if let Ok(sk) = built {
+            let built =
+                TransitionSkeleton::build(self.spg(), self.platform(), &shared, cap, ceiling, ctx)?;
+            match built {
+                Ok(sk) => {
                     let sk = Arc::new(sk);
                     slot.keep(&sk);
                     return Ok(Some(sk));
                 }
+                Err(_) => slot.record_overflow(cap, ceiling),
             }
-            slot.record_overflow(cap, ceiling);
         }
         Ok(None)
     }
@@ -484,12 +449,12 @@ impl Instance {
     ///   streams the period's transitions straight into the DP — a
     ///   skeleton it would use once costs more to build than to stream.
     /// * **Declared**: the first `DPA1D` solve materialises the skeleton
-    ///   as [`Instance::transition_skeleton`] does — at ceiling ∞ (complete)
-    ///   when it fits the edge cap, else at the loosest declared period, so
-    ///   one build serves every tighter point exactly (see
-    ///   [`TransitionSkeleton::serves`]) — and caches it in the session's
-    ///   one skeleton slot for the later solves, and for the `serve`
-    ///   daemon to harvest under its ceiling.
+    ///   as [`Instance::transition_skeleton`] does — bounded at the larger
+    ///   of the declared period and its own, so one build serves every
+    ///   tighter point exactly (see [`TransitionSkeleton::serves`]) and
+    ///   holds nothing a looser period would add — and caches it in the
+    ///   session's one skeleton slot for the later solves, and for the
+    ///   `serve` daemon to harvest.
     ///
     /// Both producers return the same energies and telemetry to the bit;
     /// the declaration decides only what is built and stored. Period
@@ -562,21 +527,15 @@ impl Instance {
 
     /// Peeks at the cached transition skeleton without building it: the
     /// loosest one built or seeded on this session, whatever its ceiling.
-    /// The `serve` artifact cache harvests it under that ceiling.
-    pub(crate) fn cached_any_skeleton(&self) -> Option<Arc<TransitionSkeleton>> {
+    /// The `serve` artifact cache harvests it.
+    pub fn cached_skeleton(&self) -> Option<Arc<TransitionSkeleton>> {
         self.derived.skeleton.lock().unwrap().built.clone()
     }
 
-    /// Peeks at the cached skeleton without building it, if it is
-    /// complete.
-    pub fn cached_skeleton(&self) -> Option<Arc<TransitionSkeleton>> {
-        self.cached_any_skeleton().filter(|sk| sk.is_complete())
-    }
-
-    /// Peeks at the cached skeleton without building it, if it is a
-    /// work-ceiling bounded build.
+    /// [`Instance::cached_skeleton`]: every skeleton is bounded at a
+    /// finite ceiling period, so the cached one is a bounded build.
     pub fn cached_bounded_skeleton(&self) -> Option<Arc<TransitionSkeleton>> {
-        self.cached_any_skeleton().filter(|sk| !sk.is_complete())
+        self.cached_skeleton()
     }
 
     /// The `(edge_cap, ceiling)` skeleton build overflows recorded on this
@@ -606,9 +565,8 @@ impl Instance {
 
     /// Seeds the skeleton cache (see [`Instance::seed_lattice`]): the
     /// artifact replaces the cached one when its ceiling is strictly
-    /// looser (a complete one beats any bounded one), and is dropped
-    /// otherwise. A cached skeleton serves any edge cap, so no cap is
-    /// recorded.
+    /// looser, and is dropped otherwise. A cached skeleton serves any edge
+    /// cap, so no cap is recorded.
     pub fn seed_skeleton(&self, skeleton: Arc<TransitionSkeleton>) {
         self.derived.skeleton.lock().unwrap().keep(&skeleton);
     }
@@ -722,7 +680,6 @@ impl Instance {
         let derived = Derived {
             lattice: Mutex::new(self.derived.lattice.lock().unwrap().clone()),
             ideal_count: self.derived.ideal_count.clone(),
-            pair_count: self.derived.pair_count.clone(),
             skeleton: Mutex::new(self.derived.skeleton.lock().unwrap().clone()),
             sweep_ceiling: Mutex::new(*self.derived.sweep_ceiling.lock().unwrap()),
             snake: self.derived.snake.clone(),
@@ -786,7 +743,6 @@ impl Instance {
         let derived = Derived {
             lattice: Mutex::new(lattice),
             ideal_count: self.derived.ideal_count.clone(),
-            pair_count: self.derived.pair_count.clone(),
             // Skeleton blocks embed value-derived work sums and admission
             // thresholds: rebuilt lazily from the reused lattice.
             skeleton: Mutex::default(),
@@ -876,9 +832,8 @@ mod tests {
             })
         ));
         assert!(inst.cached_lattice().is_none());
-        assert_eq!(inst.pair_count(), Some(u128::MAX));
-        // The counts are structure-only: every derived session inherits
-        // them without recounting.
+        // The count is structure-only: every derived session inherits it
+        // without recounting.
         let fault = cmp_platform::Fault::Core(CoreId { u: 1, v: 1 });
         let edit = spg::Edit::Retune {
             stage: StageId(1),
@@ -890,99 +845,110 @@ mod tests {
             inst.with_edit(&edit),
         ] {
             assert_eq!(derived.derived.ideal_count.get(), Some(&Some(u128::MAX)));
-            assert_eq!(derived.derived.pair_count.get(), Some(&Some(u128::MAX)));
         }
     }
 
-    /// Complete skeleton builds this thread has started so far.
-    fn complete_builds() -> u32 {
-        crate::dpa1d::COMPLETE_BUILDS.with(|n| n.get())
+    /// Skeleton builds this thread has started so far.
+    fn builds() -> u32 {
+        crate::dpa1d::BUILDS.with(|n| n.get())
     }
 
-    /// Bounded skeleton builds this thread has started so far.
-    fn bounded_builds() -> u32 {
-        crate::dpa1d::BOUNDED_BUILDS.with(|n| n.get())
+    /// The 30-stage chain the skeleton-slot tests share: 31 ideals and
+    /// 465 nested pairs. At period `T` every cluster of at most `T / 1 ms`
+    /// stages fits, so a build at 2 ms holds 30 + 29 = 59 transitions, one
+    /// at 3 ms holds 87, and one at 30 ms or more all 465.
+    fn chain30() -> Spg {
+        chain(&[1e6; 30], &[1e3; 29])
+    }
+
+    /// An edge cap between the 3 ms build (87) and the complete set.
+    fn cap100() -> crate::dpa1d::Dpa1dConfig {
+        crate::dpa1d::Dpa1dConfig {
+            edge_cap: 100,
+            ..Default::default()
+        }
     }
 
     #[test]
     fn seeded_bounded_skeleton_serves_without_a_doomed_complete_build() {
-        // 30-chain: 465 nested ideal pairs, over an edge cap of 100.
-        let g = chain(&[1e6; 30], &[1e3; 29]);
-        let cfg = crate::dpa1d::Dpa1dConfig {
-            edge_cap: 100,
-            ..Default::default()
-        };
-        let donor = Instance::new(g.clone(), Platform::paper(2, 2), 0.002);
+        let cfg = cap100();
+        let donor = Instance::new(chain30(), Platform::paper(2, 2), 0.002);
         let sk = donor.transition_skeleton(&cfg).unwrap().unwrap();
-        assert!(!sk.is_complete());
+        assert_eq!((sk.period_ceiling(), sk.n_transitions()), (0.002, 59));
         // The daemon's warm path: a fresh session seeded with the bounded
         // artifact and nothing else in its skeleton slot.
-        let warm = Instance::new(g, Platform::paper(2, 2), 0.002);
+        let warm = Instance::new(chain30(), Platform::paper(2, 2), 0.002);
         warm.seed_lattice(donor.cached_lattice().unwrap());
         warm.seed_skeleton(Arc::clone(&sk));
-        let before = complete_builds();
+        let before = builds();
         let served = warm.transition_skeleton(&cfg).unwrap().unwrap();
         assert!(Arc::ptr_eq(&served, &sk), "the seeded artifact serves");
-        assert_eq!(complete_builds(), before, "the slot serves first");
-        assert_eq!(warm.derived.pair_count.get(), None, "nothing was counted");
-        // A period above the seed's ceiling: the count refuses the complete
-        // build, recorded like a build overflow at this cap, and a bounded
-        // build at the new period (87 transitions) fits.
+        assert_eq!(builds(), before, "the slot serves first");
+        // A period above the seed's ceiling: one build, at that period,
+        // which fits and replaces the seed. Nothing looser is tried.
         let looser = warm.with_period(0.003).transition_skeleton(&cfg).unwrap();
-        assert!(looser.is_some_and(|b| b.serves(0.003)));
-        assert_eq!(complete_builds(), before, "the count refuses the build");
-        assert_eq!(warm.derived.pair_count.get(), Some(&Some(465)));
-        assert_eq!(warm.skeleton_overflows(), [(100, f64::INFINITY)]);
+        let looser = looser.expect("the 3 ms build fits the cap");
+        assert_eq!(
+            (looser.period_ceiling(), looser.n_transitions()),
+            (0.003, 87)
+        );
+        assert_eq!(builds(), before + 1);
+        assert!(warm.skeleton_overflows().is_empty());
+        assert!(Arc::ptr_eq(&warm.cached_skeleton().unwrap(), &looser));
     }
 
     #[test]
     fn a_complete_seed_replaces_a_bounded_skeleton_and_not_the_reverse() {
-        let g = chain(&[1e6; 30], &[1e3; 29]);
-        let capped = crate::dpa1d::Dpa1dConfig {
-            edge_cap: 100,
-            ..Default::default()
-        };
-        let inst = Instance::new(g.clone(), Platform::paper(2, 2), 0.003);
-        let bounded = inst.transition_skeleton(&capped).unwrap().unwrap();
-        assert!(!bounded.is_complete());
-        let complete = Instance::new(g, Platform::paper(2, 2), 0.003)
+        let inst = Instance::new(chain30(), Platform::paper(2, 2), 0.003);
+        let bounded = inst.transition_skeleton(&cap100()).unwrap().unwrap();
+        assert_eq!(bounded.n_transitions(), 87);
+        // A seed built at 1 s holds every nested pair.
+        let complete = Instance::new(chain30(), Platform::paper(2, 2), 1.0)
             .transition_skeleton(&crate::dpa1d::Dpa1dConfig::default())
             .unwrap()
             .unwrap();
-        assert!(complete.is_complete());
-        // The complete seed is looser, so it replaces the bounded build...
+        assert_eq!(
+            (complete.period_ceiling(), complete.n_transitions()),
+            (1.0, 465)
+        );
+        // Its ceiling is looser, so it replaces the bounded build...
         inst.seed_skeleton(Arc::clone(&complete));
         assert!(Arc::ptr_eq(&inst.cached_skeleton().unwrap(), &complete));
-        assert!(inst.cached_bounded_skeleton().is_none());
         // ...and serves a period above the old ceiling with no build.
-        let before = (complete_builds(), bounded_builds());
+        let before = builds();
         let served = inst
             .with_period(0.03)
-            .transition_skeleton(&capped)
+            .transition_skeleton(&cap100())
             .unwrap()
             .unwrap();
         assert!(Arc::ptr_eq(&served, &complete));
-        assert_eq!((complete_builds(), bounded_builds()), before);
-        // A bounded seed over a complete skeleton is a no-op.
+        assert_eq!(builds(), before);
+        // A tighter seed over a looser skeleton is a no-op.
         inst.seed_skeleton(bounded);
         assert!(Arc::ptr_eq(&inst.cached_skeleton().unwrap(), &complete));
-        assert!(inst.cached_bounded_skeleton().is_none());
     }
 
     #[test]
     fn complete_build_under_the_cap_stores_every_counted_pair() {
         let branches: Vec<Spg> = (0..3).map(|_| chain(&[1e6; 4], &[1e3; 3])).collect();
-        let inst = Instance::new(spg::parallel_many(&branches), Platform::paper(2, 2), 1.0);
-        let pairs = count_ideal_pairs(inst.spg()).unwrap();
-        let cfg = crate::dpa1d::Dpa1dConfig {
-            edge_cap: pairs as usize,
+        let g = spg::parallel_many(&branches);
+        let pairs = spg::ideal::count_ideal_pairs(&g).unwrap() as usize;
+        let cap = |edge_cap| crate::dpa1d::Dpa1dConfig {
+            edge_cap,
             ..Default::default()
         };
-        let before = complete_builds();
-        let sk = inst.transition_skeleton(&cfg).unwrap().unwrap();
-        assert_eq!(complete_builds(), before + 1);
-        assert!(sk.is_complete());
-        assert_eq!(sk.n_transitions() as u128, pairs);
+        // At 1 s every cluster and every cut fits: the build at the period
+        // stores exactly the counted pairs, at exactly that cap.
+        let inst = Instance::new(g.clone(), Platform::paper(2, 2), 1.0);
+        let before = builds();
+        let sk = inst.transition_skeleton(&cap(pairs)).unwrap().unwrap();
+        assert_eq!(builds(), before + 1);
+        assert_eq!((sk.period_ceiling(), sk.n_transitions()), (1.0, pairs));
+        // One below it, the one build overflows and the session streams.
+        let over = Instance::new(g, Platform::paper(2, 2), 1.0);
+        assert!(over.transition_skeleton(&cap(pairs - 1)).unwrap().is_none());
+        assert_eq!(builds(), before + 2);
+        assert_eq!(over.skeleton_overflows(), [(pairs - 1, 1.0)]);
     }
 
     /// A non-series-parallel workload: the "N" (a->c, a->d, b->d) stops
@@ -1007,13 +973,13 @@ mod tests {
             ..Default::default()
         };
         let inst = Instance::new(non_sp_workload(), Platform::paper(2, 2), 1e-3);
-        let before = complete_builds();
-        let _ = inst.transition_skeleton(&cfg).unwrap();
-        assert_eq!(complete_builds(), before + 1, "no count: the build runs");
-        assert_eq!(inst.derived.pair_count.get(), Some(&None));
+        let before = builds();
+        assert!(inst.transition_skeleton(&cfg).unwrap().is_none());
+        assert_eq!(builds(), before + 1, "the build at the period runs");
+        assert_eq!(inst.skeleton_overflows(), [(3, 1e-3)]);
         // Its cap-keyed failure answers the same cap without rebuilding.
-        let _ = inst.transition_skeleton(&cfg).unwrap();
-        assert_eq!(complete_builds(), before + 1);
+        assert!(inst.transition_skeleton(&cfg).unwrap().is_none());
+        assert_eq!(builds(), before + 1);
     }
 
     #[test]
@@ -1032,7 +998,7 @@ mod tests {
         assert!(tight.transition_skeleton(&cap(2)).unwrap().is_none());
         assert_eq!(loose.skeleton_overflows(), [(5, 1.0), (2, 1e-3)]);
         // Each record answers its own region without a build.
-        let before = (complete_builds(), bounded_builds());
+        let before = builds();
         assert!(loose.transition_skeleton(&cap(5)).unwrap().is_none());
         assert!(loose.transition_skeleton(&cap(4)).unwrap().is_none());
         assert!(tight.transition_skeleton(&cap(2)).unwrap().is_none());
@@ -1041,7 +1007,7 @@ mod tests {
             .transition_skeleton(&cap(1))
             .unwrap()
             .is_none());
-        assert_eq!((complete_builds(), bounded_builds()), before);
+        assert_eq!(builds(), before);
     }
 
     #[test]
@@ -1123,22 +1089,17 @@ mod tests {
 
     #[test]
     fn bounded_fallback_after_complete_overflow() {
-        // 30-chain: the complete set (465 transitions) overflows an edge
-        // cap of 100, but the bounded build at the session period fits —
-        // the cache must fall through to it instead of giving up.
-        let g = chain(&[1e6; 30], &[1e3; 29]);
-        let cfg = crate::dpa1d::Dpa1dConfig {
-            edge_cap: 100,
-            ..Default::default()
-        };
-        let inst = Instance::new(g, Platform::paper(2, 2), 0.003);
+        // A declared ceiling of 30 ms admits the complete set (465
+        // transitions), over an edge cap of 100, but the build at the
+        // session period fits — the cache must fall through to it instead
+        // of giving up.
+        let cfg = cap100();
+        let inst = Instance::new(chain30(), Platform::paper(2, 2), 0.003);
+        inst.note_period_ceiling(0.03);
         let sk = inst.transition_skeleton(&cfg).unwrap().unwrap();
-        assert!(!sk.is_complete() && sk.serves(0.003));
-        assert!(
-            inst.cached_skeleton().is_none(),
-            "no complete skeleton is cached"
-        );
-        assert!(Arc::ptr_eq(&inst.cached_bounded_skeleton().unwrap(), &sk));
+        assert_eq!((sk.period_ceiling(), sk.n_transitions()), (0.003, 87));
+        assert_eq!(inst.skeleton_overflows(), [(100, 0.03)]);
+        assert!(Arc::ptr_eq(&inst.cached_skeleton().unwrap(), &sk));
         // A tighter re-target is served from the same cached artifact.
         let sk2 = inst
             .with_period(0.001)
@@ -1184,7 +1145,7 @@ mod tests {
         let sk = inst.transition_skeleton(&cfg).unwrap().unwrap();
         // Built at the noted grid ceiling, not the session period, so the
         // same artifact serves every point of the sweep.
-        assert!(sk.serves(0.003));
+        assert_eq!((sk.period_ceiling(), sk.n_transitions()), (0.003, 87));
         let sk2 = inst
             .with_period(0.003)
             .transition_skeleton(&cfg)
@@ -1195,17 +1156,13 @@ mod tests {
 
     #[test]
     fn seeded_bounded_skeleton_routes_to_bounded_slot() {
-        let g = chain(&[1e6; 30], &[1e3; 29]);
-        let cfg = crate::dpa1d::Dpa1dConfig {
-            edge_cap: 100,
-            ..Default::default()
-        };
-        let donor = Instance::new(g.clone(), Platform::paper(2, 2), 0.003);
+        let cfg = cap100();
+        let donor = Instance::new(chain30(), Platform::paper(2, 2), 0.003);
         let sk = donor.transition_skeleton(&cfg).unwrap().unwrap();
-        assert!(!sk.is_complete());
-        let warm = Instance::new(g, Platform::paper(2, 2), 0.003);
+        let warm = Instance::new(chain30(), Platform::paper(2, 2), 0.003);
         warm.seed_skeleton(Arc::clone(&sk));
-        assert!(warm.cached_skeleton().is_none());
+        // The one slot answers both peeks: every skeleton is bounded.
+        assert!(Arc::ptr_eq(&warm.cached_skeleton().unwrap(), &sk));
         assert!(Arc::ptr_eq(&warm.cached_bounded_skeleton().unwrap(), &sk));
         let served = warm.transition_skeleton(&cfg).unwrap().unwrap();
         assert!(Arc::ptr_eq(&served, &sk), "seed must serve the build");

@@ -42,20 +42,16 @@ pub enum ArtifactKey {
         /// [`super::fingerprint::workload_fingerprint`] of the SPG.
         workload: u64,
     },
-    /// `DPA1D` transition skeleton for a workload on a platform.
-    ///
-    /// `ceiling` is the bit pattern of the skeleton's
-    /// [`TransitionSkeleton::period_ceiling`]
-    /// (`f64::INFINITY.to_bits()` for a complete skeleton), so bounded
-    /// and complete artifacts for the same workload/platform pair
-    /// coexist instead of shadowing each other.
+    /// `DPA1D` transition skeleton for a workload on a platform: one per
+    /// pair, whatever its [`TransitionSkeleton::period_ceiling`]. It
+    /// serves the requests at or below its ceiling (see
+    /// [`Artifact::serves`]), and a strictly looser build replaces it (see
+    /// [`ArtifactCache::insert`]).
     Skeleton {
         /// Workload fingerprint.
         workload: u64,
         /// [`super::fingerprint::platform_fingerprint`] of the platform.
         platform: u64,
-        /// `f64::to_bits` of the skeleton's period ceiling.
-        ceiling: u64,
     },
     /// Route table for a platform under one routing policy.
     Route {
@@ -81,12 +77,8 @@ impl std::fmt::Display for ArtifactKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ArtifactKey::Lattice { workload } => write!(f, "lattice/{workload:016x}"),
-            ArtifactKey::Skeleton {
-                workload,
-                platform,
-                ceiling,
-            } => {
-                write!(f, "skeleton/{workload:016x}/{platform:016x}/{ceiling:016x}")
+            ArtifactKey::Skeleton { workload, platform } => {
+                write!(f, "skeleton/{workload:016x}/{platform:016x}")
             }
             ArtifactKey::Route { platform, policy } => {
                 write!(f, "route/{platform:016x}/{policy}")
@@ -124,6 +116,26 @@ impl Artifact {
             Artifact::Lattice(l) => l.size_bytes(),
             Artifact::Skeleton(s) => s.size_bytes(),
             Artifact::Route(r) => r.size_bytes(),
+        }
+    }
+
+    /// Whether this artifact serves a solve at `period`: lattices and
+    /// route tables are period-independent, and a skeleton serves the
+    /// periods at or below its ceiling ([`TransitionSkeleton::serves`]).
+    pub fn serves(&self, period: f64) -> bool {
+        match self {
+            Artifact::Skeleton(s) => s.serves(period),
+            Artifact::Lattice(_) | Artifact::Route(_) => true,
+        }
+    }
+
+    /// Whether this artifact replaces `live` under the same key: only a
+    /// skeleton that [supersedes](TransitionSkeleton::supersedes) the live
+    /// one does.
+    fn supersedes(&self, live: &Artifact) -> bool {
+        match (self, live) {
+            (Artifact::Skeleton(new), Artifact::Skeleton(old)) => new.supersedes(old),
+            _ => false,
         }
     }
 }
@@ -196,8 +208,19 @@ impl ArtifactCache {
     /// Looks up an artifact, bumping its recency and the hit/miss
     /// counters.
     pub fn get(&mut self, key: &ArtifactKey) -> Option<Artifact> {
+        self.get_if(key, |_| true)
+    }
+
+    /// Looks up an artifact that `usable` accepts: a hit bumps its recency
+    /// and the hit counter; a missing or unusable entry counts as a miss
+    /// and is left as it was.
+    pub fn get_if(
+        &mut self,
+        key: &ArtifactKey,
+        usable: impl FnOnce(&Artifact) -> bool,
+    ) -> Option<Artifact> {
         self.tick += 1;
-        match self.map.get_mut(key) {
+        match self.map.get_mut(key).filter(|e| usable(&e.artifact)) {
             Some(e) => {
                 e.tick = self.tick;
                 self.hits += 1;
@@ -210,25 +233,31 @@ impl ArtifactCache {
         }
     }
 
-    /// Looks up presence **without** bumping recency or the hit/miss
+    /// Looks an artifact up **without** bumping recency or the hit/miss
     /// counters — the admission controller's service-time predictor probes
     /// a request's keys before the request is accepted, and a shed request
     /// must leave neither LRU order nor the deterministic counter sequence
     /// behind.
-    pub fn contains(&self, key: &ArtifactKey) -> bool {
-        self.map.contains_key(key)
+    pub fn peek(&self, key: &ArtifactKey) -> Option<&Artifact> {
+        self.map.get(key).map(|e| &e.artifact)
     }
 
-    /// Inserts an artifact (no-op if the key is already live — the first
-    /// materialisation wins, matching the seed-slot semantics on
-    /// [`crate::Instance`]), then evicts least-recently-used entries
-    /// until the byte bound holds. An artifact larger than the whole
-    /// bound is evicted immediately; the insert still counts. Returns
-    /// whether the artifact was newly inserted (the write-behind spill
-    /// trigger; a first-write-wins no-op must not re-spill).
+    /// Inserts an artifact, then evicts least-recently-used entries until
+    /// the byte bound holds. Under a live key the first materialisation
+    /// wins, matching the seed-slot semantics on [`crate::Instance`]: the
+    /// insert is a no-op, unless the new artifact is a skeleton with a
+    /// strictly looser ceiling, which replaces the live one (recharged at
+    /// its own size). An artifact larger than the whole bound is evicted
+    /// immediately; the insert still counts. Returns whether the artifact
+    /// was stored (the write-behind spill trigger; a no-op must not
+    /// re-spill).
     pub fn insert(&mut self, key: ArtifactKey, artifact: Artifact) -> bool {
-        if self.map.contains_key(&key) {
-            return false;
+        if let Some(live) = self.map.get(&key) {
+            if !artifact.supersedes(&live.artifact) {
+                return false;
+            }
+            self.bytes -= live.bytes;
+            self.map.remove(&key);
         }
         self.tick += 1;
         let bytes = artifact.size_bytes();
@@ -291,7 +320,8 @@ mod tests {
     use crate::instance::Instance;
     use cmp_platform::{Platform, RoutePolicy};
 
-    /// A real (small) artifact set harvested from an instance session.
+    /// A real (small) artifact set harvested from an instance session (its
+    /// skeleton built at the session's 0.5 s).
     fn artifacts() -> Vec<(ArtifactKey, Artifact)> {
         let inst = Instance::new(spg::chain(&[2e8; 6], &[1e4; 5]), Platform::paper(2, 2), 0.5);
         let lattice = inst.lattice(10_000).unwrap();
@@ -309,7 +339,6 @@ mod tests {
                 ArtifactKey::Skeleton {
                     workload: 1,
                     platform: 9,
-                    ceiling: f64::INFINITY.to_bits(),
                 },
                 Artifact::Skeleton(skeleton),
             ),
@@ -379,6 +408,36 @@ mod tests {
         cache.insert(arts[0].0, arts[1].1.clone());
         assert_eq!(cache.stats().bytes, before, "re-insert must be a no-op");
         assert_eq!(cache.len(), 1);
+    }
+
+    /// A skeleton lookup hits only when the skeleton serves the period,
+    /// and only a strictly looser skeleton replaces the live one.
+    #[test]
+    fn a_skeleton_serves_its_periods_and_yields_to_a_looser_one() {
+        let arts = artifacts();
+        let (key, tight) = arts[1].clone();
+        let inst = Instance::new(spg::chain(&[2e8; 6], &[1e4; 5]), Platform::paper(2, 2), 1.0);
+        let loose = Artifact::Skeleton(
+            inst.transition_skeleton(&crate::Dpa1dConfig::default())
+                .unwrap()
+                .unwrap(),
+        );
+        let mut cache = ArtifactCache::new(usize::MAX);
+        assert!(cache.insert(key, tight.clone()));
+        let serves = |t: f64| move |a: &Artifact| a.serves(t);
+        assert!(cache.get_if(&key, serves(0.5)).is_some());
+        assert!(cache.get_if(&key, serves(0.75)).is_none(), "above 0.5 s");
+        assert!(cache.peek(&key).is_some_and(|a| !a.serves(0.75)));
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+        // A looser build replaces it at its own size, a tighter or equal
+        // one does not.
+        assert!(cache.insert(key, loose.clone()));
+        assert_eq!(cache.stats().bytes, loose.size_bytes());
+        assert!(!cache.insert(key, tight));
+        assert!(!cache.insert(key, loose));
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get_if(&key, serves(0.75)).is_some());
+        assert_eq!(cache.stats().evictions, 0, "a replacement is no eviction");
     }
 
     #[test]

@@ -164,8 +164,9 @@ fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, String> {
 
 /// Whether a request whose cache probe found `[lattice, skeleton, route,
 /// healthy route]` (see [`ServiceCore::probe`]) is served warm: every
-/// artifact was cached, a link-faulted route table counting when its
-/// healthy sibling can be patched.
+/// artifact was cached (a skeleton only when it serves the request's
+/// period), a link-faulted route table counting when its healthy sibling
+/// can be patched.
 fn warm(hits: &[bool; 4]) -> bool {
     hits[0] && hits[1] && (hits[2] || hits[3])
 }
@@ -515,8 +516,8 @@ impl ServiceCore {
         }
     }
 
-    /// The three cache keys of a request's artifacts — lattice, complete
-    /// skeleton, route table — with fault-aware keying (see
+    /// The three cache keys of a request's artifacts — lattice, skeleton,
+    /// route table — with fault-aware keying (see
     /// [`ServiceCore::session`]).
     fn request_keys(workload: &spg::Spg, pf: &Platform) -> [ArtifactKey; 3] {
         let wfp = workload_fingerprint(workload);
@@ -534,7 +535,6 @@ impl ServiceCore {
             ArtifactKey::Skeleton {
                 workload: wfp,
                 platform: skeleton_pfp,
-                ceiling: f64::INFINITY.to_bits(),
             },
             ArtifactKey::Route {
                 platform: route_pfp,
@@ -543,39 +543,21 @@ impl ServiceCore {
         ]
     }
 
-    /// The skeleton key of `keys`' workload and platform at another work
-    /// ceiling ([`crate::TransitionSkeleton::period_ceiling`]).
-    fn skeleton_key(keys: &[ArtifactKey; 3], ceiling: f64) -> ArtifactKey {
-        let ArtifactKey::Skeleton {
-            workload, platform, ..
-        } = keys[1]
-        else {
-            unreachable!("keys[1] is the skeleton key");
-        };
-        ArtifactKey::Skeleton {
-            workload,
-            platform,
-            ceiling: ceiling.to_bits(),
-        }
-    }
-
-    /// Looks a request's artifacts up through `find`, in a fixed order:
-    /// lattice, complete skeleton, route table; the healthy sibling of a
-    /// missed link-faulted route table (which the request patches); and,
-    /// when no complete skeleton is cached and the caller will solve up to
-    /// `ceiling`, the skeleton bounded at that ceiling. Returns what was
-    /// found for `[lattice, skeleton, route, healthy route]`. A solve
-    /// passes [`ArtifactCache::get`] and admission passes
-    /// [`ArtifactCache::contains`], so both apply one residency rule (see
-    /// [`warm`]).
+    /// Looks a request's artifacts up through `find`, one lookup per key,
+    /// in a fixed order: lattice, skeleton, route table, then the healthy
+    /// sibling of a missed link-faulted route table (which the request
+    /// patches). Returns what was found for `[lattice, skeleton, route,
+    /// healthy route]`. A solve passes [`ArtifactCache::get_if`] and
+    /// admission passes [`ArtifactCache::peek`], each keeping only an
+    /// artifact that [`Artifact::serves`] the request's period, so both
+    /// apply one residency rule (see [`warm`]).
     fn probe<A>(
         keys: &[ArtifactKey; 3],
         pf: &Platform,
-        ceiling: Option<f64>,
         mut find: impl FnMut(&ArtifactKey) -> Option<A>,
     ) -> [Option<A>; 4] {
         let lattice = find(&keys[0]);
-        let mut skeleton = find(&keys[1]);
+        let skeleton = find(&keys[1]);
         let route = find(&keys[2]);
         let mut healthy_route = None;
         if route.is_none() && pf.has_link_faults() {
@@ -583,9 +565,6 @@ impl ServiceCore {
                 platform: fault_free_platform_fingerprint(pf),
                 policy: pf.policy.index() as u8,
             });
-        }
-        if let (None, Some(ceiling)) = (&skeleton, ceiling) {
-            skeleton = find(&Self::skeleton_key(keys, ceiling));
         }
         [lattice, skeleton, route, healthy_route]
     }
@@ -602,17 +581,17 @@ impl ServiceCore {
     /// Admission-control service-time estimate in nanoseconds: the warm
     /// median when the request would be served warm (see [`warm`]), the
     /// cold median otherwise; 0 (admit) when the matching histogram has no
-    /// history yet. The probe uses [`ArtifactCache::contains`], which
+    /// history yet. The probe uses [`ArtifactCache::peek`], which
     /// touches neither the hit/miss counters nor LRU recency — admission
     /// must not perturb the deterministic counter sequences the bench
     /// pins.
     fn estimate_solve_ns(&self, workload: &spg::Spg, req: &SolveReq) -> u64 {
         let keys = Self::request_keys(workload, &req.platform);
-        let ceiling = Self::request_period(workload, req);
+        let period = Self::request_period(workload, req);
         let found = {
             let cache = lock(&self.cache);
-            Self::probe(&keys, &req.platform, Some(ceiling), |k| {
-                cache.contains(k).then_some(())
+            Self::probe(&keys, &req.platform, |k| {
+                cache.peek(k).filter(|a| a.serves(period)).map(|_| ())
             })
         };
         let hist = if warm(&found.map(|f| f.is_some())) {
@@ -658,10 +637,10 @@ impl ServiceCore {
     /// Warm-seeds a fresh instance from the cache. A caller that will
     /// solve the session up to `ceiling` declares that reuse
     /// ([`Instance::note_period_ceiling`]: the cache harvests what the
-    /// solve builds), and a skeleton bounded at `ceiling` can stand in for
-    /// a missing complete one. The session records the instance's three
-    /// cache keys and which of `[lattice, skeleton, route, healthy route]`
-    /// the cache held (see [`ServiceCore::probe`]).
+    /// solve builds), and the cached skeleton is a hit only when it serves
+    /// `ceiling` (without one, none does). The session records the
+    /// instance's three cache keys and which of `[lattice, skeleton,
+    /// route, healthy route]` the cache held (see [`ServiceCore::probe`]).
     ///
     /// Fault-aware keying (see `docs/fault-model.md`): the skeleton key
     /// uses the fault-stripped platform fingerprint (the transition
@@ -676,9 +655,10 @@ impl ServiceCore {
         if let Some(ceiling) = ceiling {
             inst.note_period_ceiling(ceiling);
         }
+        let period = ceiling.unwrap_or(f64::INFINITY);
         let found = {
             let mut cache = lock(&self.cache);
-            Self::probe(&keys, pf, ceiling, |k| cache.get(k))
+            Self::probe(&keys, pf, |k| cache.get_if(k, |a| a.serves(period)))
         };
         let hits = found.each_ref().map(Option::is_some);
         let [lattice, skeleton, route, healthy_route] = found;
@@ -720,21 +700,20 @@ impl ServiceCore {
 
     /// Stores whichever artifacts a solve materialised that were not
     /// seeded from the cache: the lattice, the route table, and the
-    /// session's skeleton, keyed by the ceiling it was built under (which
-    /// may be looser than the probe ceiling: the complete set, or a sweep
-    /// hint). Returns the artifacts that were **newly inserted** so the
-    /// caller can spill them write-behind, outside the cache lock — even
-    /// an entry the LRU immediately evicts is worth spilling, because the
-    /// disk tier is what makes a restart warm.
+    /// session's skeleton, which replaces a cached one only when its
+    /// ceiling is strictly looser (see [`ArtifactCache::insert`]). Returns
+    /// the artifacts that were **newly stored** so the caller can spill
+    /// them write-behind, outside the cache lock — even an entry the LRU
+    /// immediately evicts is worth spilling, because the disk tier is what
+    /// makes a restart warm.
     fn harvest(&self, session: &Session) -> Vec<(ArtifactKey, Artifact)> {
         let Session { inst, keys, hits } = session;
         let mut built = Vec::new();
         if let (false, Some(l)) = (hits[0], inst.cached_lattice()) {
             built.push((keys[0], Artifact::Lattice(l)));
         }
-        if let (false, Some(s)) = (hits[1], inst.cached_any_skeleton()) {
-            let key = Self::skeleton_key(keys, s.period_ceiling());
-            built.push((key, Artifact::Skeleton(s)));
+        if let (false, Some(s)) = (hits[1], inst.cached_skeleton()) {
+            built.push((keys[1], Artifact::Skeleton(s)));
         }
         let policy = inst.platform().policy;
         if let (false, Some(r)) = (hits[2], inst.cached_route_table(policy)) {
@@ -864,13 +843,16 @@ impl ServiceCore {
                 (input, (job.tx, extras))
             })
             .unzip();
-        for (response, (tx, extras)) in self.execute(inputs).into_iter().zip(waiters) {
+        let responses = self.execute(inputs);
+        // Counted before any waiter is answered, so a `stats` read after
+        // the last response of a batch always sees the batch.
+        self.queue.batch_done(total, deduped);
+        for (response, (tx, extras)) in responses.into_iter().zip(waiters) {
             for extra in extras {
                 let _ = extra.send(response.clone());
             }
             let _ = tx.send(response);
         }
-        self.queue.batch_done(total, deduped);
     }
 
     /// [`ServiceCore::execute`] on one solve: the direct (`batching:
@@ -947,8 +929,8 @@ impl ServiceCore {
         arrival: Instant,
     ) -> PreparedSolve {
         // Every solve declares reuse up to its own period: `DPA1D` then
-        // materialises its skeleton (for the next request with these
-        // fingerprints) instead of streaming.
+        // materialises its skeleton at that period (for the next request
+        // with these fingerprints at it or below) instead of streaming.
         let period = Self::request_period(&workload, req);
         let inst = Instance::new(workload, req.platform.clone(), period);
         PreparedSolve {
@@ -1052,9 +1034,9 @@ impl ServiceCore {
             SweepAxis::Period => PeriodSweep::over_periods(portfolio, req.values),
             SweepAxis::Utilisation => PeriodSweep::over_utilisations(portfolio, req.values),
         };
-        // The session declares the grid's loosest period: one bounded
-        // skeleton build then serves every point, and an identical earlier
-        // sweep's bounded artifact is found by the probe.
+        // The session declares the grid's loosest period: one skeleton
+        // build at it then serves every point, and a cached skeleton at
+        // least as loose is a hit.
         let inst = Instance::new(workload, req.platform, 1.0);
         let ceiling = sweep.ceiling(&inst);
         let session = self.session(inst, ceiling);
@@ -1408,10 +1390,25 @@ mod tests {
         );
         let stats = svc.cache_stats();
         assert_eq!(stats.entries, 3, "lattice + skeleton + route cached");
-        assert_eq!(stats.hits, 3);
-        // Cold probes four keys (the complete-skeleton miss triggers a
-        // bounded-skeleton probe); warm hits the three live entries.
-        assert_eq!(stats.misses, 4);
+        // Cold misses its three keys, one lookup each; warm hits them.
+        assert_eq!((stats.hits, stats.misses), (3, 3));
+    }
+
+    /// The scheduler counts a batch before it answers the batch's
+    /// waiters: a `stats` read after each of N sequential solves reads N
+    /// batches, never N − 1.
+    #[test]
+    fn batches_are_counted_before_their_responses() {
+        let svc = Service::new(ServeConfig::default());
+        for n in 1..=8 {
+            let _ = result_of(&svc.handle(&solve_frame(n)));
+            let stats = svc.handle(&Json::parse(r#"{"op":"stats"}"#).unwrap());
+            let batches = result_of(&stats)
+                .get("scheduler")
+                .and_then(|s| s.get("batches"))
+                .and_then(Json::as_f64);
+            assert_eq!(batches, Some(n as f64), "after solve {n}: {stats}");
+        }
     }
 
     /// The same workload/platform/solvers as [`solve_frame`], with faults.
@@ -1535,40 +1532,68 @@ mod tests {
         assert_eq!(tags.get("route").and_then(Json::as_str), Some("patched"));
     }
 
-    /// The warm path through a bounded skeleton: a workload whose complete
-    /// transition set is over the default edge cap, but whose bounded
-    /// build at the request period fits, is harvested under that period's
-    /// ceiling and found by the next identical request.
+    /// The one skeleton per workload and platform: a workload whose
+    /// complete transition set is over the default edge cap is built at
+    /// the request period, harvested under the workload's key, and found
+    /// by the next identical request. A looser request misses it, builds
+    /// at its own period and replaces it; a tighter one is then a hit.
     #[test]
     fn a_bounded_skeleton_serves_the_second_solve_warm() {
-        let frame = Json::parse(
-            r#"{"op":"solve","workload":{"family":"deep-chain","n":1420,"seed":1},
-                "platform":{"p":4,"q":4},"utilisation":0.8,"solvers":"greedy,dpa1d"}"#,
-        )
-        .unwrap();
-        let (workload, req) = solve_req(&frame);
+        let frame = |u: f64| {
+            Json::parse(&format!(
+                r#"{{"op":"solve","workload":{{"family":"deep-chain","n":1420,"seed":1}},
+                    "platform":{{"p":4,"q":4}},"utilisation":{u},"solvers":"greedy,dpa1d"}}"#
+            ))
+            .unwrap()
+        };
+        let (workload, req) = solve_req(&frame(0.8));
         let pairs = spg::ideal::count_ideal_pairs(&workload).unwrap();
         assert!(pairs > crate::Dpa1dConfig::default().edge_cap as u128);
         let svc = Service::new(ServeConfig::default());
-        let cold = result_of(&svc.handle(&frame)).clone();
         let skeleton_tag = |r: &Json| {
             r.get("cache")
                 .and_then(|c| c.get("skeleton"))
                 .and_then(Json::as_str)
                 .map(str::to_string)
         };
-        assert_eq!(skeleton_tag(&cold).as_deref(), Some("miss"));
         let keys = ServiceCore::request_keys(&workload, &req.platform);
-        let period = ServiceCore::request_period(&workload, &req);
-        let bounded = ServiceCore::skeleton_key(&keys, period);
-        assert!(lock(&svc.cache).contains(&bounded), "harvested bounded");
-        assert!(!lock(&svc.cache).contains(&keys[1]), "no complete skeleton");
+        let cached_ceiling = || match lock(&svc.cache).peek(&keys[1]) {
+            Some(Artifact::Skeleton(s)) => Some(s.period_ceiling()),
+            _ => None,
+        };
+        let period = |u: f64| utilisation_period(&workload, &req.platform, u);
+        let counts = || {
+            let s = svc.cache_stats();
+            (s.hits, s.misses, s.entries)
+        };
 
-        let warm = result_of(&svc.handle(&frame)).clone();
+        let cold = result_of(&svc.handle(&frame(0.8))).clone();
+        assert_eq!(skeleton_tag(&cold).as_deref(), Some("miss"));
+        assert_eq!(cached_ceiling(), Some(period(0.8)), "harvested at 0.8");
+        assert_eq!(counts(), (0, 3, 3));
+
+        let warm = result_of(&svc.handle(&frame(0.8))).clone();
         assert_eq!(skeleton_tag(&warm).as_deref(), Some("hit"));
         assert_eq!(warm.get("warm").and_then(Json::as_bool), Some(true));
         let energy_bits = |r: &Json| r.get("energy").and_then(Json::as_f64).map(f64::to_bits);
         assert_eq!(energy_bits(&warm), energy_bits(&cold));
+        assert_eq!(counts(), (3, 3, 3));
+
+        let looser = result_of(&svc.handle(&frame(0.7))).clone();
+        assert_eq!(skeleton_tag(&looser).as_deref(), Some("miss"));
+        assert_eq!(looser.get("warm").and_then(Json::as_bool), Some(false));
+        assert_eq!(cached_ceiling(), Some(period(0.7)), "replaced by 0.7");
+        assert_eq!(counts(), (5, 4, 3));
+
+        let tighter = result_of(&svc.handle(&frame(0.9))).clone();
+        assert_eq!(skeleton_tag(&tighter).as_deref(), Some("hit"));
+        assert_eq!(tighter.get("warm").and_then(Json::as_bool), Some(true));
+        assert_eq!(
+            cached_ceiling(),
+            Some(period(0.7)),
+            "a hit replaces nothing"
+        );
+        assert_eq!(counts(), (8, 4, 3));
     }
 
     #[test]
@@ -1915,11 +1940,11 @@ mod tests {
             "two identical + one distinct job: one batch, one coalesce"
         );
         // Single-flight means the deduped job never touched the cache:
-        // two cold probe sequences (both groups prepare before either
-        // harvests), not three.
+        // two cold probe sequences of three keys (both groups prepare
+        // before either harvests), not three.
         assert_eq!(
             svc.cache_stats().misses,
-            4 + 4,
+            3 + 3,
             "two prepared groups, no third probe"
         );
     }

@@ -2,7 +2,9 @@
 //!
 //! Artifacts are **deterministic functions of their fingerprints** — a
 //! lattice is determined by the workload that fingerprinted it, a skeleton
-//! by workload × platform × ceiling, a route table by platform × policy —
+//! by workload × platform × its ceiling period (the one skeleton cached per
+//! workload and platform, see [`ArtifactKey::Skeleton`]), a route table by
+//! platform × policy —
 //! so a daemon restart does not have to recompute them: `xp serve
 //! --cache-dir DIR` writes every newly inserted artifact behind the
 //! request (write-behind, outside the cache lock) and reloads the
@@ -10,8 +12,8 @@
 //! as the last one before it.
 //!
 //! One artifact per file, named after its key (`lattice-<fp>.xpa`,
-//! `skeleton-<fp>-<fp>-<ceiling>.xpa`, `route-<fp>-<policy>.xpa`), laid
-//! out as:
+//! `skeleton-<fp>-<fp>.xpa`, `route-<fp>-<policy>.xpa`; a looser skeleton
+//! respilled under its key replaces the file), laid out as:
 //!
 //! ```text
 //! +--------+---------+-----+----------------+---------+----------+
@@ -50,8 +52,9 @@ use crate::instance::SharedLattice;
 /// File magic: identifies an artifact spill file.
 pub const SPILL_MAGIC: [u8; 8] = *b"XPARTIFS";
 /// Envelope version; bumping it invalidates (skips) older spill files.
-/// Version 2 changed the skeleton image layout.
-pub const SPILL_VERSION: u32 = 2;
+/// Version 2 changed the skeleton image layout; version 3 dropped the
+/// ceiling from the skeleton key and sorted each skeleton block by work.
+pub const SPILL_VERSION: u32 = 3;
 /// Extension of spill files inside a cache directory.
 pub const SPILL_EXT: &str = "xpa";
 
@@ -70,11 +73,9 @@ pub struct SpillStats {
 pub fn file_name(key: &ArtifactKey) -> String {
     match key {
         ArtifactKey::Lattice { workload } => format!("lattice-{workload:016x}.{SPILL_EXT}"),
-        ArtifactKey::Skeleton {
-            workload,
-            platform,
-            ceiling,
-        } => format!("skeleton-{workload:016x}-{platform:016x}-{ceiling:016x}.{SPILL_EXT}"),
+        ArtifactKey::Skeleton { workload, platform } => {
+            format!("skeleton-{workload:016x}-{platform:016x}.{SPILL_EXT}")
+        }
         ArtifactKey::Route { platform, policy } => {
             format!("route-{platform:016x}-{policy:02x}.{SPILL_EXT}")
         }
@@ -97,15 +98,10 @@ pub fn encode(key: &ArtifactKey, artifact: &Artifact) -> Vec<u8> {
             out.push(0);
             wire::put_u64(&mut out, workload);
         }
-        ArtifactKey::Skeleton {
-            workload,
-            platform,
-            ceiling,
-        } => {
+        ArtifactKey::Skeleton { workload, platform } => {
             out.push(1);
             wire::put_u64(&mut out, workload);
             wire::put_u64(&mut out, platform);
-            wire::put_u64(&mut out, ceiling);
         }
         ArtifactKey::Route { platform, policy } => {
             out.push(2);
@@ -150,7 +146,6 @@ pub fn decode(bytes: &[u8]) -> Result<(ArtifactKey, Artifact), String> {
         1 => ArtifactKey::Skeleton {
             workload: wire::get_u64(body, &mut pos)?,
             platform: wire::get_u64(body, &mut pos)?,
-            ceiling: wire::get_u64(body, &mut pos)?,
         },
         2 => ArtifactKey::Route {
             platform: wire::get_u64(body, &mut pos)?,
@@ -250,7 +245,6 @@ mod tests {
                 ArtifactKey::Skeleton {
                     workload: 0xabc,
                     platform: 0xdef,
-                    ceiling: f64::INFINITY.to_bits(),
                 },
                 Artifact::Skeleton(
                     inst.transition_skeleton(&crate::Dpa1dConfig::default())
@@ -321,7 +315,7 @@ mod tests {
         assert_eq!(stats.skipped, 1);
         assert_eq!(cache.len(), 3);
         for (key, _) in &arts {
-            assert!(cache.contains(key), "missing {key}");
+            assert!(cache.peek(key).is_some(), "missing {key}");
         }
         // Reload must not have counted hits or misses.
         let cs = cache.stats();

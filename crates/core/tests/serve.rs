@@ -517,6 +517,51 @@ fn v1_skeleton_spill() -> Vec<u8> {
     image
 }
 
+/// A complete version-2 spill file for the same two-stage chain, in the
+/// layout version-2 daemons wrote: a skeleton keyed by its ceiling too
+/// (`skeleton-<workload>-<platform>-<ceiling>.xpa`), blocks with `wmin`
+/// and in DFS order, and a complete (ceiling ∞) build.
+fn v2_skeleton_spill() -> Vec<u8> {
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&2u64.to_le_bytes());
+    // (from, cut, hop, wmin, start, end)
+    for (from, cut, hop, wmin, start, end) in [
+        (0u32, 0.0f64, 0.0f64, 1e8f64, 0u32, 2u32),
+        (1, 1e4, 4.8e-7, 2e8, 2, 3),
+    ] {
+        payload.extend_from_slice(&from.to_le_bytes());
+        for f in [cut, hop, wmin] {
+            payload.extend_from_slice(&f.to_le_bytes());
+        }
+        payload.extend_from_slice(&start.to_le_bytes());
+        payload.extend_from_slice(&end.to_le_bytes());
+    }
+    payload.extend_from_slice(&3u64.to_le_bytes());
+    for t in [1u32, 2, 2] {
+        payload.extend_from_slice(&t.to_le_bytes()); // destinations
+    }
+    payload.extend_from_slice(&3u64.to_le_bytes());
+    for w in [1e8f64, 3e8, 2e8] {
+        payload.extend_from_slice(&w.to_le_bytes());
+    }
+    payload.extend_from_slice(&2u32.to_le_bytes()); // max stages
+    payload.extend_from_slice(&3u32.to_le_bytes()); // ideals
+    payload.extend_from_slice(&f64::INFINITY.to_le_bytes());
+
+    let mut image = Vec::new();
+    image.extend_from_slice(b"XPARTIFS");
+    image.extend_from_slice(&2u32.to_le_bytes());
+    image.push(1); // skeleton key
+    for fp in [1u64, 2, f64::INFINITY.to_bits()] {
+        image.extend_from_slice(&fp.to_le_bytes());
+    }
+    image.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    image.extend_from_slice(&payload);
+    let sum = ea_core::serve::Fingerprint::new().bytes(&image).finish();
+    image.extend_from_slice(&sum.to_le_bytes());
+    image
+}
+
 /// A spill directory poisoned with garbage and version-skewed files must
 /// not break startup: bad files are skipped (and counted), good solves
 /// proceed, and fresh artifacts still spill next to the junk.
@@ -539,6 +584,13 @@ fn corrupt_and_version_skewed_spill_files_are_tolerated() {
         v1_skeleton_spill(),
     )
     .unwrap();
+    // And one from the last format keyed by ceiling: version 2 images
+    // held complete builds in DFS order.
+    std::fs::write(
+        dir.join("skeleton-0000000000000001-0000000000000003-7ff0000000000000.xpa"),
+        v2_skeleton_spill(),
+    )
+    .unwrap();
     // A non-spill file is not load_dir's business at all.
     std::fs::write(dir.join("README.txt"), b"hands off").unwrap();
 
@@ -549,8 +601,8 @@ fn corrupt_and_version_skewed_spill_files_are_tolerated() {
     assert_eq!(stat(&service, "spill", "loaded"), 0.0, "starts cold");
     assert_eq!(
         stat(&service, "spill", "skipped"),
-        3.0,
-        "all three bad .xpa files are skipped, the .txt is ignored"
+        4.0,
+        "all four bad .xpa files are skipped, the .txt is ignored"
     );
 
     // The daemon is healthy: a solve succeeds and spills write-behind.
@@ -573,7 +625,7 @@ fn corrupt_and_version_skewed_spill_files_are_tolerated() {
         ..ServeConfig::default()
     });
     assert!(stat(&reborn, "spill", "loaded") >= 1.0);
-    assert_eq!(stat(&reborn, "spill", "skipped"), 3.0);
+    assert_eq!(stat(&reborn, "spill", "skipped"), 4.0);
     drop(reborn);
     let _ = std::fs::remove_dir_all(&dir);
 }

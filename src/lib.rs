@@ -155,11 +155,10 @@
 //! Since 0.8, `DPA1D` always runs **dominance pruning**: a per-ideal
 //! Pareto frontier over the DP rows that skips transitions no optimal
 //! completion can extend, with ties kept so energies stay bit-identical
-//! to the unpruned relaxation. When a workload's complete transition system overflows the
-//! edge cap, the solver now builds a **work-ceiling skeleton** — bounded
-//! by the loosest period of the sweep — and streams the rest, so the cap
-//! is a soundness-preserving bound instead of a hard `TooExpensive`
-//! failure; `Dpa1dConfig::frontier_cap` optionally truncates frontiers
+//! to the unpruned relaxation. A sweep's skeleton is a **work-ceiling
+//! skeleton**, bounded by the loosest period of the sweep, and a
+//! transition system over the edge cap is streamed, so the cap is a
+//! soundness-preserving bound instead of a hard `TooExpensive` failure; `Dpa1dConfig::frontier_cap` optionally truncates frontiers
 //! and then certifies the result via [`prelude::Solution`]`::bound_gap`.
 //!
 //! ## Solve-as-a-service

@@ -16,7 +16,10 @@
 //!   layer on its own, so the invariant there is weaker: `Err`, or a value
 //!   that re-encodes to exactly the mutated bytes. The same holds for
 //!   payload mutations re-sealed under a fresh checksum, which is how the
-//!   envelope's structural checks are reached behind the checksum.
+//!   envelope's structural checks are reached behind the checksum;
+//! * a skeleton image whose blocks are not sorted by work, or whose
+//!   ceiling is not a finite period, must decode to `Err`: its admission
+//!   prefixes would silently drop transitions.
 //!
 //! Mutations are drawn from the in-tree ChaCha8 stream, so a failure
 //! reproduces from the seed and the case index in its message.
@@ -49,14 +52,16 @@ fn lattice_image() -> Vec<u8> {
     session().lattice(60_000).unwrap().to_bytes()
 }
 
-/// The complete skeleton's image, and a work-ceiling bounded one's.
+/// The image of a skeleton built at a period loose enough to hold every
+/// transition, and of one built at a tighter period.
 fn skeleton_images() -> [Vec<u8>; 2] {
-    let inst = session();
-    let complete = inst
+    let complete = session()
+        .with_period(10.0)
         .transition_skeleton(&Dpa1dConfig::default())
         .unwrap()
         .expect("a small fork-join fits the edge cap");
-    assert!(complete.is_complete());
+    let pairs = spg::ideal::count_ideal_pairs(session().spg()).unwrap();
+    assert_eq!(complete.n_transitions() as u128, pairs);
     let capped = Dpa1dConfig {
         edge_cap: complete.n_transitions() - 1,
         ..Default::default()
@@ -66,7 +71,7 @@ fn skeleton_images() -> [Vec<u8>; 2] {
         .transition_skeleton(&capped)
         .unwrap()
         .expect("the bounded build fits under the complete size");
-    assert!(!bounded.is_complete());
+    assert!(bounded.n_transitions() < complete.n_transitions());
     [complete.to_bytes(), bounded.to_bytes()]
 }
 
@@ -92,7 +97,6 @@ fn spill_images() -> Vec<Vec<u8>> {
             ArtifactKey::Skeleton {
                 workload: 7,
                 platform: 11,
-                ceiling: f64::INFINITY.to_bits(),
             },
             Artifact::Skeleton(skeleton),
         ),
@@ -122,7 +126,7 @@ fn reseal(image: &mut [u8]) {
 fn spill_payload_at(image: &[u8]) -> (usize, usize) {
     let key_bytes = match image[12] {
         0 => 8,
-        1 => 24,
+        1 => 16,
         2 => 9,
         k => panic!("unknown kind {k}"),
     };
@@ -139,9 +143,28 @@ fn u64_at(image: &[u8], at: usize) -> u64 {
 /// the block count, the transition count, the work array's count.
 fn skeleton_len_fields(image: &[u8]) -> Vec<usize> {
     let blocks = u64_at(image, 0) as usize;
-    let to_at = 8 + 36 * blocks;
+    let to_at = 8 + BLOCK_BYTES * blocks;
     let work_at = to_at + 8 + 4 * u64_at(image, to_at) as usize;
     vec![0, to_at, work_at]
+}
+
+/// Bytes per block in a `TransitionSkeleton` image: source id, cut, hop,
+/// range start and end.
+const BLOCK_BYTES: usize = 4 + 8 + 8 + 4 + 4;
+
+/// The `[start, end)` transition range of every block of a
+/// `TransitionSkeleton` image, and the offset of its first work.
+fn skeleton_blocks(image: &[u8]) -> (Vec<(usize, usize)>, usize) {
+    let blocks = u64_at(image, 0) as usize;
+    let range_at = |b: usize, field: usize| {
+        let at = 8 + BLOCK_BYTES * b + 20 + 4 * field;
+        u32::from_le_bytes(image[at..at + 4].try_into().unwrap()) as usize
+    };
+    let ranges = (0..blocks)
+        .map(|b| (range_at(b, 0), range_at(b, 1)))
+        .collect();
+    let work_at = skeleton_len_fields(image)[2] + 8;
+    (ranges, work_at)
 }
 
 /// Offsets of every `u64` length prefix in a `SharedLattice` image: the
@@ -295,6 +318,61 @@ fn skeleton_codec_survives_mutation() {
             TransitionSkeleton::from_bytes,
             TransitionSkeleton::to_bytes,
         );
+    }
+}
+
+/// Every swap of two distinct works inside one block, and every
+/// non-finite ceiling, is refused: the admission prefix of an unsorted
+/// block, or a skeleton that claims to serve every period, would drop
+/// transitions without a sign. A swap of two works in different blocks
+/// that keeps both sorted is a different valid skeleton, and must
+/// re-encode exactly.
+#[test]
+fn unsorted_blocks_and_unbounded_ceilings_are_refused() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5eed_0003);
+    for (i, image) in skeleton_images().iter().enumerate() {
+        let (ranges, work_at) = skeleton_blocks(image);
+        let work =
+            |m: &[u8], t: usize| f64::from_le_bytes(m[work_at + 8 * t..][..8].try_into().unwrap());
+        let mut swaps = 0;
+        for &(start, end) in &ranges {
+            for a in start..end {
+                for b in a + 1..end {
+                    if work(image, a) == work(image, b) {
+                        continue;
+                    }
+                    let mut m = image.clone();
+                    let (wa, wb) = (work(image, a), work(image, b));
+                    m[work_at + 8 * a..][..8].copy_from_slice(&wb.to_le_bytes());
+                    m[work_at + 8 * b..][..8].copy_from_slice(&wa.to_le_bytes());
+                    let err = TransitionSkeleton::from_bytes(&m).unwrap_err();
+                    assert!(err.contains("not sorted"), "image {i} swap {a}/{b}: {err}");
+                    swaps += 1;
+                }
+            }
+        }
+        assert!(swaps > 0, "image {i} has a block of distinct works");
+        let n = u64_at(image, skeleton_len_fields(image)[2]) as usize;
+        for case in 0..CASES {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let mut m = image.clone();
+            let (wa, wb) = (work(image, a), work(image, b));
+            m[work_at + 8 * a..][..8].copy_from_slice(&wb.to_le_bytes());
+            m[work_at + 8 * b..][..8].copy_from_slice(&wa.to_le_bytes());
+            assert_total(
+                &format!("image {i} case {case}"),
+                &m,
+                TransitionSkeleton::from_bytes,
+                TransitionSkeleton::to_bytes,
+            );
+        }
+        let ceiling_at = image.len() - 8;
+        for ceiling in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut m = image.clone();
+            m[ceiling_at..].copy_from_slice(&ceiling.to_le_bytes());
+            let err = TransitionSkeleton::from_bytes(&m).unwrap_err();
+            assert!(err.contains("finite period"), "image {i} {ceiling}: {err}");
+        }
     }
 }
 

@@ -88,8 +88,8 @@ fn skeleton_is_shared_across_with_period_retargets() {
         "with_period must share the transition skeleton"
     );
     assert!(a.n_transitions() > 0);
-    // A different edge cap large enough for the complete set reuses the
-    // same skeleton: the cap bounds only what gets built.
+    // A larger edge cap reuses the same skeleton: the cap bounds only
+    // what gets built.
     let larger = Dpa1dConfig {
         edge_cap: 10 * cfg.edge_cap,
         ..cfg.clone()
