@@ -205,15 +205,10 @@ impl ArtifactCache {
         }
     }
 
-    /// Looks up an artifact, bumping its recency and the hit/miss
-    /// counters.
-    pub fn get(&mut self, key: &ArtifactKey) -> Option<Artifact> {
-        self.get_if(key, |_| true)
-    }
-
-    /// Looks up an artifact that `usable` accepts: a hit bumps its recency
-    /// and the hit counter; a missing or unusable entry counts as a miss
-    /// and is left as it was.
+    /// Looks up an artifact that `usable` accepts (the daemon accepts one
+    /// that [`Artifact::serves`] the request's period): a hit bumps its
+    /// recency and the hit counter; a missing or unusable entry counts as
+    /// a miss and is left as it was.
     pub fn get_if(
         &mut self,
         key: &ArtifactKey,
@@ -357,12 +352,12 @@ mod tests {
         let mut cache = ArtifactCache::new(usize::MAX);
         let arts = artifacts();
         for (k, a) in &arts {
-            assert!(cache.get(k).is_none());
+            assert!(cache.get_if(k, |_| true).is_none());
             cache.insert(*k, a.clone());
         }
         let expected_bytes: usize = arts.iter().map(|(_, a)| a.size_bytes()).sum();
         for (k, _) in &arts {
-            assert!(cache.get(k).is_some());
+            assert!(cache.get_if(k, |_| true).is_some());
         }
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.evictions), (3, 3, 0));
@@ -386,7 +381,7 @@ mod tests {
             }
             // Touch the first key so the second becomes LRU, then insert a
             // duplicate-sized artifact under a fresh key to force eviction.
-            let _ = cache.get(&arts[0].0);
+            let _ = cache.get_if(&arts[0].0, |_| true);
             cache.insert(ArtifactKey::Lattice { workload: 77 }, arts[0].1.clone());
             cache.eviction_log().to_vec()
         };
