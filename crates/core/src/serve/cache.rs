@@ -13,7 +13,7 @@
 //! artifact reports its approximate heap footprint via the `size_bytes`
 //! accessors grown on the underlying types.
 //!
-//! Eviction is strict least-recently-*used* (get or insert bumps a
+//! Eviction is strict least-recently-*used* (a hit or an insert bumps a
 //! monotonic tick) and therefore deterministic under serialized replay of
 //! the same request sequence — the integration tests replay a scripted
 //! session twice and assert the eviction logs match. The scan for the
