@@ -1,14 +1,27 @@
-//! The batched solve queue and admission controller.
+//! The batched solve queue, its admission controller, and the
+//! single-flight table.
 //!
 //! Per-connection threads used to dispatch straight into
 //! [`crate::Portfolio::run`], so eight concurrent clients meant eight
 //! overlapping rayon fan-outs fighting for the same worker pool. The
 //! `SolveQueue` inverts that: connection threads *enqueue* decoded solve
 //! jobs and block on a response channel, while one scheduler thread drains
-//! the queue in batches, coalesces identical requests (single-flight:
-//! solve once, fan the frame to every waiter), and runs the distinct ones
-//! through [`crate::Portfolio::run_batch`] — one rayon wave that keeps the
-//! pool saturated instead of oversubscribed.
+//! the queue in batches and runs them through
+//! [`crate::Portfolio::run_batch`] — one rayon wave that keeps the pool
+//! saturated instead of oversubscribed.
+//!
+//! **Single-flight** happens at admission. A queued job opens a *flight*
+//! keyed by its request fingerprint (`SolveJob::dedup`); the flight stays
+//! open while the job waits and while its batch executes, and the
+//! scheduler closes it (`SolveQueue::close_flights`) once the batch's
+//! response frames are built, before any is sent. An identical request
+//! admitted while the flight is open is `Admission::Joined`: its
+//! response channel joins the flight and receives a byte-identical clone
+//! of the leader's frame. A joiner adds no service-time estimate, takes no
+//! queue slot and is never shed. So the scheduler needs no window to
+//! gather peers before it drains: it drains as soon as one job is queued,
+//! and a duplicate that arrives while its leader is already solving still
+//! joins.
 //!
 //! **Admission control** happens at enqueue time, not at timeout time. A
 //! job arrives with a service-time estimate (the warm or cold median from
@@ -23,31 +36,22 @@
 //! time-dependent (estimates, deadlines) is computed by the caller and
 //! carried on the job, so unit tests drive admission decisions exactly.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use crate::json::Json;
 use crate::solver::Solver;
 
 use super::protocol::SolveReq;
 
-/// How long an under-full drain lingers for peer requests to join the
-/// batch. Concurrent clients replaying the same workload land their
-/// requests within microseconds of each other; without the window the
-/// scheduler grabs the first arrival solo, solves it, and the peers form
-/// a second (redundant) flight. Two milliseconds is far above loopback
-/// jitter and far below any solve worth batching — a lone request pays at
-/// most this once, and shutdown bypasses it.
-pub(crate) const COALESCE_WINDOW: Duration = Duration::from_millis(2);
-
 /// One decoded, validated solve waiting for the scheduler thread.
 ///
 /// The connection thread has already instantiated the workload, resolved
 /// the solver list, fingerprinted the request, and estimated its service
-/// time — the scheduler only groups, runs, and responds.
+/// time — the scheduler only runs and responds.
 pub(crate) struct SolveJob {
     /// The decoded request (seed/deadline fields still unresolved —
     /// resolution against config defaults happens in the solve path, and
@@ -57,9 +61,9 @@ pub(crate) struct SolveJob {
     pub workload: spg::Spg,
     /// The resolved solver set.
     pub solvers: Vec<std::sync::Arc<dyn Solver>>,
-    /// Full request-identity fingerprint: jobs with equal `dedup` are
-    /// guaranteed to produce identical response frames, so the scheduler
-    /// solves one and fans the frame out.
+    /// Full request-identity fingerprint, the flight key: jobs with equal
+    /// `dedup` are guaranteed to produce identical response frames, so one
+    /// solve answers them all.
     pub dedup: u64,
     /// Estimated service time in nanoseconds (0 = no history yet).
     pub est_ns: u64,
@@ -74,8 +78,11 @@ pub(crate) struct SolveJob {
 
 /// Admission verdict for one job.
 pub(crate) enum Admission {
-    /// Queued; the caller blocks on its receiver.
+    /// Queued, opening a flight; the caller blocks on its receiver.
     Queued,
+    /// An identical job's flight was open: the job's sender joined it and
+    /// receives that job's frame. The caller blocks on its receiver.
+    Joined,
     /// Shed at the door: predicted queue wait would blow the deadline, or
     /// the queue is full. The caller answers with an `overloaded` frame.
     Shed {
@@ -97,20 +104,30 @@ pub struct SchedulerStats {
     pub queue_depth: u64,
     /// Batches the scheduler thread has executed.
     pub batches: u64,
-    /// Solve jobs that went through the batched path (including
-    /// coalesced ones).
+    /// Solve requests answered by the batched path (joiners included).
     pub batched_requests: u64,
-    /// Jobs answered from another identical job's solve (single-flight).
+    /// Requests answered from an identical request's solve (joined its
+    /// flight).
     pub deduped: u64,
     /// Jobs shed by admission control.
     pub shed: u64,
+}
+
+/// What the queue's one mutex guards: the waiting jobs and the open
+/// flights.
+#[derive(Default)]
+struct Pending {
+    jobs: VecDeque<SolveJob>,
+    /// Open flights: the `dedup` of every queued or executing job, mapped
+    /// to the senders of the identical jobs that joined it.
+    flights: HashMap<u64, Vec<Sender<Json>>>,
 }
 
 /// The bounded MPSC solve queue: connection threads push, the scheduler
 /// thread drains.
 pub(crate) struct SolveQueue {
     cap: usize,
-    queue: Mutex<VecDeque<SolveJob>>,
+    pending: Mutex<Pending>,
     available: Condvar,
     /// Set once the scheduler thread has drained and exited; admits after
     /// this point bounce back to the caller as [`Admission::Draining`].
@@ -132,7 +149,7 @@ impl SolveQueue {
     pub fn new(cap: usize) -> Self {
         SolveQueue {
             cap,
-            queue: Mutex::new(VecDeque::new()),
+            pending: Mutex::new(Pending::default()),
             available: Condvar::new(),
             closed: AtomicBool::new(false),
             closing: AtomicBool::new(false),
@@ -145,15 +162,27 @@ impl SolveQueue {
         }
     }
 
-    /// Applies admission control and enqueues on success. The predicted
-    /// wait is the sum of service-time estimates ahead of this job
-    /// (queued plus the batch in flight); a job whose own deadline is
+    /// Locks the queue state. A poisoned lock is recovered: each update
+    /// under it is one push, drain, insert or remove, which leaves the
+    /// jobs and flights valid at every step.
+    fn pending(&self) -> MutexGuard<'_, Pending> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Joins the job to an identical job's open flight, or applies
+    /// admission control and enqueues it, opening its flight. The
+    /// predicted wait is the sum of service-time estimates ahead of this
+    /// job (queued plus the batch in flight); a job whose own deadline is
     /// tighter than that wait is shed *now*, before it burns its budget
     /// in line.
     pub fn admit(&self, job: SolveJob) -> Admission {
-        let mut q = self.queue.lock().unwrap();
+        let mut p = self.pending();
         if self.closed.load(Ordering::SeqCst) {
             return Admission::Draining(Box::new(job));
+        }
+        if let Some(joined) = p.flights.get_mut(&job.dedup) {
+            joined.push(job.tx);
+            return Admission::Joined;
         }
         let predicted_wait_ns = self
             .queued_est_ns
@@ -162,48 +191,32 @@ impl SolveQueue {
         let over_deadline = job
             .deadline_ns
             .is_some_and(|deadline| predicted_wait_ns > deadline);
-        if q.len() >= self.cap || over_deadline {
+        if p.jobs.len() >= self.cap || over_deadline {
             self.shed.fetch_add(1, Ordering::Relaxed);
             return Admission::Shed {
                 predicted_wait_ns,
-                queue_depth: q.len() as u64,
+                queue_depth: p.jobs.len() as u64,
             };
         }
         self.queued_est_ns.fetch_add(job.est_ns, Ordering::Relaxed);
-        q.push_back(job);
+        p.flights.insert(job.dedup, Vec::new());
+        p.jobs.push_back(job);
         self.available.notify_one();
         Admission::Queued
     }
 
     /// Blocks until at least one job is queued (or shutdown), then drains
-    /// up to `max` jobs. Returns `None` once the queue is empty *and*
-    /// closing — after which the queue is marked closed and every
-    /// subsequent [`SolveQueue::admit`] bounces.
-    ///
-    /// A drain that would come in under `max` first **lingers** for
-    /// [`COALESCE_WINDOW`]: concurrent clients issue their identical
-    /// requests within microseconds of each other, but an eager drain
-    /// would grab the first arrival solo and solve it before its peers
-    /// hit the queue, fragmenting the single-flight groups. The window is
-    /// bounded (one fixed deadline per batch, never re-armed by later
-    /// arrivals) so a lone request pays at most the window in extra
-    /// latency, and shutdown skips it entirely.
+    /// up to `max` jobs at once, without waiting for more to arrive: a
+    /// late identical request joins the drained job's flight instead.
+    /// Returns `None` once the queue is empty *and* closing — after which
+    /// the queue is marked closed and every subsequent
+    /// [`SolveQueue::admit`] bounces.
     pub fn next_batch(&self, max: usize) -> Option<Vec<SolveJob>> {
-        let mut q = self.queue.lock().unwrap();
-        let mut linger_until: Option<Instant> = None;
+        let mut p = self.pending();
         loop {
-            if !q.is_empty() {
-                if q.len() < max.max(1) && !self.closing.load(Ordering::SeqCst) {
-                    let until =
-                        *linger_until.get_or_insert_with(|| Instant::now() + COALESCE_WINDOW);
-                    let now = Instant::now();
-                    if now < until {
-                        q = self.available.wait_timeout(q, until - now).unwrap().0;
-                        continue;
-                    }
-                }
-                let n = q.len().min(max.max(1));
-                let jobs: Vec<SolveJob> = q.drain(..n).collect();
+            if !p.jobs.is_empty() {
+                let n = p.jobs.len().min(max.max(1));
+                let jobs: Vec<SolveJob> = p.jobs.drain(..n).collect();
                 let est: u64 = jobs.iter().map(|j| j.est_ns).sum();
                 self.queued_est_ns.fetch_sub(est, Ordering::Relaxed);
                 self.inflight_est_ns.store(est, Ordering::Relaxed);
@@ -216,19 +229,28 @@ impl SolveQueue {
                 self.closed.store(true, Ordering::SeqCst);
                 return None;
             }
-            // The timeout is a safety net against a lost notification;
-            // shutdown explicitly notifies.
-            q = self
+            p = self
                 .available
-                .wait_timeout(q, Duration::from_millis(50))
-                .unwrap()
-                .0;
+                .wait(p)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
+    /// Closes the flights keyed by `dedups` (an executed batch's jobs, in
+    /// order) and returns each one's joined senders; a key with no open
+    /// flight yields none. From here on an identical request opens a new
+    /// flight.
+    pub fn close_flights(&self, dedups: impl IntoIterator<Item = u64>) -> Vec<Vec<Sender<Json>>> {
+        let mut p = self.pending();
+        dedups
+            .into_iter()
+            .map(|d| p.flights.remove(&d).unwrap_or_default())
+            .collect()
+    }
+
     /// Marks the executing batch finished (clears the inflight estimate)
-    /// and records its size and how many jobs were answered by
-    /// coalescing.
+    /// and records how many requests it answered and how many of them
+    /// had joined a flight.
     pub fn batch_done(&self, batched: u64, deduped: u64) {
         self.inflight_est_ns.store(0, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
@@ -238,6 +260,9 @@ impl SolveQueue {
 
     /// Tells the scheduler thread to drain and exit (idempotent).
     pub fn close(&self) {
+        // Flipped under the queue lock, so the scheduler either sees the
+        // flag before it waits or is already waiting for this wake-up.
+        let _p = self.pending();
         self.closing.store(true, Ordering::SeqCst);
         self.available.notify_all();
     }
@@ -245,7 +270,7 @@ impl SolveQueue {
     /// Counter snapshot.
     pub fn stats(&self) -> SchedulerStats {
         SchedulerStats {
-            queue_depth: self.queue.lock().unwrap().len() as u64,
+            queue_depth: self.pending().jobs.len() as u64,
             batches: self.batches.load(Ordering::Relaxed),
             batched_requests: self.batched.load(Ordering::Relaxed),
             deduped: self.deduped.load(Ordering::Relaxed),
@@ -259,7 +284,12 @@ mod tests {
     use super::*;
     use crate::serve::protocol::{parse_request, Request};
 
-    fn job(est_ns: u64, deadline_ns: Option<u64>) -> (SolveJob, std::sync::mpsc::Receiver<Json>) {
+    /// A job keyed `dedup` (the flight key; only equal keys join).
+    fn job(
+        dedup: u64,
+        est_ns: u64,
+        deadline_ns: Option<u64>,
+    ) -> (SolveJob, std::sync::mpsc::Receiver<Json>) {
         let frame = Json::parse(
             r#"{"op":"solve","workload":{"family":"deep-chain","n":4,"seed":1},
                 "platform":{"p":2,"q":2},"utilisation":0.5,"solvers":"greedy"}"#,
@@ -275,7 +305,7 @@ mod tests {
                 req,
                 workload,
                 solvers: crate::solvers::default_heuristics(),
-                dedup: 0,
+                dedup,
                 est_ns,
                 deadline_ns,
                 arrival: Instant::now(),
@@ -289,10 +319,10 @@ mod tests {
     fn admission_sheds_on_capacity_and_deadline() {
         let q = SolveQueue::new(1);
         // Empty queue, no history: everything admits, even deadline 0.
-        let (j, _rx) = job(0, Some(0));
+        let (j, _rx) = job(1, 0, Some(0));
         assert!(matches!(q.admit(j), Admission::Queued));
         // Queue at capacity: shed regardless of deadline.
-        let (j, _rx2) = job(0, None);
+        let (j, _rx2) = job(2, 0, None);
         let Admission::Shed { queue_depth, .. } = q.admit(j) else {
             panic!("full queue must shed");
         };
@@ -300,9 +330,9 @@ mod tests {
 
         // Predicted wait beyond the deadline: shed with the estimate.
         let roomy = SolveQueue::new(16);
-        let (j, _rx3) = job(5_000_000, None); // 5 ms queued ahead
+        let (j, _rx3) = job(1, 5_000_000, None); // 5 ms queued ahead
         assert!(matches!(roomy.admit(j), Admission::Queued));
-        let (j, _rx4) = job(0, Some(1_000_000)); // 1 ms deadline
+        let (j, _rx4) = job(2, 0, Some(1_000_000)); // 1 ms deadline
         let Admission::Shed {
             predicted_wait_ns, ..
         } = roomy.admit(j)
@@ -311,7 +341,7 @@ mod tests {
         };
         assert_eq!(predicted_wait_ns, 5_000_000);
         // An unbounded request still admits behind the same queue.
-        let (j, _rx5) = job(0, None);
+        let (j, _rx5) = job(3, 0, None);
         assert!(matches!(roomy.admit(j), Admission::Queued));
         assert_eq!(roomy.stats().shed, 1);
         assert_eq!(roomy.stats().queue_depth, 2);
@@ -321,8 +351,8 @@ mod tests {
     fn next_batch_drains_in_arrival_order_and_clears_estimates() {
         let q = SolveQueue::new(16);
         let mut rxs = Vec::new();
-        for est in [1_000u64, 2_000, 3_000] {
-            let (j, rx) = job(est, None);
+        for (dedup, est) in [(1, 1_000u64), (2, 2_000), (3, 3_000)] {
+            let (j, rx) = job(dedup, est, None);
             assert!(matches!(q.admit(j), Admission::Queued));
             rxs.push(rx);
         }
@@ -344,7 +374,7 @@ mod tests {
     #[test]
     fn close_bounces_later_admits_to_the_caller() {
         let q = SolveQueue::new(16);
-        let (j, _rx) = job(0, None);
+        let (j, _rx) = job(1, 0, None);
         assert!(matches!(q.admit(j), Admission::Queued));
         q.close();
         // Already-queued work still drains after close.
@@ -353,7 +383,57 @@ mod tests {
         // The queue is now empty and closing: the drain loop ends.
         assert!(q.next_batch(8).is_none());
         // Post-drain admits bounce back for inline execution.
-        let (j, _rx2) = job(0, None);
+        let (j, _rx2) = job(1, 0, None);
         assert!(matches!(q.admit(j), Admission::Draining(_)));
+    }
+
+    /// A job whose flight is open joins it at no cost: it is admitted
+    /// past a full queue and a deadline tighter than the predicted wait,
+    /// adds nothing to the queued estimate, and needs no drain.
+    #[test]
+    fn a_joiner_takes_no_slot_no_estimate_and_is_never_shed() {
+        let q = SolveQueue::new(1);
+        let (leader, _rx) = job(7, 5_000_000, None);
+        assert!(matches!(q.admit(leader), Admission::Queued));
+        let (joiner, _rx2) = job(7, 3_000_000, Some(0));
+        assert!(matches!(q.admit(joiner), Admission::Joined));
+        assert_eq!(q.queued_est_ns.load(Ordering::Relaxed), 5_000_000);
+        let s = q.stats();
+        assert_eq!((s.queue_depth, s.shed), (1, 0));
+        // A distinct job still meets the full queue.
+        let (other, _rx3) = job(8, 0, None);
+        assert!(matches!(q.admit(other), Admission::Shed { .. }));
+    }
+
+    /// A flight stays open from its leader's admission until
+    /// `close_flights`, across the drain: a duplicate admitted while the
+    /// leader's batch executes joins, and one admitted after the close
+    /// opens a new flight.
+    #[test]
+    fn flights_close_after_execution_and_reopen_on_the_next_duplicate() {
+        let q = SolveQueue::new(16);
+        let (leader, leader_rx) = job(7, 1_000, None);
+        assert!(matches!(q.admit(leader), Admission::Queued));
+        let (early, early_rx) = job(7, 0, None);
+        assert!(matches!(q.admit(early), Admission::Joined));
+        let batch = q.next_batch(8).unwrap();
+        assert_eq!(batch.len(), 1, "joiners are never drained");
+        let (late, late_rx) = job(7, 0, None);
+        assert!(matches!(q.admit(late), Admission::Joined));
+
+        let mut joined = q.close_flights([7, 9]);
+        assert!(joined[1].is_empty(), "a key with no open flight");
+        let frame = Json::from("the leader's frame");
+        for tx in joined.remove(0).into_iter().chain([batch[0].tx.clone()]) {
+            tx.send(frame.clone()).unwrap();
+        }
+        for rx in [&leader_rx, &early_rx, &late_rx] {
+            assert_eq!(rx.recv().unwrap().to_string(), frame.to_string());
+        }
+        q.batch_done(3, 2);
+
+        let (after, _rx) = job(7, 0, None);
+        assert!(matches!(q.admit(after), Admission::Queued));
+        assert_eq!(q.stats().queue_depth, 1);
     }
 }

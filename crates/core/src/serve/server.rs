@@ -7,16 +7,18 @@
 //! ## The batched hot path
 //!
 //! Connection threads do not dispatch solves themselves. They parse,
-//! validate, fingerprint, and **enqueue** onto the scheduler's bounded
-//! `SolveQueue`, then block on a response channel.
-//! One scheduler thread drains the queue in batches: identical requests
-//! (same full request fingerprint) are coalesced single-flight — solved
-//! once, the frame fanned to every waiter — and the distinct ones run as
-//! **one** [`Portfolio::run_batch`] wave over the global rayon pool, so
-//! eight concurrent clients saturate the workers instead of launching
-//! eight competing fan-outs. Admission control sheds at enqueue time
-//! (structured `overloaded` frame with `retry_after_ms`) when the
-//! predicted queue wait would blow the request's deadline. With
+//! validate, fingerprint, and **admit** onto the scheduler's bounded
+//! `SolveQueue`, then block on a response channel. A request identical
+//! to one already queued or solving (same full request fingerprint)
+//! joins that request's open flight instead of queueing (single-flight)
+//! and receives the same frame. One scheduler thread drains the queue as
+//! soon as it holds a job, and the drained solves, distinct by
+//! construction, run as **one** [`Portfolio::run_batch`] wave over the
+//! global rayon pool, so eight concurrent clients saturate the workers
+//! instead of launching eight competing fan-outs. Admission control
+//! sheds at enqueue time (structured `overloaded` frame with
+//! `retry_after_ms`) when the predicted queue wait would blow the
+//! request's deadline. With
 //! `batching` disabled, and for a solve that arrives after the shutdown
 //! drain, the connection thread runs the same executor (prepare → wave →
 //! finish) on a batch of one. `sweep` requests run on their connection
@@ -172,8 +174,9 @@ fn warm(hits: &[bool; 4]) -> bool {
 }
 
 /// How many jobs the scheduler thread drains per batch. Bounds the width
-/// of one [`Portfolio::run_batch`] wave; a drain never blocks waiting to
-/// fill the batch, so the cap only matters under real backlog.
+/// of one [`Portfolio::run_batch`] wave. A drain takes what is queued the
+/// moment one job is there and never waits for more, so the cap only
+/// matters under real backlog.
 const SCHED_BATCH_CAP: usize = 32;
 
 /// The transport-independent request service: parse → admit → batch →
@@ -321,8 +324,8 @@ pub struct ServiceCore {
 }
 
 impl ServiceCore {
-    /// The scheduler thread body: drain → coalesce → batch-solve →
-    /// respond, until shutdown drains the queue dry.
+    /// The scheduler thread body: drain → batch-solve → close the flights
+    /// → respond, until shutdown drains the queue dry.
     fn scheduler_loop(&self) {
         while let Some(jobs) = self.queue.next_batch(SCHED_BATCH_CAP) {
             self.run_batch_jobs(jobs);
@@ -762,7 +765,8 @@ impl ServiceCore {
     }
 
     /// Routes a decoded solve. With batching on, the request is
-    /// validated, fingerprinted, estimated, and enqueued; the connection
+    /// validated, fingerprinted, estimated, and admitted (queued, or
+    /// joined to an identical request's open flight); the connection
     /// thread then blocks on the response channel while the scheduler
     /// thread does the work. Shed requests get the structured
     /// `overloaded` frame without ever touching the queue. With batching
@@ -799,7 +803,7 @@ impl ServiceCore {
             tx,
         };
         match self.queue.admit(job) {
-            Admission::Queued => rx.recv().unwrap_or_else(|_| {
+            Admission::Queued | Admission::Joined => rx.recv().unwrap_or_else(|_| {
                 error_response("overloaded", "the solve scheduler terminated unexpectedly")
             }),
             Admission::Shed {
@@ -820,36 +824,32 @@ impl ServiceCore {
         }
     }
 
-    /// Executes one drained batch: group identical requests
-    /// (single-flight), run the distinct ones through
-    /// [`ServiceCore::execute`], then fan each response to its waiters.
-    /// Coalesced waiters receive a byte-identical clone of the leader's
+    /// Executes one drained batch: run its solves through
+    /// [`ServiceCore::execute`], close their flights, then send each
+    /// response to its job and to the requests that joined the job's
+    /// flight. Joiners receive a byte-identical clone of the leader's
     /// frame (including `wall_ms` — they shared the solve, so they share
     /// its latency sample too).
     fn run_batch_jobs(&self, jobs: Vec<SolveJob>) {
-        let total = jobs.len() as u64;
-        let mut groups: Vec<(SolveJob, Vec<mpsc::Sender<Json>>)> = Vec::new();
-        for job in jobs {
-            match groups.iter_mut().find(|(lead, _)| lead.dedup == job.dedup) {
-                Some((_, extras)) => extras.push(job.tx),
-                None => groups.push((job, Vec::new())),
-            }
-        }
-        let deduped = total - groups.len() as u64;
-        let (inputs, waiters): (Vec<SolveInput>, Vec<_>) = groups
+        let (inputs, leaders): (Vec<SolveInput>, Vec<_>) = jobs
             .into_iter()
-            .map(|(job, extras)| {
+            .map(|job| {
                 let input = (job.req, job.workload, job.solvers, job.arrival);
-                (input, (job.tx, extras))
+                (input, (job.dedup, job.tx))
             })
             .unzip();
         let responses = self.execute(inputs);
+        let joined = self
+            .queue
+            .close_flights(leaders.iter().map(|(dedup, _)| *dedup));
+        let deduped: u64 = joined.iter().map(|j| j.len() as u64).sum();
         // Counted before any waiter is answered, so a `stats` read after
         // the last response of a batch always sees the batch.
-        self.queue.batch_done(total, deduped);
-        for (response, (tx, extras)) in responses.into_iter().zip(waiters) {
-            for extra in extras {
-                let _ = extra.send(response.clone());
+        self.queue
+            .batch_done(leaders.len() as u64 + deduped, deduped);
+        for ((response, (_, tx)), joiners) in responses.into_iter().zip(leaders).zip(joined) {
+            for joiner in joiners {
+                let _ = joiner.send(response.clone());
             }
             let _ = tx.send(response);
         }
@@ -1887,43 +1887,47 @@ mod tests {
         );
     }
 
+    /// A job for `frame`, fingerprinted the way
+    /// [`ServiceCore::dispatch_solve`] does it (unpriced, no deadline).
+    fn solve_job(svc: &ServiceCore, frame: &Json) -> (SolveJob, mpsc::Receiver<Json>) {
+        let Ok(Request::Solve(req)) = parse_request(frame) else {
+            panic!("fixture must parse as a solve");
+        };
+        let workload = req.workload.instantiate().unwrap();
+        let solvers = svc.solvers_for(req.solvers.as_deref()).unwrap();
+        let dedup = svc.request_fingerprint(&workload, &req, &solvers);
+        let (tx, rx) = mpsc::channel();
+        let job = SolveJob {
+            req,
+            workload,
+            solvers,
+            dedup,
+            est_ns: 0,
+            deadline_ns: None,
+            arrival: Instant::now(),
+            tx,
+        };
+        (job, rx)
+    }
+
     #[test]
     fn batched_identical_requests_are_coalesced_single_flight() {
-        // Drive run_batch_jobs directly (batching off, so no scheduler
-        // thread competes) for a deterministic grouping assertion.
+        // Drive admit, next_batch and run_batch_jobs by hand (batching
+        // off, so no scheduler thread competes) for a deterministic
+        // single-flight assertion.
         let svc = Service::new(ServeConfig {
             batching: false,
             ..ServeConfig::default()
         });
-        let frame = solve_frame(7);
-        let Ok(Request::Solve(req)) = parse_request(&frame) else {
-            panic!("fixture must parse as a solve");
-        };
-        let make_job = |req: &SolveReq| {
-            let workload = req.workload.instantiate().unwrap();
-            let solvers = svc.solvers_for(req.solvers.as_deref()).unwrap();
-            let dedup = svc.request_fingerprint(&workload, req, &solvers);
-            let (tx, rx) = mpsc::channel();
-            (
-                SolveJob {
-                    req: req.clone(),
-                    workload,
-                    solvers,
-                    dedup,
-                    est_ns: 0,
-                    deadline_ns: None,
-                    arrival: Instant::now(),
-                    tx,
-                },
-                rx,
-            )
-        };
-        let (j1, rx1) = make_job(&req);
-        let (j2, rx2) = make_job(&req);
-        let mut distinct = req.clone();
-        distinct.seed = Some(99);
-        let (j3, rx3) = make_job(&distinct);
-        svc.run_batch_jobs(vec![j1, j2, j3]);
+        let (j1, rx1) = solve_job(&svc, &solve_frame(7));
+        let (j2, rx2) = solve_job(&svc, &solve_frame(7));
+        let (j3, rx3) = solve_job(&svc, &solve_frame(99));
+        assert!(matches!(svc.queue.admit(j1), Admission::Queued));
+        assert!(matches!(svc.queue.admit(j2), Admission::Joined));
+        assert!(matches!(svc.queue.admit(j3), Admission::Queued));
+        let batch = svc.queue.next_batch(SCHED_BATCH_CAP).unwrap();
+        assert_eq!(batch.len(), 2, "the joiner is never queued");
+        svc.run_batch_jobs(batch);
         let a = rx1.recv().unwrap();
         let b = rx2.recv().unwrap();
         let c = rx3.recv().unwrap();
@@ -1940,13 +1944,88 @@ mod tests {
             "two identical + one distinct job: one batch, one coalesce"
         );
         // Single-flight means the deduped job never touched the cache:
-        // two cold probe sequences of three keys (both groups prepare
+        // two cold probe sequences of three keys (both jobs prepare
         // before either harvests), not three.
         assert_eq!(
             svc.cache_stats().misses,
             3 + 3,
-            "two prepared groups, no third probe"
+            "two prepared jobs, no third probe"
         );
+    }
+
+    /// A solver that holds its solve between two waits on a shared
+    /// barrier (the test's "the solve is running" and "let it finish"),
+    /// then solves as `Greedy`.
+    struct Gate(Arc<std::sync::Barrier>);
+
+    impl crate::solver::Solver for Gate {
+        fn name(&self) -> &str {
+            "Gate"
+        }
+
+        fn solve(
+            &self,
+            inst: &Instance,
+            ctx: &crate::solver::SolveCtx,
+        ) -> Result<crate::common::Solution, crate::common::Failure> {
+            self.0.wait();
+            self.0.wait();
+            crate::solvers::Greedy::default().solve(inst, ctx)
+        }
+    }
+
+    /// A duplicate admitted while its leader is solving joins the open
+    /// flight: it is answered with the leader's frame, and neither
+    /// queues, solves nor probes the cache.
+    #[test]
+    fn a_duplicate_admitted_mid_solve_joins_and_gets_the_leaders_frame() {
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let mut registry = SolverRegistry::with_defaults();
+        registry.register(Arc::new(Gate(Arc::clone(&barrier))));
+        let svc = Service::with_registry(ServeConfig::default(), registry);
+        let mut frame = solve_frame(5);
+        if let Json::Obj(fields) = &mut frame {
+            fields.insert("solvers".into(), Json::from("gate"));
+        }
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| svc.handle(&frame));
+            barrier.wait();
+            let (dup, rx) = solve_job(&svc, &frame);
+            assert!(matches!(svc.queue.admit(dup), Admission::Joined));
+            barrier.wait();
+            let leader = leader.join().unwrap();
+            assert!(result_of(&leader).get("energy").is_some(), "{leader}");
+            assert_eq!(rx.recv().unwrap().to_string(), leader.to_string());
+        });
+        let s = svc.scheduler_stats();
+        assert_eq!((s.batches, s.batched_requests, s.deduped), (1, 2, 1));
+        assert_eq!(svc.cache_stats().misses, 3, "one cold probe sequence");
+    }
+
+    /// An identical request admitted after its predecessor's flight closed
+    /// opens a new flight and is solved, warm, from the artifacts the
+    /// first solve harvested.
+    #[test]
+    fn an_identical_request_after_the_flight_closed_is_solved_warm() {
+        let svc = Service::new(ServeConfig {
+            batching: false,
+            ..ServeConfig::default()
+        });
+        let mut frames = Vec::new();
+        for _ in 0..2 {
+            let (job, rx) = solve_job(&svc, &solve_frame(7));
+            assert!(matches!(svc.queue.admit(job), Admission::Queued));
+            svc.run_batch_jobs(svc.queue.next_batch(SCHED_BATCH_CAP).unwrap());
+            frames.push(rx.recv().unwrap());
+        }
+        let (cold, warm) = (result_of(&frames[0]), result_of(&frames[1]));
+        assert_eq!(cold.get("warm").and_then(Json::as_bool), Some(false));
+        assert_eq!(warm.get("warm").and_then(Json::as_bool), Some(true));
+        assert_eq!(warm.get("energy"), cold.get("energy"));
+        let s = svc.scheduler_stats();
+        assert_eq!((s.batches, s.batched_requests, s.deduped), (2, 2, 0));
+        let c = svc.cache_stats();
+        assert_eq!((c.hits, c.misses), (3, 3));
     }
 
     #[test]
@@ -2155,28 +2234,8 @@ mod tests {
             },
             boom_registry(),
         );
-        let job = |frame: &Json| {
-            let Ok(Request::Solve(req)) = parse_request(frame) else {
-                panic!("fixture must parse as a solve");
-            };
-            let workload = req.workload.instantiate().unwrap();
-            let solvers = svc.solvers_for(req.solvers.as_deref()).unwrap();
-            let dedup = svc.request_fingerprint(&workload, &req, &solvers);
-            let (tx, rx) = mpsc::channel();
-            let job = SolveJob {
-                req,
-                workload,
-                solvers,
-                dedup,
-                est_ns: 0,
-                deadline_ns: None,
-                arrival: Instant::now(),
-                tx,
-            };
-            (job, rx)
-        };
-        let (bad, bad_rx) = job(&boom_frame());
-        let (good, good_rx) = job(&solve_frame(5));
+        let (bad, bad_rx) = solve_job(&svc, &boom_frame());
+        let (good, good_rx) = solve_job(&svc, &solve_frame(5));
         svc.run_batch_jobs(vec![bad, good]);
         let bad = bad_rx.recv().unwrap();
         assert_eq!(error_kind(&bad), Some("internal"), "{bad}");

@@ -36,7 +36,7 @@
 //! — not corrupting — old directories.
 
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -82,15 +82,19 @@ pub fn file_name(key: &ArtifactKey) -> String {
     }
 }
 
-/// Serialises one `(key, artifact)` pair into a complete spill-file image
-/// (magic, version, key, payload, trailing checksum).
-pub fn encode(key: &ArtifactKey, artifact: &Artifact) -> Vec<u8> {
-    let payload = match artifact {
+/// An artifact's payload: its kind's frozen codec image.
+fn payload(artifact: &Artifact) -> Vec<u8> {
+    match artifact {
         Artifact::Lattice(l) => l.to_bytes(),
         Artifact::Skeleton(s) => s.to_bytes(),
         Artifact::Route(r) => r.to_bytes(),
-    };
-    let mut out = Vec::with_capacity(payload.len() + 64);
+    }
+}
+
+/// The envelope ahead of a payload of `payload_len` bytes: magic,
+/// version, key, and the payload length.
+fn head(key: &ArtifactKey, payload_len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(48);
     out.extend_from_slice(&SPILL_MAGIC);
     wire::put_u32(&mut out, SPILL_VERSION);
     match *key {
@@ -109,9 +113,22 @@ pub fn encode(key: &ArtifactKey, artifact: &Artifact) -> Vec<u8> {
             out.push(policy);
         }
     }
-    wire::put_u64(&mut out, payload.len() as u64);
+    wire::put_u64(&mut out, payload_len as u64);
+    out
+}
+
+/// The trailing checksum: FNV-1a over the head, then the payload.
+fn checksum(head: &[u8], payload: &[u8]) -> u64 {
+    Fingerprint::new().bytes(head).bytes(payload).finish()
+}
+
+/// Serialises one `(key, artifact)` pair into a complete spill-file image
+/// (magic, version, key, payload, trailing checksum).
+pub fn encode(key: &ArtifactKey, artifact: &Artifact) -> Vec<u8> {
+    let payload = payload(artifact);
+    let mut out = head(key, payload.len());
+    let sum = checksum(&out, &payload);
     out.extend_from_slice(&payload);
-    let sum = Fingerprint::new().bytes(&out).finish();
     wire::put_u64(&mut out, sum);
     out
 }
@@ -177,7 +194,9 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Writes one artifact to `dir` atomically: the image lands in a uniquely
 /// named `.tmp` sibling first and is renamed over the final path, so
-/// readers only ever observe complete files.
+/// readers only ever observe complete files. The file holds the bytes of
+/// [`encode`], written as head, payload and checksum, so the payload is
+/// never copied into a second image.
 pub fn spill(dir: &Path, key: &ArtifactKey, artifact: &Artifact) -> io::Result<()> {
     let final_path = dir.join(file_name(key));
     let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -186,8 +205,15 @@ pub fn spill(dir: &Path, key: &ArtifactKey, artifact: &Artifact) -> io::Result<(
         file_name(key),
         std::process::id()
     ));
-    fs::write(&tmp_path, encode(key, artifact))?;
-    let renamed = fs::rename(&tmp_path, &final_path);
+    let payload = payload(artifact);
+    let head = head(key, payload.len());
+    let sum = checksum(&head, &payload);
+    let written = fs::File::create(&tmp_path).and_then(|mut file| {
+        file.write_all(&head)?;
+        file.write_all(&payload)?;
+        file.write_all(&sum.to_le_bytes())
+    });
+    let renamed = written.and_then(|()| fs::rename(&tmp_path, &final_path));
     if renamed.is_err() {
         let _ = fs::remove_file(&tmp_path);
     }
@@ -272,6 +298,19 @@ mod tests {
             // form of payload fidelity.
             assert_eq!(encode(&k2, &a2), image);
         }
+    }
+
+    #[test]
+    fn spill_writes_the_encoded_image() {
+        let dir = std::env::temp_dir().join(format!("xp-spill-bytes-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        for (key, artifact) in artifacts() {
+            spill(&dir, &key, &artifact).unwrap();
+            let written = fs::read(dir.join(file_name(&key))).unwrap();
+            assert_eq!(written, encode(&key, &artifact), "{key}");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -729,3 +729,62 @@ fn batched_and_unbatched_services_agree_bit_for_bit() {
     );
     assert_eq!(direct.scheduler_stats().batches, 0);
 }
+
+/// Four connections send the same cold FFT solve at once. The requests
+/// that join an open flight share its solve, and each flight answers all
+/// of its requests with one byte-identical frame, so there are as many
+/// distinct frames as flights. Flights of one fingerprint never overlap
+/// (a request arriving during one joins it), so only the first probes
+/// the cache cold: 3 misses, however many joined. A request admitted
+/// after the first flight closed opens a warm one.
+#[test]
+fn simultaneous_identical_solves_share_one_flight() {
+    const CLIENTS: usize = 4;
+    let server = Server::bind_tcp("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr().unwrap();
+    let service = server.service();
+    let daemon = thread::spawn(move || server.run().unwrap());
+
+    let req = obj([
+        ("op", Json::from("solve")),
+        ("workload", streamit("FFT")),
+        ("utilisation", Json::from(0.5)),
+    ]);
+    let start = std::sync::Barrier::new(CLIENTS);
+    let frames: Vec<Json> = thread::scope(|s| {
+        let workers: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut client = Client::connect_tcp(addr).unwrap();
+                    start.wait();
+                    client.request(&req).unwrap()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    let energy = energy_bits(&frames[0]);
+    assert!(energy.is_some(), "{}", frames[0]);
+    let mut distinct = std::collections::BTreeMap::new();
+    for frame in &frames {
+        assert_eq!(energy_bits(frame), energy, "{frame}");
+        distinct.insert(frame.to_string(), frame);
+    }
+    let cold = distinct
+        .values()
+        .filter(|f| f.get("result").and_then(|r| r.get("warm")) == Some(&Json::from(false)))
+        .count();
+    assert_eq!(cold, 1, "the first flight alone is cold: {distinct:?}");
+    let sched = service.scheduler_stats();
+    assert_eq!(sched.batched_requests, CLIENTS as u64);
+    assert_eq!(
+        distinct.len() as u64,
+        CLIENTS as u64 - sched.deduped,
+        "one frame per flight: {sched:?}"
+    );
+    assert_eq!(service.cache_stats().misses, 3, "{sched:?}");
+
+    let mut control = Client::connect_tcp(addr).unwrap();
+    control.shutdown().unwrap();
+    daemon.join().unwrap();
+}
