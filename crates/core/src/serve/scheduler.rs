@@ -18,10 +18,23 @@
 //! admitted while the flight is open is `Admission::Joined`: its
 //! response channel joins the flight and receives a byte-identical clone
 //! of the leader's frame. A joiner adds no service-time estimate, takes no
-//! queue slot and is never shed. So the scheduler needs no window to
-//! gather peers before it drains: it drains as soon as one job is queued,
-//! and a duplicate that arrives while its leader is already solving still
-//! joins.
+//! queue slot and is never shed. So a duplicate that arrives while its
+//! leader is already solving still joins, and the scheduler drains as
+//! soon as one job is queued.
+//!
+//! **Regrouping.** One case still waits: right after a batch in which
+//! requests joined flights. Clients that replay identical requests in
+//! lockstep (the fleet `xp serve-bench` drives) come back together, but
+//! on a busy host their next requests reach admission up to a few
+//! milliseconds apart, and a sub-millisecond solve would close its flight
+//! before the last peer joins. A peer that misses one flight stays a
+//! request behind the others for good, so its later requests are all
+//! solved again. After such a batch, `SolveQueue::next_batch` therefore
+//! waits until one queued flight holds as many requests as the batch's
+//! fullest flight did, and at most `COALESCE_WINDOW` (2 ms). The daemon's
+//! first drain, with no batch to go by, waits the same way for one
+//! request per open connection. A batch that nobody joined (one client,
+//! or clients that share no request) drains the next job at once.
 //!
 //! **Admission control** happens at enqueue time, not at timeout time. A
 //! job arrives with a service-time estimate (the warm or cold median from
@@ -40,12 +53,17 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::json::Json;
 use crate::solver::Solver;
 
 use super::protocol::SolveReq;
+
+/// The longest a drain waits for the requests of a shared batch to come
+/// back (see the module docs on regrouping). It only bounds the wait: the
+/// drain goes as soon as they are all queued or joined.
+pub(crate) const COALESCE_WINDOW: Duration = Duration::from_millis(2);
 
 /// One decoded, validated solve waiting for the scheduler thread.
 ///
@@ -121,6 +139,37 @@ struct Pending {
     /// Open flights: the `dedup` of every queued or executing job, mapped
     /// to the senders of the identical jobs that joined it.
     flights: HashMap<u64, Vec<Sender<Json>>>,
+    /// How many requests the fullest flight of the last batch answered, if
+    /// any joined it; 0 otherwise; `None` before the first batch. The next
+    /// drain regroups them.
+    regroup: Option<usize>,
+    /// Open client connections (see [`SolveQueue::open_connection`]).
+    connections: usize,
+}
+
+impl Pending {
+    /// Whether a drain should wait for more requests to regroup: no queued
+    /// flight (a queued job and the requests that joined it) holds as many
+    /// as the last batch's fullest flight, or, before the first batch, as
+    /// there are open connections.
+    fn regrouping(&self) -> bool {
+        let fullest = self
+            .jobs
+            .iter()
+            .map(|j| 1 + self.flights.get(&j.dedup).map_or(0, Vec::len))
+            .max()
+            .unwrap_or(0);
+        fullest < self.regroup.unwrap_or(self.connections)
+    }
+}
+
+/// An open client connection, counted by its [`SolveQueue`] until dropped.
+pub(crate) struct OpenConnection<'a>(&'a SolveQueue);
+
+impl Drop for OpenConnection<'_> {
+    fn drop(&mut self) {
+        self.0.pending().connections -= 1;
+    }
 }
 
 /// The bounded MPSC solve queue: connection threads push, the scheduler
@@ -182,6 +231,8 @@ impl SolveQueue {
         }
         if let Some(joined) = p.flights.get_mut(&job.dedup) {
             joined.push(job.tx);
+            // A regrouping drain counts joiners.
+            self.available.notify_one();
             return Admission::Joined;
         }
         let predicted_wait_ns = self
@@ -206,16 +257,32 @@ impl SolveQueue {
     }
 
     /// Blocks until at least one job is queued (or shutdown), then drains
-    /// up to `max` jobs at once, without waiting for more to arrive: a
-    /// late identical request joins the drained job's flight instead.
-    /// Returns `None` once the queue is empty *and* closing — after which
-    /// the queue is marked closed and every subsequent
+    /// up to `max` jobs at once. The drain does not wait for more jobs,
+    /// since a late identical request joins the drained job's flight
+    /// instead, except to regroup the requests of a shared batch (see the
+    /// module docs). Returns `None` once the queue is empty *and* closing
+    /// — after which the queue is marked closed and every subsequent
     /// [`SolveQueue::admit`] bounces.
     pub fn next_batch(&self, max: usize) -> Option<Vec<SolveJob>> {
+        let max = max.max(1);
         let mut p = self.pending();
+        let mut regroup_until: Option<Instant> = None;
         loop {
             if !p.jobs.is_empty() {
-                let n = p.jobs.len().min(max.max(1));
+                if p.jobs.len() < max && p.regrouping() && !self.closing.load(Ordering::SeqCst) {
+                    let until =
+                        *regroup_until.get_or_insert_with(|| Instant::now() + COALESCE_WINDOW);
+                    let now = Instant::now();
+                    if now < until {
+                        p = self
+                            .available
+                            .wait_timeout(p, until - now)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0;
+                        continue;
+                    }
+                }
+                let n = p.jobs.len().min(max);
                 let jobs: Vec<SolveJob> = p.jobs.drain(..n).collect();
                 let est: u64 = jobs.iter().map(|j| j.est_ns).sum();
                 self.queued_est_ns.fetch_sub(est, Ordering::Relaxed);
@@ -239,13 +306,17 @@ impl SolveQueue {
     /// Closes the flights keyed by `dedups` (an executed batch's jobs, in
     /// order) and returns each one's joined senders; a key with no open
     /// flight yields none. From here on an identical request opens a new
-    /// flight.
+    /// flight. If any request joined, the next drain regroups as many
+    /// requests as the fullest of these flights answered.
     pub fn close_flights(&self, dedups: impl IntoIterator<Item = u64>) -> Vec<Vec<Sender<Json>>> {
         let mut p = self.pending();
-        dedups
+        let joined: Vec<Vec<Sender<Json>>> = dedups
             .into_iter()
             .map(|d| p.flights.remove(&d).unwrap_or_default())
-            .collect()
+            .collect();
+        let fullest = joined.iter().map(Vec::len).max().unwrap_or(0);
+        p.regroup = Some(if fullest > 0 { 1 + fullest } else { 0 });
+        joined
     }
 
     /// Marks the executing batch finished (clears the inflight estimate)
@@ -256,6 +327,14 @@ impl SolveQueue {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched.fetch_add(batched, Ordering::Relaxed);
         self.deduped.fetch_add(deduped, Ordering::Relaxed);
+    }
+
+    /// Counts a client connection as open, from its accept until the
+    /// returned guard drops; the daemon's first drain regroups one request
+    /// per open connection.
+    pub fn open_connection(&self) -> OpenConnection<'_> {
+        self.pending().connections += 1;
+        OpenConnection(self)
     }
 
     /// Tells the scheduler thread to drain and exit (idempotent).
@@ -435,5 +514,82 @@ mod tests {
         let (after, _rx) = job(7, 0, None);
         assert!(matches!(q.admit(after), Admission::Queued));
         assert_eq!(q.stats().queue_depth, 1);
+    }
+
+    /// Runs one batch of the jobs keyed `dedups` (one per key), with
+    /// `joiners` more requests joining the first key's flight, through
+    /// admission, drain and close.
+    fn run_batch(q: &SolveQueue, dedups: &[u64], joiners: usize) {
+        let mut rxs = Vec::new();
+        for (i, &d) in dedups.iter().enumerate() {
+            for k in 0..=if i == 0 { joiners } else { 0 } {
+                let (j, rx) = job(d, 0, None);
+                let admitted = q.admit(j);
+                assert_eq!(matches!(admitted, Admission::Joined), k > 0);
+                rxs.push(rx);
+            }
+        }
+        assert_eq!(q.next_batch(8).unwrap().len(), dedups.len());
+        q.close_flights(dedups.iter().copied());
+    }
+
+    /// A batch that a request joined makes the next drain regroup its
+    /// fullest flight's requests, in one queued flight; a batch that
+    /// nobody joined does not.
+    #[test]
+    fn a_shared_batch_regroups_its_requests_before_the_next_drain() {
+        let q = SolveQueue::new(16);
+        let (solo, _rx) = job(1, 0, None);
+        assert!(matches!(q.admit(solo), Admission::Queued));
+        assert!(!q.pending().regrouping(), "no batch and no connection yet");
+        assert_eq!(q.next_batch(8).unwrap().len(), 1);
+        q.close_flights([1]);
+        let (leader, _rx) = job(3, 0, None);
+        assert!(matches!(q.admit(leader), Admission::Queued));
+        assert!(!q.pending().regrouping(), "nobody joined the last batch");
+
+        let q = SolveQueue::new(16);
+        run_batch(&q, &[1, 2], 2);
+        let (lagging, _rx) = job(9, 0, None);
+        assert!(matches!(q.admit(lagging), Admission::Queued));
+        let (next, _rx2) = job(3, 0, None);
+        assert!(matches!(q.admit(next), Admission::Queued));
+        let mut peers = Vec::new();
+        for back in 2..=3 {
+            assert!(q.pending().regrouping(), "{} of 3 back", back - 1);
+            let (peer, rx) = job(3, 0, None);
+            assert!(matches!(q.admit(peer), Admission::Joined));
+            peers.push(rx);
+        }
+        assert!(!q.pending().regrouping(), "all 3 are back");
+    }
+
+    /// A regrouping drain that its peers never reach still drains, once
+    /// the window is over.
+    #[test]
+    fn a_regrouping_drain_waits_at_most_the_window() {
+        let q = SolveQueue::new(16);
+        run_batch(&q, &[7], 1);
+        let (j, _rx) = job(1, 0, None);
+        assert!(matches!(q.admit(j), Admission::Queued));
+        let started = Instant::now();
+        assert_eq!(q.next_batch(8).unwrap().len(), 1);
+        assert!(started.elapsed() >= COALESCE_WINDOW);
+    }
+
+    /// Before its first batch the daemon regroups one request per open
+    /// connection; a closed connection is not waited for.
+    #[test]
+    fn the_first_drain_regroups_the_open_connections() {
+        let q = SolveQueue::new(16);
+        let first = q.open_connection();
+        let second = q.open_connection();
+        let (j, _rx) = job(1, 0, None);
+        assert!(matches!(q.admit(j), Admission::Queued));
+        assert!(q.pending().regrouping());
+        drop(second);
+        assert!(!q.pending().regrouping());
+        drop(first);
+        assert_eq!(q.pending().connections, 0);
     }
 }

@@ -12,10 +12,12 @@
 //! to one already queued or solving (same full request fingerprint)
 //! joins that request's open flight instead of queueing (single-flight)
 //! and receives the same frame. One scheduler thread drains the queue as
-//! soon as it holds a job, and the drained solves, distinct by
-//! construction, run as **one** [`Portfolio::run_batch`] wave over the
-//! global rayon pool, so eight concurrent clients saturate the workers
-//! instead of launching eight competing fan-outs. Admission control
+//! soon as it holds a job (after a batch that requests joined, once that
+//! batch's requests are back: the scheduler's *regrouping*), and the
+//! drained solves, distinct by construction, run as **one**
+//! [`Portfolio::run_batch`] wave over the global rayon pool, so eight
+//! concurrent clients saturate the workers instead of launching eight
+//! competing fan-outs. Admission control
 //! sheds at enqueue time (structured `overloaded` frame with
 //! `retry_after_ms`) when the predicted queue wait would blow the
 //! request's deadline. With
@@ -174,9 +176,9 @@ fn warm(hits: &[bool; 4]) -> bool {
 }
 
 /// How many jobs the scheduler thread drains per batch. Bounds the width
-/// of one [`Portfolio::run_batch`] wave. A drain takes what is queued the
-/// moment one job is there and never waits for more, so the cap only
-/// matters under real backlog.
+/// of one [`Portfolio::run_batch`] wave. A drain takes what is queued and
+/// waits for more only to regroup the requests of a shared batch, so the
+/// cap only matters under real backlog.
 const SCHED_BATCH_CAP: usize = 32;
 
 /// The transport-independent request service: parse → admit → batch →
@@ -1312,8 +1314,9 @@ impl Server {
                             // latency between a response and the client's
                             // next request.
                             let _ = s.set_nodelay(true);
+                            let open = service.queue.open_connection();
                             scope.spawn(move || {
-                                let mut s = s;
+                                let (_open, mut s) = (open, s);
                                 serve_connection(service, &mut s);
                             });
                             Ok(())
@@ -1324,8 +1327,9 @@ impl Server {
                     ListenerKind::Unix(l, _) => match l.accept() {
                         Ok((s, _)) => {
                             let _ = s.set_nonblocking(false);
+                            let open = service.queue.open_connection();
                             scope.spawn(move || {
-                                let mut s = s;
+                                let (_open, mut s) = (open, s);
                                 serve_connection(service, &mut s);
                             });
                             Ok(())

@@ -117,19 +117,25 @@ fn head(key: &ArtifactKey, payload_len: usize) -> Vec<u8> {
     out
 }
 
-/// The trailing checksum: FNV-1a over the head, then the payload.
-fn checksum(head: &[u8], payload: &[u8]) -> u64 {
-    Fingerprint::new().bytes(head).bytes(payload).finish()
+/// Writes one `(key, artifact)` pair's spill-file image to `w`: the
+/// envelope head (magic, version, key, payload length), the payload, and
+/// the FNV-1a checksum over both. The payload goes out as its codec built
+/// it, never copied into a second buffer.
+fn write_image(w: &mut impl Write, key: &ArtifactKey, artifact: &Artifact) -> io::Result<()> {
+    let payload = payload(artifact);
+    let head = head(key, payload.len());
+    let sum = Fingerprint::new().bytes(&head).bytes(&payload).finish();
+    w.write_all(&head)?;
+    w.write_all(&payload)?;
+    w.write_all(&sum.to_le_bytes())
 }
 
 /// Serialises one `(key, artifact)` pair into a complete spill-file image
-/// (magic, version, key, payload, trailing checksum).
+/// (magic, version, key, payload, trailing checksum): the bytes
+/// [`spill`] writes.
 pub fn encode(key: &ArtifactKey, artifact: &Artifact) -> Vec<u8> {
-    let payload = payload(artifact);
-    let mut out = head(key, payload.len());
-    let sum = checksum(&out, &payload);
-    out.extend_from_slice(&payload);
-    wire::put_u64(&mut out, sum);
+    let mut out = Vec::new();
+    write_image(&mut out, key, artifact).expect("writing to a Vec cannot fail");
     out
 }
 
@@ -195,8 +201,7 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Writes one artifact to `dir` atomically: the image lands in a uniquely
 /// named `.tmp` sibling first and is renamed over the final path, so
 /// readers only ever observe complete files. The file holds the bytes of
-/// [`encode`], written as head, payload and checksum, so the payload is
-/// never copied into a second image.
+/// [`encode`], written straight from the artifact's payload.
 pub fn spill(dir: &Path, key: &ArtifactKey, artifact: &Artifact) -> io::Result<()> {
     let final_path = dir.join(file_name(key));
     let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -205,14 +210,8 @@ pub fn spill(dir: &Path, key: &ArtifactKey, artifact: &Artifact) -> io::Result<(
         file_name(key),
         std::process::id()
     ));
-    let payload = payload(artifact);
-    let head = head(key, payload.len());
-    let sum = checksum(&head, &payload);
-    let written = fs::File::create(&tmp_path).and_then(|mut file| {
-        file.write_all(&head)?;
-        file.write_all(&payload)?;
-        file.write_all(&sum.to_le_bytes())
-    });
+    let written =
+        fs::File::create(&tmp_path).and_then(|mut file| write_image(&mut file, key, artifact));
     let renamed = written.and_then(|()| fs::rename(&tmp_path, &final_path));
     if renamed.is_err() {
         let _ = fs::remove_file(&tmp_path);
@@ -301,7 +300,7 @@ mod tests {
     }
 
     #[test]
-    fn spill_writes_the_encoded_image() {
+    fn spilled_files_round_trip() {
         let dir = std::env::temp_dir().join(format!("xp-spill-bytes-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
@@ -309,6 +308,9 @@ mod tests {
             spill(&dir, &key, &artifact).unwrap();
             let written = fs::read(dir.join(file_name(&key))).unwrap();
             assert_eq!(written, encode(&key, &artifact), "{key}");
+            let (k2, a2) = decode(&written).unwrap();
+            assert_eq!(k2, key);
+            assert_eq!(encode(&k2, &a2), written, "{key}");
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -730,13 +730,12 @@ fn batched_and_unbatched_services_agree_bit_for_bit() {
     assert_eq!(direct.scheduler_stats().batches, 0);
 }
 
-/// Four connections send the same cold FFT solve at once. The requests
-/// that join an open flight share its solve, and each flight answers all
-/// of its requests with one byte-identical frame, so there are as many
-/// distinct frames as flights. Flights of one fingerprint never overlap
-/// (a request arriving during one joins it), so only the first probes
-/// the cache cold: 3 misses, however many joined. A request admitted
-/// after the first flight closed opens a warm one.
+/// Four connections send the same cold FFT solve while a long BitonicSort
+/// solve holds the scheduler, so each of them is admitted while the first
+/// one's flight is open: the first queues and the other three join it.
+/// All four get one byte-identical frame, and each flight probes the
+/// cache cold once (3 misses, as the blocker does), so the misses count
+/// the flights.
 #[test]
 fn simultaneous_identical_solves_share_one_flight() {
     const CLIENTS: usize = 4;
@@ -745,13 +744,22 @@ fn simultaneous_identical_solves_share_one_flight() {
     let service = server.service();
     let daemon = thread::spawn(move || server.run().unwrap());
 
-    let req = obj([
-        ("op", Json::from("solve")),
-        ("workload", streamit("FFT")),
-        ("utilisation", Json::from(0.5)),
-    ]);
-    let start = std::sync::Barrier::new(CLIENTS);
+    let solve = |flow: &str, p: u64| {
+        obj([
+            ("op", Json::from("solve")),
+            ("workload", streamit(flow)),
+            (
+                "platform",
+                obj([("p", Json::from(p)), ("q", Json::from(p))]),
+            ),
+            ("utilisation", Json::from(0.5)),
+        ])
+    };
+    // On its own platform, so the FFT flights miss their own route table.
+    let (blocker, req) = (solve("BitonicSort", 2), solve("FFT", 4));
+    let start = std::sync::Barrier::new(CLIENTS + 1);
     let frames: Vec<Json> = thread::scope(|s| {
+        let long = s.spawn(|| Client::connect_tcp(addr).unwrap().request(&blocker));
         let workers: Vec<_> = (0..CLIENTS)
             .map(|_| {
                 s.spawn(|| {
@@ -761,28 +769,27 @@ fn simultaneous_identical_solves_share_one_flight() {
                 })
             })
             .collect();
+        // The blocker's three cache probes: its batch is executing.
+        while service.cache_stats().misses < 3 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        start.wait();
+        let long = long.join().unwrap().unwrap();
+        assert!(energy_bits(&long).is_some(), "{long}");
         workers.into_iter().map(|w| w.join().unwrap()).collect()
     });
-    let energy = energy_bits(&frames[0]);
-    assert!(energy.is_some(), "{}", frames[0]);
-    let mut distinct = std::collections::BTreeMap::new();
+    assert!(energy_bits(&frames[0]).is_some(), "{}", frames[0]);
     for frame in &frames {
-        assert_eq!(energy_bits(frame), energy, "{frame}");
-        distinct.insert(frame.to_string(), frame);
+        assert_eq!(frame.to_string(), frames[0].to_string());
     }
-    let cold = distinct
-        .values()
-        .filter(|f| f.get("result").and_then(|r| r.get("warm")) == Some(&Json::from(false)))
-        .count();
-    assert_eq!(cold, 1, "the first flight alone is cold: {distinct:?}");
     let sched = service.scheduler_stats();
-    assert_eq!(sched.batched_requests, CLIENTS as u64);
+    assert_eq!(sched.batched_requests, 1 + CLIENTS as u64, "{sched:?}");
+    assert_eq!(sched.deduped, CLIENTS as u64 - 1, "{sched:?}");
     assert_eq!(
-        distinct.len() as u64,
-        CLIENTS as u64 - sched.deduped,
-        "one frame per flight: {sched:?}"
+        service.cache_stats().misses,
+        3 + 3 * (CLIENTS as u64 - sched.deduped),
+        "{sched:?}"
     );
-    assert_eq!(service.cache_stats().misses, 3, "{sched:?}");
 
     let mut control = Client::connect_tcp(addr).unwrap();
     control.shutdown().unwrap();
